@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import requests
-
 # doc_id layout: high 32 bits = global file index, low 32 bits = article ordinal.
 _FILE_INDEX_SHIFT = 32
 
@@ -213,6 +211,8 @@ def fetch_remote(
             f"remote corpus {name}/{split} is not cached under {target} "
             "and no remote-corpus base URL is configured"
         )
+
+    import requests  # only remote fetches pay for importing it
 
     prefix = f"{base_url.rstrip('/')}/{name}/{split}"
     try:

@@ -24,7 +24,6 @@ import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -109,11 +108,6 @@ def num_masked(window_len: int, policy: MaskingPolicy) -> int:
     return min(policy.max_predictions_per_seq, max(1, round(policy.masked_lm_prob * window_len)))
 
 
-@lru_cache(maxsize=8)
-def _non_special_ids(vocab: Vocabulary) -> tuple[int, ...]:
-    return tuple(vocab.non_special_ids())
-
-
 def apply_masking(
     window: list[int],
     policy: MaskingPolicy,
@@ -141,7 +135,7 @@ def apply_masking(
     input_ids += [vocab.pad_id] * (policy.max_seq_length - len(input_ids))
     attention_len = len(window) + 2
 
-    replacements = _non_special_ids(vocab)
+    replacements = vocab.non_special_ids
     positions: list[int] = []
     labels: list[int] = []
     for pos in chosen:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -69,3 +72,13 @@ def test_schedule_trace_command(tmp_path, capsys):
     assert main(["schedule", "trace", "--preset", "bert-base-benchmark",
                  "--out", str(tmp_path / "preset.tsv")]) == 0
     capsys.readouterr()
+
+
+def test_cli_import_does_not_load_requests():
+    # Only remote corpus fetches need requests; every other run skips its import cost.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, bertpipe.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

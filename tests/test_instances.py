@@ -19,7 +19,7 @@ from bertpipe.instances import (
 )
 from bertpipe.sharding import ShardPlan, shard_corpus
 from bertpipe.synthdata import generate_corpus
-from bertpipe.tokenization import vocab_digest
+from bertpipe.tokenization import Vocabulary, vocab_digest
 
 
 class TestPolicy:
@@ -102,6 +102,16 @@ class TestApplyMasking:
         for pos, label in zip(inst.masked_positions, inst.masked_labels):
             rebuilt[pos] = label
         assert rebuilt[1 : inst.attention_len - 1] == window
+
+    def test_does_not_hash_the_vocabulary(self, mini_vocab, monkeypatch):
+        def no_hash(self):
+            raise AssertionError("the vocabulary was hashed")
+
+        monkeypatch.setattr(Vocabulary, "__hash__", no_hash)
+        window = list(range(20, 120))
+        inst = apply_masking(window, MaskingPolicy(random_token_frac=0.5, keep_token_frac=0.0,
+                                                   mask_token_frac=0.5), mini_vocab, (9, 1, 0))
+        assert len(inst.masked_positions) == 15
 
 
 def test_masking_invariants_property(mini_vocab):

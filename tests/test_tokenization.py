@@ -4,9 +4,11 @@ import re
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bertpipe import tokenization
 from bertpipe.tokenization import (
+    WORDPIECE_MEMO_SIZE,
     VocabularyError,
     basic_tokenize,
     load_vocab,
@@ -88,6 +90,61 @@ class TestWordpiece:
         assert wordpiece(word, tiny_vocab) == [tiny_vocab.unk_id]
         # The configured cap is what matters, not an implicit constant.
         assert wordpiece(word, tiny_vocab, max_chars_per_word=1000) != [tiny_vocab.unk_id]
+        # Nor does a memoized result from a call with a larger cap.
+        assert wordpiece(word, tiny_vocab) == [tiny_vocab.unk_id]
+
+    def test_memo_is_bounded(self, tiny_vocab):
+        # "a" + "c" * k is a | ##c * k; more distinct words than the memo holds.
+        words = ["a" + "c" * (k % 150) + "b" * (k // 150) for k in range(WORDPIECE_MEMO_SIZE + 500)]
+        for word in words:
+            assert wordpiece(word, tiny_vocab) == _reference_wordpiece(word, tiny_vocab)
+            assert len(tiny_vocab.wordpiece_memo) <= WORDPIECE_MEMO_SIZE
+        for word in words[:50]:
+            assert wordpiece(word, tiny_vocab) == _reference_wordpiece(word, tiny_vocab)
+
+    def test_memoized_result_is_not_shared(self, tiny_vocab):
+        wordpiece("hello", tiny_vocab).append(-1)
+        assert wordpiece("hello", tiny_vocab) == [tiny_vocab.token_to_id["hello"]]
+
+    def test_bare_continuation_marker_token(self):
+        vocab = make_vocabulary(
+            ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "##", "a", "##a", "##b", "####"]
+        )
+        ids = vocab.token_to_id
+        assert wordpiece("##", vocab) == [ids["##"]]
+        assert wordpiece("a##", vocab) == [ids["a"], ids["####"]]
+        assert wordpiece("aab", vocab) == [ids["a"], ids["##a"], ids["##b"]]
+        assert wordpiece("b", vocab) == [vocab.unk_id]
+        for word in ("##", "a##", "aab", "b", "a#", "##a", "a###", "a####a"):
+            assert wordpiece(word, vocab) == _reference_wordpiece(word, vocab)
+
+    def test_word_starting_with_continuation_marker(self, tiny_vocab):
+        # A word is matched against whole tokens first, "##" included.
+        ids = tiny_vocab.token_to_id
+        assert wordpiece("##able", tiny_vocab) == [ids["##able"]]
+        assert wordpiece("##affable", tiny_vocab) == [ids["##aff"], ids["##able"]]
+        assert wordpiece("##", tiny_vocab) == [tiny_vocab.unk_id]
+        for word in ("##able", "##affable", "##", "##s", "##c##c"):
+            assert wordpiece(word, tiny_vocab) == _reference_wordpiece(word, tiny_vocab)
+
+
+def _reference_wordpiece(word: str, vocab, max_chars_per_word: int = 200) -> list[int]:
+    """Recursive longest-match WordPiece that builds every "##" piece."""
+
+    def match(rest: str, first: bool) -> list[int] | None:
+        if not rest:
+            return []
+        for end in range(len(rest), 0, -1):
+            piece = rest[:end] if first else "##" + rest[:end]
+            if piece in vocab.token_to_id:
+                tail = match(rest[end:], False)
+                if tail is not None:
+                    return [vocab.token_to_id[piece]] + tail
+                break  # greedy: do not backtrack to shorter prefixes
+        return None
+
+    pieces = match(word, True) if len(word) <= max_chars_per_word else None
+    return pieces if pieces is not None else [vocab.unk_id]
 
 
 def _reference_tokenize(text: str, vocab, do_lower_case: bool = True) -> list[int]:
@@ -121,22 +178,9 @@ def _reference_tokenize(text: str, vocab, do_lower_case: bool = True) -> list[in
         if word:
             words.append(word)
 
-    def match(rest: str, first: bool) -> list[int] | None:
-        if not rest:
-            return []
-        for end in range(len(rest), 0, -1):
-            piece = rest[:end] if first else "##" + rest[:end]
-            if piece in vocab.token_to_id:
-                tail = match(rest[end:], False)
-                if tail is not None:
-                    return [vocab.token_to_id[piece]] + tail
-                break  # greedy: do not backtrack to shorter prefixes
-        return None
-
     out: list[int] = []
     for word in words:
-        pieces = match(word, True) if len(word) <= 200 else None
-        out.extend(pieces if pieces is not None else [vocab.unk_id])
+        out.extend(_reference_wordpiece(word, vocab))
     return out
 
 
@@ -158,9 +202,23 @@ class TestTokenize:
         assert _reference_tokenize(GOLDEN_SENTENCE, tiny_vocab) == GOLDEN_IDS
         assert list(tokenize(GOLDEN_SENTENCE, tiny_vocab).ids) == GOLDEN_IDS
 
-    def test_continuation_flags(self, tiny_vocab):
-        seq = tokenize("unaffable", tiny_vocab)
-        assert list(seq.is_continuation) == [False, True, True]
+    def test_calls_both_stages_through_module_globals(self, tiny_vocab, monkeypatch):
+        # Tracing wraps these module attributes; tokenize must look them up there.
+        calls = {"basic_tokenize": 0, "wordpiece": 0}
+
+        def counting(name):
+            original = getattr(tokenization, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tokenization, "basic_tokenize", counting("basic_tokenize"))
+        monkeypatch.setattr(tokenization, "wordpiece", counting("wordpiece"))
+        seq = tokenization.tokenize(GOLDEN_SENTENCE, tiny_vocab)
+        assert calls == {"basic_tokenize": 1, "wordpiece": 6}
+        assert list(seq.ids) == GOLDEN_IDS
 
     def test_agrees_with_reference_on_mixed_text(self, mini_vocab):
         samples = [
@@ -174,6 +232,35 @@ class TestTokenize:
 
 
 # -- Properties ------------------------------------------------------------
+
+_WHITESPACE = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 \t\n"
+# 200 characters is the cap: each pair is one word at and one just over it,
+# covered by mini-uncased (a ##a ...) and by the tiny vocabulary (a ##c ...).
+_LONG_WORDS = ("a" * 200, "a" * 201, "a" + "c" * 199, "a" + "c" * 200)
+_unicode_text = st.lists(
+    st.one_of(
+        st.characters(categories=("Mn",)),
+        st.characters(categories=("Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po",
+                                  "Sm", "Sc", "Sk", "So")),
+        st.sampled_from(_WHITESPACE),
+        st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+        st.sampled_from("0123456789İẞ"),
+        st.sampled_from("abcdefhilnorstuwyÀÉéüñ"),
+        st.sampled_from(("unaffable", "Héllo", "running", "States", "news")),
+        st.sampled_from(_LONG_WORDS).map(lambda w: f" {w} "),
+        st.text(max_size=4),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_unicode_text)
+def test_agrees_with_reference_on_unicode(tiny_vocab, mini_vocab, text: str):
+    for vocab in (tiny_vocab, mini_vocab):
+        for do_lower_case in (True, False):
+            expected = _reference_tokenize(text, vocab, do_lower_case)
+            assert list(tokenize(text, vocab, do_lower_case).ids) == expected
 
 _word = st.text(alphabet=st.sampled_from("abcdehlnostuw"), min_size=1, max_size=8)
 
