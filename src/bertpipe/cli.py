@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import glue
-from .pipeline import PipelineError, PipelineOptions, Workspace, run_pipeline
+from .pipeline import STAGE_TABLE, PipelineError, PipelineOptions, Workspace, run_pipeline
 from .schedule import (
     DEFAULT_ELL,
     DEFAULT_ETA0,
@@ -93,9 +93,9 @@ def _trainer_from_args(args: argparse.Namespace):
 def _run_stages(args: argparse.Namespace, only_stage: str | None) -> int:
     cfg = config_mod.load_config(args.config)
     if only_stage is not None:
-        flags = {name: (name == only_stage) for name in
-                 ("dataset", "pretrain", "finetune", "result_collection")}
-        cfg = config_mod.with_stage_flags(cfg, **flags)
+        cfg = config_mod.with_stage_flags(cfg, **{
+            stage.section: stage.name == only_stage for stage in STAGE_TABLE if stage.section
+        })
     report = run_pipeline(
         cfg,
         Workspace(Path(args.workdir)),
@@ -148,15 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_args(run)
     run.set_defaults(func=lambda a: _run_stages(a, None))
 
-    for stage, attr in (
-        ("dataset", "dataset"),
-        ("pretrain", "pretrain"),
-        ("finetune", "finetune"),
-        ("collect", "result_collection"),
-    ):
-        stage_parser = sub.add_parser(stage, help=f"run only the {stage} stage")
+    for stage in (s for s in STAGE_TABLE if s.section):
+        stage_parser = sub.add_parser(stage.name, help=f"run only the {stage.name} stage")
         _add_pipeline_args(stage_parser)
-        stage_parser.set_defaults(func=lambda a, _attr=attr: _run_stages(a, _attr))
+        stage_parser.set_defaults(func=lambda a, _name=stage.name: _run_stages(a, _name))
 
     schedule = sub.add_parser("schedule", help="learning-rate schedule utilities")
     schedule_sub = schedule.add_subparsers(dest="schedule_command", required=True)

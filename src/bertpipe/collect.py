@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from . import glue
-from .trainer import METRIC_LINE_PREFIX, hyperparam_sort_key
+from .trainer import METRIC_LINE_PREFIX, parse_metric_line, winner_key
 
 SUBMISSION_ZIP_NAME = "glue_submission.zip"
 # Fixed DOS timestamp for zip members (zip epoch): reproducibility over mtimes.
@@ -50,16 +50,10 @@ def _parse_run_dir(task: str, run_dir: Path, predictions_dir: Path) -> RunResult
     log_path = run_dir / "run.log"
     if not log_path.is_file():
         raise ValueError("no run.log")
-    metric_name = None
-    metric_value = None
-    for line in log_path.read_text(encoding="utf-8", errors="replace").splitlines():
-        parts = line.strip().split("\t")
-        if len(parts) == 3 and parts[0] == METRIC_LINE_PREFIX:
-            metric_name, metric_value = parts[1], float(parts[2])
-    if metric_name is None or metric_value is None:
-        raise ValueError("no final_val_metric line in run.log")
-    if metric_value != metric_value or metric_value in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite metric {metric_value}")
+    metric = parse_metric_line(log_path.read_text(encoding="utf-8", errors="replace"))
+    if metric is None:
+        raise ValueError(f"no {METRIC_LINE_PREFIX} line in run.log")
+    metric_name, metric_value = metric
     hparams_path = run_dir / "hparams.json"
     if not hparams_path.is_file():
         raise ValueError("no hparams.json")
@@ -114,15 +108,8 @@ def collect_best_val(results: Iterable[RunResult]) -> dict[str, RunResult]:
     simply absent from the mapping.
     """
     best: dict[str, RunResult] = {}
-    for result in results:
-        incumbent = best.get(result.task)
-        if incumbent is None:
-            best[result.task] = result
-            continue
-        challenger_key = (-result.val_metric, hyperparam_sort_key(result.hyperparams))
-        incumbent_key = (-incumbent.val_metric, hyperparam_sort_key(incumbent.hyperparams))
-        if challenger_key < incumbent_key:
-            best[result.task] = result
+    for result in sorted(results, key=lambda r: winner_key(r.val_metric, r.hyperparams)):
+        best.setdefault(result.task, result)
     return best
 
 

@@ -1,11 +1,21 @@
 """Five-stage pipeline driver: env check, dataset, pretrain, finetune, collect.
 
-One command runs the stages in order; each can be disabled in the config, and
-a disabled stage is fine as long as its outputs (if required downstream)
-already exist, which is checked before anything runs. Completed stages leave
-a sentinel recording the inputs they ran with, so re-running a finished
-pipeline performs no work and reports every stage as skipped; changing the
-relevant config sections invalidates the sentinel.
+``STAGE_TABLE`` is the one description of the stages. A row names a stage,
+the config section whose ``ENABLED`` flag switches it (env_check is always
+on), the config and option values its work depends on, and the output it
+leaves; the stage's work is the module function ``_stage_<name>``. Three rules
+read the table:
+
+* Preconditions: before anything runs, an enabled stage that follows a
+  disabled one needs the disabled stage's output on disk already.
+* Chained digests: a stage's digest hashes its inputs and the digest of the
+  stage before it (the one computed in this run, or the one in that stage's
+  sentinel when it is disabled), so a change upstream re-runs every later
+  stage. Outputs after the dataset are keyed by the dataset id, so a new
+  dataset shows up downstream as a missing output, not as a digest change.
+* Sentinels: a completed stage records its digest under ``.stages/``. A later
+  run skips it only when the recorded digest equals the new one and the
+  stage's output still exists; ``force`` ignores sentinels.
 
 Directory layout under the workspace root::
 
@@ -33,13 +43,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import glue
 from .config import PipelineConfig, serialize_config, validate
-from .ingest import enumerate_corpus_files, sources_from_config
-from .instances import MaskingPolicy, generate_instances, load_meta
+from .ingest import IngestError, enumerate_corpus_files, scan_local, sources_from_config
+from .instances import META_NAME, MaskingPolicy, generate_instances, load_meta
 from .schedule import ScheduleSpec, warmup_steps
 from .search import SearchSpace, finetune_search, schedule_waves, select_best
 from .sharding import ShardPlan, dataset_id as derive_dataset_id, shard_corpus
 from .tokenization import load_vocab, resolve_vocab
 from .trainer import (
+    RESULT_FILE,
     EarlyStopPolicy,
     RunOutcome,
     SimulationTrainer,
@@ -48,9 +59,12 @@ from .trainer import (
     build_pretrain_job,
     parse_result_file,
 )
-from .collect import collect_best_val, summarize_val, translate_test_result
-
-STAGES = ("env_check", "dataset", "pretrain", "finetune", "collect")
+from .collect import (
+    SUBMISSION_ZIP_NAME,
+    collect_best_val,
+    summarize_val,
+    translate_test_result,
+)
 
 COMPLETED = "completed"
 SKIPPED_DISABLED = "skipped_disabled"
@@ -115,9 +129,8 @@ class Workspace:
     def translated_root(self) -> Path:
         return self.root / "output_test_translated"
 
-    @property
-    def sentinel_dir(self) -> Path:
-        return self.root / ".stages"
+    def sentinel_path(self, stage: str) -> Path:
+        return self.root / ".stages" / f"{stage}.json"
 
     def pretrain_model_dir(self, dataset_id: str) -> Path:
         return self.saved_models_root / "pretrain" / dataset_id
@@ -234,30 +247,88 @@ class PipelineReport:
         }
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    """Resolved stage list (fixed order) with enable flags and roots."""
+def _corpus_fingerprint(directories: tuple[str, ...]) -> list:
+    """``(path, size, mtime_ns)`` per local corpus file; the dataset stage reports bad paths."""
+    files: list = []
+    for directory in directories:
+        try:
+            for path in scan_local(directory):
+                st = path.stat()
+                files.append([str(path), st.st_size, st.st_mtime_ns])
+        except (IngestError, OSError):
+            files.append([str(directory), None, None])
+    return files
 
-    stages: tuple[tuple[str, bool], ...]
-    dataset_id: str | None
-    log_root: Path
-    output_root: Path
 
-
-def build_stage_plan(config: PipelineConfig, workspace: Workspace) -> StagePlan:
-    enabled = {
-        "env_check": True,
-        "dataset": config.dataset.enabled,
-        "pretrain": config.pretrain.enabled,
-        "finetune": config.finetune.enabled,
-        "collect": config.result_collection.enabled,
+def _dataset_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[str, Any]:
+    # A remote corpus is keyed by (name, split) alone: a completed cache never changes.
+    return {
+        "dataset": asdict(config.dataset),
+        "tokenizer": asdict(config.tokenizer),
+        "max_memory_in_gb": config.system.max_memory_in_gb,
+        "options": [
+            options.seed, options.num_train_shards, options.num_test_shards,
+            options.frac_test, options.dup_factor, options.masked_lm_prob,
+            options.max_seq_length, options.max_predictions_per_seq,
+            options.do_lower_case,
+        ],
+        "corpus": _corpus_fingerprint(config.dataset.customized_datasets),
     }
-    return StagePlan(
-        stages=tuple((name, enabled[name]) for name in STAGES),
-        dataset_id=resolve_dataset_id(config, workspace),
-        log_root=workspace.log_root,
-        output_root=workspace.output_root,
-    )
+
+
+def _pretrain_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[str, Any]:
+    return {
+        "pretrain": asdict(config.pretrain),
+        "tokenizer": asdict(config.tokenizer),
+        "options": [
+            options.schedule_kind, options.eta0, options.warmup_proportion,
+            asdict(options.early_stop),
+        ],
+    }
+
+
+def _finetune_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[str, Any]:
+    return {
+        "options": [
+            sorted(options.tasks), asdict(options.search_space),
+            dict(options.stilt_sources) if options.stilt_sources is not None else None,
+        ],
+    }
+
+
+@dataclass(frozen=True)
+class StageSpec:
+    """One row of ``STAGE_TABLE``; the stage's work is ``_stage_<name>``."""
+
+    name: str
+    section: str | None  # PipelineConfig attribute holding ENABLED; None: always on
+    inputs: Callable[[PipelineConfig, PipelineOptions], Any]
+    # Output path for a dataset id, None while the id is unknown; no callable: no output.
+    output: Callable[[Workspace, str | None], Path | None] | None = None
+
+    def enabled(self, config: PipelineConfig) -> bool:
+        return self.section is None or getattr(config, self.section).enabled
+
+    def output_exists(self, workspace: Workspace, dataset_id: str | None) -> bool:
+        if self.output is None:
+            return True
+        path = self.output(workspace, dataset_id)
+        return path is not None and path.exists()
+
+
+STAGE_TABLE: tuple[StageSpec, ...] = (
+    StageSpec("env_check", None, lambda config, options: None),
+    StageSpec("dataset", "dataset", _dataset_inputs,
+              lambda ws, did: ws.processed_dir / META_NAME),
+    StageSpec("pretrain", "pretrain", _pretrain_inputs,
+              lambda ws, did: ws.pretrain_model_dir(did) / RESULT_FILE if did else None),
+    StageSpec("finetune", "finetune", _finetune_inputs,
+              lambda ws, did: ws.log_root / "finetune" / did if did else None),
+    StageSpec("collect", "result_collection",
+              lambda config, options: {"options": [sorted(options.tasks)]},
+              lambda ws, did: ws.translated_dir(did) / SUBMISSION_ZIP_NAME if did else None),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
 
 def resolve_dataset_id(config: PipelineConfig, workspace: Workspace) -> str | None:
@@ -273,101 +344,41 @@ def resolve_dataset_id(config: PipelineConfig, workspace: Workspace) -> str | No
 
 def check_preconditions(config: PipelineConfig, workspace: Workspace) -> None:
     """Verify that every enabled stage can get its inputs before running anything."""
-    processed_meta = workspace.processed_dir / "META.yaml"
-    if config.pretrain.enabled and not config.dataset.enabled and not processed_meta.is_file():
-        raise StagePreconditionError(
-            "dataset", "pretrain", f"no processed dataset at {workspace.processed_dir}"
-        )
     did = resolve_dataset_id(config, workspace)
-    if config.finetune.enabled and not config.pretrain.enabled:
-        if did is None:
+    for producer, consumer in zip(STAGE_TABLE, STAGE_TABLE[1:]):
+        if (consumer.enabled(config) and not producer.enabled(config)
+                and not producer.output_exists(workspace, did)):
+            path = producer.output(workspace, did)
             raise StagePreconditionError(
-                "pretrain", "finetune", "no dataset id is resolvable (no processed data)"
-            )
-        if not (workspace.pretrain_model_dir(did) / "RESULT.tsv").is_file():
-            raise StagePreconditionError(
-                "pretrain",
-                "finetune",
-                f"no pretrained checkpoint under {workspace.pretrain_model_dir(did)}",
-            )
-    if config.result_collection.enabled and not config.finetune.enabled:
-        if did is None or not (workspace.log_root / "finetune" / did).is_dir():
-            raise StagePreconditionError(
-                "finetune", "collect", "no finetune logs to collect from"
+                producer.name,
+                consumer.name,
+                f"no {path}" if path else "no dataset id is resolvable (no processed data)",
             )
 
 
-def _stage_digest(stage: str, config: PipelineConfig, dataset_id: str | None,
-                  options: PipelineOptions) -> str:
-    """Digest of the config/options a stage's outputs depend on.
-
-    A stage sentinel is only honored while this digest is unchanged, so
-    editing the relevant config sections (or CLI knobs) re-runs the stage.
-    """
-    relevant: dict[str, Any] = {"stage": stage}
-    if stage == "dataset":
-        relevant["dataset"] = asdict(config.dataset)
-        relevant["tokenizer"] = asdict(config.tokenizer)
-        relevant["max_memory_in_gb"] = config.system.max_memory_in_gb
-        relevant["options"] = [
-            options.seed, options.num_train_shards, options.num_test_shards,
-            options.frac_test, options.dup_factor, options.masked_lm_prob,
-            options.max_seq_length, options.max_predictions_per_seq,
-            options.do_lower_case,
-        ]
-    elif stage == "pretrain":
-        relevant["pretrain"] = asdict(config.pretrain)
-        relevant["tokenizer"] = asdict(config.tokenizer)
-        relevant["dataset_id"] = dataset_id
-        relevant["options"] = [
-            options.schedule_kind, options.eta0, options.warmup_proportion,
-            asdict(options.early_stop),
-        ]
-    elif stage == "finetune":
-        relevant["dataset_id"] = dataset_id
-        relevant["options"] = [
-            sorted(options.tasks), asdict(options.search_space),
-            dict(options.stilt_sources) if options.stilt_sources is not None else None,
-        ]
-    elif stage == "collect":
-        relevant["dataset_id"] = dataset_id
-        relevant["options"] = [sorted(options.tasks)]
+def _stage_digest(stage: StageSpec, config: PipelineConfig, options: PipelineOptions,
+                  upstream: str | None) -> str:
+    """Digest of a stage's inputs chained to the digest of the stage before it."""
+    relevant = {"stage": stage.name, "inputs": stage.inputs(config, options),
+                "upstream": upstream}
     blob = json.dumps(relevant, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-class _Sentinels:
-    def __init__(self, workspace: Workspace):
-        self.dir = workspace.sentinel_dir
+def _sentinel_digest(workspace: Workspace, stage: str) -> str | None:
+    """The digest ``stage`` last completed with in this workspace, if any."""
+    try:
+        return json.loads(workspace.sentinel_path(stage).read_text(encoding="utf-8"))["digest"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
-    def path(self, stage: str) -> Path:
-        return self.dir / f"{stage}.json"
 
-    def is_done(self, stage: str, digest: str) -> bool:
-        p = self.path(stage)
-        if not p.is_file():
-            return False
-        try:
-            data = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return False
-        return data.get("digest") == digest
-
-    def mark_done(self, stage: str, digest: str, dataset_id: str | None) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.path(stage).write_text(
-            json.dumps(
-                {
-                    "stage": stage,
-                    "digest": digest,
-                    "dataset_id": dataset_id,
-                    "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+def _mark_done(workspace: Workspace, stage: str, digest: str) -> None:
+    path = workspace.sentinel_path(stage)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    record = {"stage": stage, "digest": digest,
+              "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
 def run_pipeline(
@@ -398,54 +409,45 @@ def run_pipeline(
     # Provenance: the exact config this run saw, in canonical form.
     (pipeline_log / "config.yaml").write_text(serialize_config(config), encoding="utf-8")
 
-    sentinels = _Sentinels(workspace)
     state = _RunState(config, workspace, options, trainer)
     report = PipelineReport(stages=[], dataset_id=None)
 
-    stage_runners: dict[str, Callable[[_RunState], dict[str, Any]]] = {
-        "env_check": _stage_env_check,
-        "dataset": _stage_dataset,
-        "pretrain": _stage_pretrain,
-        "finetune": _stage_finetune,
-        "collect": _stage_collect,
-    }
-    enabled_flags = dict(build_stage_plan(config, workspace).stages)
-
     failure: PipelineError | None = None
-    for stage in STAGES:
-        if failure is not None:
-            break
-        if not enabled_flags[stage]:
-            report.stages.append(StageReport(stage, SKIPPED_DISABLED))
+    upstream: str | None = None
+    for stage in STAGE_TABLE:
+        if not stage.enabled(config):
+            report.stages.append(StageReport(stage.name, SKIPPED_DISABLED))
+            upstream = _sentinel_digest(workspace, stage.name)
             continue
-        digest = _stage_digest(stage, config, state.dataset_id, options)
-        if not options.force and sentinels.is_done(stage, digest):
-            report.stages.append(StageReport(stage, SKIPPED_DONE))
+        digest = upstream = _stage_digest(stage, config, options, upstream)
+        if (not options.force and _sentinel_digest(workspace, stage.name) == digest
+                and stage.output_exists(workspace, state.dataset_id)):
+            report.stages.append(
+                StageReport(stage.name, SKIPPED_DONE, artifacts={"digest": digest}))
             continue
         started = time.perf_counter()
         try:
-            artifacts = stage_runners[stage](state)
+            # Looked up at call time, so a wrapped module attribute is what runs.
+            artifacts = globals()[f"_stage_{stage.name}"](state)
         except Exception as exc:
             report.stages.append(
                 StageReport(
-                    stage,
+                    stage.name,
                     FAILED,
                     duration_seconds=time.perf_counter() - started,
                     error=str(exc),
                 )
             )
-            failure = PipelineError(f"stage '{stage}' failed: {exc}")
+            failure = PipelineError(f"stage '{stage.name}' failed: {exc}")
             failure.__cause__ = exc
             break
-        # dataset_id may only become known once the dataset stage has run.
-        digest = _stage_digest(stage, config, state.dataset_id, options)
-        sentinels.mark_done(stage, digest, state.dataset_id)
+        _mark_done(workspace, stage.name, digest)
         report.stages.append(
             StageReport(
-                stage,
+                stage.name,
                 COMPLETED,
                 duration_seconds=time.perf_counter() - started,
-                artifacts=artifacts,
+                artifacts={**artifacts, "digest": digest},
             )
         )
 
@@ -467,19 +469,13 @@ class _RunState:
         self.workspace = workspace
         self.options = options
         self.trainer = trainer
-        self._dataset_id: str | None = None
-
-    @property
-    def dataset_id(self) -> str | None:
-        if self._dataset_id is None:
-            self._dataset_id = resolve_dataset_id(self.config, self.workspace)
-        return self._dataset_id
+        # Resolved once: only the dataset stage changes it, and it sets the new id.
+        self.dataset_id = resolve_dataset_id(config, workspace)
 
     def require_dataset_id(self) -> str:
-        did = self.dataset_id
-        if did is None:
+        if self.dataset_id is None:
             raise PipelineError("no dataset id: run the dataset stage or set DATASET.ID")
-        return did
+        return self.dataset_id
 
 
 def _stage_env_check(state: _RunState) -> dict[str, Any]:
@@ -528,7 +524,7 @@ def _stage_dataset(state: _RunState) -> dict[str, Any]:
         dataset_id=did,
         n_workers=options.n_workers,
     )
-    state._dataset_id = did
+    state.dataset_id = did
     return {
         "dataset_id": did,
         "documents": sharding.num_documents,
@@ -543,8 +539,6 @@ def _stage_dataset(state: _RunState) -> dict[str, Any]:
 
 def _stage_pretrain(state: _RunState) -> dict[str, Any]:
     config, ws, options = state.config, state.workspace, state.options
-    if not (ws.processed_dir / "META.yaml").is_file():
-        raise PipelineError(f"no processed dataset at {ws.processed_dir}")
     did = state.require_dataset_id()
     spec = options.schedule_spec(config.pretrain.num_steps)
     job = build_pretrain_job(

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from . import glue
-from .trainer import FINETUNE, RunOutcome, TrainerJob, build_finetune_argv, hyperparam_sort_key
+from .trainer import FINETUNE, RunOutcome, TrainerJob, build_finetune_argv, winner_key
 
 
 class SearchError(ValueError):
@@ -152,4 +152,4 @@ def select_best(
     for job, outcome in pairs:
         if outcome.val_metric is None:
             raise SearchError(f"job {job.job_id} reported no validation metric")
-    return min(pairs, key=lambda p: (-p[1].val_metric, hyperparam_sort_key(p[0].hyperparams)))
+    return min(pairs, key=lambda p: winner_key(p[1].val_metric, p[0].hyperparams))

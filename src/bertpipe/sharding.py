@@ -326,6 +326,9 @@ def shard_corpus(
             f"falls below the {MIN_MEMORY_BYTES}-byte per-worker floor"
         )
     worker_dirs = [spill_dir / f"w{k}" for k in range(n_workers)]
+    # Spill files are appended to: leftovers of a crashed run would be read twice.
+    for stale in spill_dir.glob("w*/*.spill"):
+        stale.unlink()
 
     peaks: list[int] = []
     ndocs = 0

@@ -111,6 +111,11 @@ def hyperparam_sort_key(hyperparams: dict[str, Any]) -> tuple:
     )
 
 
+def winner_key(val_metric: float, hyperparams: dict[str, Any]) -> tuple:
+    """Sort key of a finetune run: highest metric first, ties to the smallest hyperparams."""
+    return (-val_metric, hyperparam_sort_key(hyperparams))
+
+
 # Argument list of the standard pretraining command; config- and
 # schedule-driven values are substituted by build_pretrain_job.
 PRETRAIN_STATIC_ARGS: tuple[tuple[str, str | None], ...] = (
@@ -253,12 +258,22 @@ def parse_result_file(output_dir: Path) -> tuple[float, Path]:
     return eval_loss, checkpoint
 
 
-def _parse_metric_line(text: str) -> tuple[str, float] | None:
+def parse_metric_line(text: str) -> tuple[str, float] | None:
+    """``(name, value)`` of the last ``final_val_metric`` line in a run's output.
+
+    None if there is no such line; ValueError if its value is not a finite float.
+    """
+    found = None
     for line in text.splitlines():
         parts = line.strip().split("\t")
         if len(parts) == 3 and parts[0] == METRIC_LINE_PREFIX:
-            return parts[1], float(parts[2])
-    return None
+            found = parts
+    if found is None:
+        return None
+    value = float(found[2])
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite metric {value}")
+    return found[1], value
 
 
 @dataclass
@@ -284,7 +299,10 @@ class ExternalCommandTrainer:
                 f"for job {job.job_id}: {shlex.join(full)}"
             )
         eval_loss, checkpoint = parse_result_file(job.output_dir)
-        metric = _parse_metric_line(stdout_path.read_text(encoding="utf-8", errors="replace"))
+        try:
+            metric = parse_metric_line(stdout_path.read_text(encoding="utf-8", errors="replace"))
+        except ValueError as exc:
+            raise TrainerError(f"job {job.job_id}: bad {METRIC_LINE_PREFIX} line: {exc}") from exc
         return RunOutcome(
             eval_loss=eval_loss,
             wall_time_minutes=0.0,

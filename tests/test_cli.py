@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import zipfile
 from pathlib import Path
 
 from bertpipe.cli import main
+from bertpipe.pipeline import STAGES
 from bertpipe.synthdata import generate_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path: Path) -> Path:
@@ -74,11 +78,33 @@ def test_schedule_trace_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _src_env() -> dict:
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_does_not_load_requests():
     # Only remote corpus fetches need requests; every other run skips its import cost.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     probe = "import sys, bertpipe.cli; print('requests' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_bench_trace_sees_every_stage(tmp_path):
+    # bench/trace.py wraps pipeline functions by module attribute; a stage the
+    # pipeline calls some other way would vanish from the per-layer metrics.
+    cfg = write_config(tmp_path)
+    spans = tmp_path / "spans"
+    spans.mkdir()
+    subprocess.run([sys.executable, str(ROOT / "bench" / "trace.py"), str(spans), "run",
+                    *base_args(cfg, tmp_path / "ws")],
+                   env=_src_env(), capture_output=True, check=True, timeout=300)
+    names = set()
+    for path in spans.glob("spans-*.jsonl"):
+        for line in path.read_text().splitlines():
+            names.update(json.loads(line)["agg"])
+    expected = {f"pipeline.stage.{stage}" for stage in STAGES}
+    expected |= {"pipeline.stage_digest", "pipeline.check_preconditions"}
+    assert expected <= names

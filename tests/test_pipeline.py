@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -14,14 +15,11 @@ from bertpipe.pipeline import (
     PipelineOptions,
     StagePreconditionError,
     Workspace,
-    build_stage_plan,
     check_preconditions,
     run_pipeline,
 )
 from bertpipe.search import SearchSpace
 from bertpipe.synthdata import generate_corpus
-
-DATA_DIR = Path(__file__).parent / "data"
 
 SMALL_TASKS = ("MNLI", "RTE", "CoLA", "STS-B")
 SMALL_SPACE = SearchSpace(learning_rates=(1e-5, 3e-5), batch_sizes=(16,), epochs=(3,))
@@ -49,19 +47,6 @@ def corpus_config(tmp_path, extra: str = "") -> str:
         f"PRETRAIN:\n  NUM_STEPS: 60\n"
         f"TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n" + extra
     )
-
-
-class TestStagePlan:
-    def test_fixed_order_and_flags(self, tmp_path):
-        cfg = parse_config((DATA_DIR / "data-preprocess.yaml").read_text())
-        plan = build_stage_plan(cfg, Workspace(tmp_path))
-        assert [name for name, _ in plan.stages] == [
-            "env_check", "dataset", "pretrain", "finetune", "collect",
-        ]
-        assert dict(plan.stages) == {
-            "env_check": True, "dataset": True,
-            "pretrain": False, "finetune": False, "collect": False,
-        }
 
 
 class TestPreconditions:
@@ -131,6 +116,10 @@ class TestFullRun:
         second = run_pipeline(cfg, ws, options=small_options())
         assert all(s.status == SKIPPED_DONE for s in second.stages)
         assert second.dataset_id == first.dataset_id
+        # report.json says why: each skipped stage's digest is the one it completed with.
+        assert [s.artifacts["digest"] for s in second.stages] == [
+            s.artifacts["digest"] for s in first.stages
+        ]
 
     def test_report_written_and_machine_readable(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
@@ -185,3 +174,49 @@ class TestFullRun:
         b1 = {k: v for k, v in r1.stage("finetune").artifacts.items() if k.startswith("best_")}
         b2 = {k: v for k, v in r2.stage("finetune").artifacts.items() if k.startswith("best_")}
         assert b1 == b2
+
+
+class TestRerunReactsToChanges:
+    """A re-run re-does exactly the stages whose inputs or outputs changed."""
+
+    def _first_run(self, tmp_path, text):
+        cfg = parse_config(text)
+        ws = Workspace(tmp_path / "ws")
+        return cfg, ws, run_pipeline(cfg, ws, options=small_options())
+
+    def test_pretrain_change_reruns_everything_downstream(self, tmp_path):
+        text = corpus_config(tmp_path)  # writes the corpus once
+        _, ws, _ = self._first_run(tmp_path, text)
+        cfg = parse_config(text.replace("NUM_STEPS: 60", "NUM_STEPS: 120"))
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [
+            SKIPPED_DONE, SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED,
+        ]
+
+    def test_corpus_edit_reruns_dataset_and_downstream(self, tmp_path):
+        cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
+        corpus_file = sorted((tmp_path / "corpus").iterdir())[0]
+        with open(corpus_file, "a", encoding="utf-8") as fh:
+            fh.write("\n\nan appended article about nothing in particular\n")
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [
+            SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
+        ]
+        assert report.dataset_id != first.dataset_id
+
+    def test_deleted_submission_is_rebuilt(self, tmp_path):
+        cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
+        shutil.rmtree(ws.translated_root)
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [SKIPPED_DONE] * 4 + [COMPLETED]
+        assert (ws.translated_dir(first.dataset_id) / "glue_submission.zip").is_file()
+
+    def test_deleted_processed_data_is_rebuilt(self, tmp_path):
+        cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
+        shutil.rmtree(ws.processed_dir)
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [
+            SKIPPED_DONE, COMPLETED, SKIPPED_DONE, SKIPPED_DONE, SKIPPED_DONE,
+        ]
+        assert report.dataset_id == first.dataset_id
+        assert (ws.processed_dir / "META.yaml").is_file()

@@ -18,6 +18,7 @@ from bertpipe.sharding import (
     assign_split,
     dataset_id,
     read_shard,
+    _spill_worker,
     shard_corpus,
     shuffle_and_shard,
 )
@@ -205,6 +206,15 @@ class TestShardCorpus:
         original = doc_digests(d.text for d in iter_documents(files))
         sharded = doc_digests(t for s in result.shards for t in read_shard(s.path))
         assert sharded == original
+
+    def test_stale_spill_files_are_cleared(self, tmp_path):
+        files = self._corpus(tmp_path, n_files=2, size=100_000)
+        p = plan(num_train_shards=2, frac_test=0.1)
+        clean = shard_corpus(files, p, tmp_path / "clean_spill", tmp_path / "clean")
+        # What a run that crashed after spilling leaves behind.
+        _spill_worker(files, p, str(tmp_path / "spill" / "w0"), p.max_memory_bytes)
+        retry = shard_corpus(files, p, tmp_path / "spill", tmp_path / "out")
+        assert retry.manifest_path.read_text() == clean.manifest_path.read_text()
 
 
 class TestDatasetId:
