@@ -2,30 +2,37 @@
 
 Each document is tokenized, cut into consecutive windows of at most
 max_seq_length - 2 ids (leaving room for [CLS]/[SEP]), and every window is
-masked ``dup_factor`` times with independent keyed randomness, compensating
-for the diversity lost by masking at preprocessing time instead of per epoch.
-Masking follows the 80/10/10 convention: a chosen position becomes [MASK],
-a random non-special token, or stays unchanged.
+masked ``dup_factor`` times, compensating for the diversity lost by masking
+at preprocessing time instead of per epoch. Masking follows the 80/10/10
+convention: a chosen position becomes [MASK], a random non-special token, or
+stays unchanged.
 
-All randomness is keyed by (seed, doc_id, window_idx, dup_index), so instance
-files are byte-identical for any worker count and schedule. Windows never
-span documents and no next-sentence pairing is performed: one window, framed
-with [CLS]/[SEP] and padded, is one training instance.
+All randomness is keyed by (seed, doc_id, window_idx): one keyed stream per
+window, from which copies 0..dup_factor-1 are drawn in order. Instance files
+are therefore byte-identical for any worker count and schedule. Windows
+never span documents and no next-sentence pairing is performed: one window,
+framed with [CLS]/[SEP], is one training instance; padding to max_seq_length
+is left to the consumer, since attention_len implies it.
 
-Instance file format: 16-byte header of magic "XBINST01", format version u16,
-max_seq_length u16, instance count u32; then per instance input_ids as u32
-little-endian x max_seq_length, attention_len u16, n_masked u16,
-masked_positions u16 x n_masked, masked_labels u32 x n_masked.
+Instance file format (version 2), all little-endian: an 18-byte header of
+magic "XBINST01", format version u16, max_seq_length u16, id width u16 (2 or
+4 bytes) and instance count u32; then per instance attention_len u16,
+n_masked u16, input_ids as id-width ints x attention_len, masked_positions
+u16 x n_masked and masked_labels as id-width ints x n_masked. The id width
+is 2 when the vocabulary has at most 65536 entries, else 4.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import random
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import yaml
 
@@ -34,9 +41,11 @@ from .sharding import Shard, read_shard
 from .tokenization import TokenSequence, Vocabulary, tokenize, vocab_digest
 
 INSTANCE_MAGIC = b"XBINST01"
-INSTANCE_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<8sHHI")
+INSTANCE_FORMAT_VERSION = 2
+_VERSION = struct.Struct("<8sH")
+_LAYOUT = struct.Struct("<HHI")  # max_seq_length, id width, instance count
 _COUNTS = struct.Struct("<HH")
+_ID_CODES = {2: "H", 4: "I"}
 
 META_NAME = "META.yaml"
 
@@ -80,13 +89,12 @@ class MaskingPolicy:
 
 @dataclass(frozen=True)
 class MlmInstance:
-    """One pre-masked training example, fixed length, [CLS] ... [SEP] [PAD]*."""
+    """One pre-masked training example, [CLS] ... [SEP] without padding."""
 
     input_ids: tuple[int, ...]
     attention_len: int
     masked_positions: tuple[int, ...]
     masked_labels: tuple[int, ...]
-    dup_index: int
 
 
 def segment_document(tokens: TokenSequence | Iterable[int], policy: MaskingPolicy) -> list[list[int]]:
@@ -112,48 +120,38 @@ def apply_masking(
     window: list[int],
     policy: MaskingPolicy,
     vocab: Vocabulary,
-    instance_key: tuple[int, int, int],
+    rng: random.Random,
 ) -> MlmInstance:
-    """Mask one window deterministically under (seed, doc_id, window_idx, dup_index).
+    """Mask one window with draws taken from ``rng``.
 
     Position choice is uniform without replacement; each chosen position is
     replaced by [MASK] with mask_token_frac probability, by a uniformly random
     non-special vocab id with random_token_frac, and kept otherwise. Labels
-    always record the original ids.
+    always record the original ids. Successive calls on one rng give
+    independent copies of the window.
     """
     if not window:
         raise ValueError("cannot mask an empty window")
     if len(window) > policy.window_size:
         raise ValueError(f"window of {len(window)} ids exceeds max_seq_length - 2")
-    doc_id, window_idx, dup_index = instance_key
-    rng = keyed_rng(policy.seed, doc_id, window_idx, dup_index, "mask")
-
-    n = num_masked(len(window), policy)
-    chosen = sorted(rng.sample(range(len(window)), n))
-
     input_ids = [vocab.cls_id, *window, vocab.sep_id]
-    input_ids += [vocab.pad_id] * (policy.max_seq_length - len(input_ids))
-    attention_len = len(window) + 2
+    positions = sorted(rng.sample(range(1, len(window) + 1), num_masked(len(window), policy)))
+    labels = [input_ids[pos] for pos in positions]
 
-    replacements = vocab.non_special_ids
-    positions: list[int] = []
-    labels: list[int] = []
-    for pos in chosen:
-        seq_pos = pos + 1  # offset past [CLS]
-        labels.append(window[pos])
+    mask_below = policy.mask_token_frac
+    random_below = mask_below + policy.random_token_frac
+    for pos in positions:
         roll = rng.random()
-        if roll < policy.mask_token_frac:
-            input_ids[seq_pos] = vocab.mask_id
-        elif roll < policy.mask_token_frac + policy.random_token_frac:
-            input_ids[seq_pos] = replacements[rng.randrange(len(replacements))]
-        positions.append(seq_pos)
+        if roll < mask_below:
+            input_ids[pos] = vocab.mask_id
+        elif roll < random_below:
+            input_ids[pos] = rng.choice(vocab.non_special_ids)
 
     return MlmInstance(
         input_ids=tuple(input_ids),
-        attention_len=attention_len,
+        attention_len=len(input_ids),
         masked_positions=tuple(positions),
         masked_labels=tuple(labels),
-        dup_index=dup_index,
     )
 
 
@@ -165,26 +163,55 @@ def iter_document_instances(
 ) -> Iterator[MlmInstance]:
     tokens = tokenize(text, vocab, policy.do_lower_case)
     for window_idx, window in enumerate(segment_document(tokens, policy)):
-        for dup_index in range(policy.dup_factor):
-            yield apply_masking(window, policy, vocab, (doc_id, window_idx, dup_index))
+        rng = keyed_rng(policy.seed, doc_id, window_idx, "mask")
+        for _ in range(policy.dup_factor):
+            yield apply_masking(window, policy, vocab, rng)
+
+
+@contextmanager
+def _replace_when_done(path: Path) -> Iterator[BinaryIO]:
+    """Write to a temporary sibling and move it to ``path`` only on success."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _body_format(attention_len: int, n_masked: int, width: int) -> str:
+    """struct format of one record after its two u16 counts."""
+    code = _ID_CODES[width]
+    return f"{attention_len}{code}{n_masked}H{n_masked}{code}"
 
 
 def write_instance_file(path: Path, instances: Iterable[MlmInstance],
-                        max_seq_length: int) -> int:
-    """Stream instances into one file; returns the instance count."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    ids_struct = struct.Struct(f"<{max_seq_length}I")
+                        max_seq_length: int, vocab_size: int) -> int:
+    """Stream instances into one file; returns the instance count.
+
+    The file appears at ``path`` only once every instance is written.
+    """
+    width = 2 if vocab_size <= 1 << 16 else 4
+    version = _VERSION.pack(INSTANCE_MAGIC, INSTANCE_FORMAT_VERSION)
+    # One struct per record shape; n_masked follows attention_len, so a file
+    # needs at most max_seq_length of them.
+    records: dict[tuple[int, int], struct.Struct] = {}
     count = 0
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(INSTANCE_MAGIC, INSTANCE_FORMAT_VERSION, max_seq_length, 0))
+    with _replace_when_done(path) as fh:
+        fh.write(version + _LAYOUT.pack(max_seq_length, width, 0))
         for inst in instances:
-            fh.write(ids_struct.pack(*inst.input_ids))
-            fh.write(_COUNTS.pack(inst.attention_len, len(inst.masked_positions)))
-            fh.write(struct.pack(f"<{len(inst.masked_positions)}H", *inst.masked_positions))
-            fh.write(struct.pack(f"<{len(inst.masked_labels)}I", *inst.masked_labels))
+            shape = (inst.attention_len, len(inst.masked_positions))
+            record = records.get(shape)
+            if record is None:
+                record = records[shape] = struct.Struct("<HH" + _body_format(*shape, width))
+            fh.write(record.pack(*shape, *inst.input_ids, *inst.masked_positions,
+                                 *inst.masked_labels))
             count += 1
         fh.seek(0)
-        fh.write(_HEADER.pack(INSTANCE_MAGIC, INSTANCE_FORMAT_VERSION, max_seq_length, count))
+        fh.write(version + _LAYOUT.pack(max_seq_length, width, count))
     return count
 
 
@@ -204,23 +231,27 @@ def read_instances(path: str | Path) -> Iterator[MlmInstance]:
                 )
             return data
 
-        magic, version, seq_len, count = _HEADER.unpack(take(_HEADER.size))
+        magic, version = _VERSION.unpack(take(_VERSION.size))
         if magic != INSTANCE_MAGIC:
             raise InstanceFileError(f"bad instance magic in {path} at byte offset 0")
         if version != INSTANCE_FORMAT_VERSION:
             raise InstanceFileError(f"unsupported instance format version {version} in {path}")
-        ids_struct = struct.Struct(f"<{seq_len}I")
+        _seq_len, width, count = _LAYOUT.unpack(take(_LAYOUT.size))
+        if width not in _ID_CODES:
+            raise InstanceFileError(f"bad id width {width} in {path} at byte offset 12")
+        bodies: dict[tuple[int, int], struct.Struct] = {}
         for _ in range(count):
-            input_ids = ids_struct.unpack(take(ids_struct.size))
-            attention_len, n_masked = _COUNTS.unpack(take(_COUNTS.size))
-            positions = struct.unpack(f"<{n_masked}H", take(2 * n_masked))
-            labels = struct.unpack(f"<{n_masked}I", take(4 * n_masked))
+            shape = _COUNTS.unpack(take(_COUNTS.size))
+            body = bodies.get(shape)
+            if body is None:
+                body = bodies[shape] = struct.Struct("<" + _body_format(*shape, width))
+            fields = body.unpack(take(body.size))
+            attention_len, n_masked = shape
             yield MlmInstance(
-                input_ids=input_ids,
+                input_ids=fields[:attention_len],
                 attention_len=attention_len,
-                masked_positions=positions,
-                masked_labels=labels,
-                dup_index=-1,  # not stored on disk
+                masked_positions=fields[attention_len : attention_len + n_masked],
+                masked_labels=fields[attention_len + n_masked :],
             )
 
 
@@ -249,7 +280,8 @@ def _generate_for_shard(shard_path: str, doc_ids: tuple[int, ...], out_path: str
         for doc_id, text in zip(doc_ids, read_shard(Path(shard_path))):
             yield from iter_document_instances(doc_id, text, policy, vocab)
 
-    return write_instance_file(Path(out_path), all_instances(), policy.max_seq_length)
+    return write_instance_file(Path(out_path), all_instances(), policy.max_seq_length,
+                               len(vocab))
 
 
 def generate_instances(
@@ -298,8 +330,8 @@ def generate_instances(
             for f in files
         ],
     }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(meta, fh, sort_keys=False)
+    with _replace_when_done(meta_path) as fh:
+        fh.write(yaml.safe_dump(meta, sort_keys=False).encode("utf-8"))
     return InstanceGenerationResult(tuple(files), total, meta_path)
 
 

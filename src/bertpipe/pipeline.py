@@ -44,7 +44,13 @@ from concurrent.futures import ThreadPoolExecutor
 from . import glue
 from .config import PipelineConfig, serialize_config, validate
 from .ingest import IngestError, enumerate_corpus_files, scan_local, sources_from_config
-from .instances import META_NAME, MaskingPolicy, generate_instances, load_meta
+from .instances import (
+    INSTANCE_FORMAT_VERSION,
+    META_NAME,
+    MaskingPolicy,
+    generate_instances,
+    load_meta,
+)
 from .schedule import ScheduleSpec, warmup_steps
 from .search import SearchSpace, finetune_search, schedule_waves, select_best
 from .sharding import ShardPlan, dataset_id as derive_dataset_id, shard_corpus
@@ -273,6 +279,7 @@ def _dataset_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[st
             options.do_lower_case,
         ],
         "corpus": _corpus_fingerprint(config.dataset.customized_datasets),
+        "instance_format": INSTANCE_FORMAT_VERSION,
     }
 
 

@@ -140,13 +140,21 @@ def stage_table(spec: ScheduleSpec) -> tuple[Stage, ...]:
     return tuple(stages)
 
 
+@lru_cache(maxsize=64)
+def _rebased_stages(spec: ScheduleSpec, horizon: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """(last steps, rates) of ``spec``'s stage table re-based to ``horizon`` steps."""
+    if spec.total_steps != horizon:
+        spec = replace(spec, total_steps=horizon)
+    table = stage_table(spec)
+    return tuple(s.last_step for s in table), tuple(s.lr for s in table)
+
+
 def esd_value(t: int, spec: ScheduleSpec) -> float:
     """Learning rate of the step-decay schedule at post-warmup step ``t``."""
     if not 0 <= t <= spec.total_steps:
         raise ScheduleError(f"step {t} outside [0, {spec.total_steps}]")
-    table = stage_table(spec)
-    idx = bisect_left([s.last_step for s in table], t)
-    return table[idx].lr
+    last_steps, rates = _rebased_stages(spec, spec.total_steps)
+    return rates[bisect_left(last_steps, t)]
 
 
 def warmup_steps(overall_steps: int, warmup_proportion: float) -> int:
@@ -171,7 +179,9 @@ def schedule_value(global_step: int, overall_steps: int, spec: ScheduleSpec) -> 
         if horizon == 0:
             return spec.eta0
         return spec.eta0 * (1 - (global_step - w) / horizon)
-    return esd_value(global_step - w, replace(spec, total_steps=max(1, horizon)))
+    # A zero horizon (all warmup) leaves step W on a one-step esd schedule.
+    last_steps, rates = _rebased_stages(spec, max(1, horizon))
+    return rates[bisect_left(last_steps, global_step - w)]
 
 
 def schedule_values(overall_steps: int, spec: ScheduleSpec) -> list[float]:

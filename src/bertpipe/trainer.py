@@ -292,7 +292,13 @@ class ExternalCommandTrainer:
         stdout_path = job.log_dir / "stdout.log"
         stderr_path = job.log_dir / "stderr.log"
         with open(stdout_path, "wb") as out, open(stderr_path, "wb") as err:
-            proc = subprocess.run(full, stdout=out, stderr=err, timeout=self.timeout_seconds)
+            try:
+                proc = subprocess.run(full, stdout=out, stderr=err, timeout=self.timeout_seconds)
+            except subprocess.TimeoutExpired as exc:
+                raise TrainerError(
+                    f"trainer timed out after {self.timeout_seconds} s "
+                    f"for job {job.job_id}: {shlex.join(full)}"
+                ) from exc
         if proc.returncode != 0:
             raise TrainerError(
                 f"trainer exited with status {proc.returncode} "

@@ -106,5 +106,7 @@ def test_bench_trace_sees_every_stage(tmp_path):
         for line in path.read_text().splitlines():
             names.update(json.loads(line)["agg"])
     expected = {f"pipeline.stage.{stage}" for stage in STAGES}
-    expected |= {"pipeline.stage_digest", "pipeline.check_preconditions"}
+    expected |= {"pipeline.stage_digest", "pipeline.check_preconditions",
+                 "instances.apply_masking", "instances.write_instance_file", "rng.keyed_rng",
+                 "schedule.schedule_value"}
     assert expected <= names

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bertpipe import instances as instances_module
 from bertpipe.ingest import CorpusSource, enumerate_corpus_files
 from bertpipe.instances import (
     InstanceFileError,
+    MlmInstance,
     MaskingPolicy,
     apply_masking,
     generate_instances,
@@ -17,6 +21,7 @@ from bertpipe.instances import (
     segment_document,
     write_instance_file,
 )
+from bertpipe.rng import keyed_rng
 from bertpipe.sharding import ShardPlan, shard_corpus
 from bertpipe.synthdata import generate_corpus
 from bertpipe.tokenization import Vocabulary, vocab_digest
@@ -69,7 +74,7 @@ class TestNumMasked:
 class TestApplyMasking:
     def test_framing_and_count(self, mini_vocab):
         window = [mini_vocab.token_to_id["the"]] * 126
-        inst = apply_masking(window, MaskingPolicy(), mini_vocab, (1, 0, 0))
+        inst = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(1, 0, "mask"))
         assert len(inst.input_ids) == 128
         assert inst.input_ids[0] == mini_vocab.cls_id
         assert inst.attention_len == 128
@@ -77,22 +82,24 @@ class TestApplyMasking:
         assert len(inst.masked_positions) == len(inst.masked_labels) == 19
 
     def test_padding(self, mini_vocab):
+        # No padding is stored: attention_len implies it.
         window = [mini_vocab.token_to_id["the"]] * 10
-        inst = apply_masking(window, MaskingPolicy(), mini_vocab, (1, 0, 0))
-        assert inst.attention_len == 12
-        assert set(inst.input_ids[12:]) == {mini_vocab.pad_id}
+        inst = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(1, 0, "mask"))
+        assert inst.attention_len == len(inst.input_ids) == 12
+        assert mini_vocab.pad_id not in inst.input_ids
 
     def test_keyed_determinism(self, mini_vocab):
         window = list(range(20, 60))
-        a = apply_masking(window, MaskingPolicy(), mini_vocab, (5, 2, 3))
-        b = apply_masking(window, MaskingPolicy(), mini_vocab, (5, 2, 3))
+        rng_a, rng_b = keyed_rng(5, 2, "mask"), keyed_rng(5, 2, "mask")
+        a = apply_masking(window, MaskingPolicy(), mini_vocab, rng_a)
+        b = apply_masking(window, MaskingPolicy(), mini_vocab, rng_b)
         assert a == b
-        c = apply_masking(window, MaskingPolicy(), mini_vocab, (5, 2, 4))
+        c = apply_masking(window, MaskingPolicy(), mini_vocab, rng_a)  # the next copy
         assert c != a
 
     def test_positions_valid_and_labels_consistent(self, mini_vocab):
         window = list(range(20, 120))
-        inst = apply_masking(window, MaskingPolicy(), mini_vocab, (9, 1, 0))
+        inst = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(9, 1, "mask"))
         assert list(inst.masked_positions) == sorted(set(inst.masked_positions))
         for pos, label in zip(inst.masked_positions, inst.masked_labels):
             assert 1 <= pos <= inst.attention_len - 2
@@ -110,7 +117,8 @@ class TestApplyMasking:
         monkeypatch.setattr(Vocabulary, "__hash__", no_hash)
         window = list(range(20, 120))
         inst = apply_masking(window, MaskingPolicy(random_token_frac=0.5, keep_token_frac=0.0,
-                                                   mask_token_frac=0.5), mini_vocab, (9, 1, 0))
+                                                   mask_token_frac=0.5), mini_vocab,
+                             keyed_rng(9, 1, "mask"))
         assert len(inst.masked_positions) == 15
 
 
@@ -124,7 +132,7 @@ def test_masking_invariants_property(mini_vocab):
     )
     def inner(length, key):
         window = [(17 * (i + 1)) % (len(mini_vocab) - 6) + 5 for i in range(length)]
-        inst = apply_masking(window, policy, mini_vocab, key)
+        inst = apply_masking(window, policy, mini_vocab, keyed_rng(*key, "mask"))
         assert len(inst.masked_positions) <= policy.max_predictions_per_seq
         assert len(inst.masked_positions) == num_masked(length, policy)
         assert inst.input_ids[0] == mini_vocab.cls_id
@@ -154,7 +162,7 @@ class TestGenerateInstances:
         instances = list(iter_document_instances(3, text, policy, mini_vocab))
         windows = segment_document(tokenize(text, mini_vocab), policy)
         assert len(instances) == len(windows) * 10
-        first_window = [i for i in instances if i.dup_index in range(10)][:10]
+        first_window = instances[:10]
         position_sets = {tuple(i.masked_positions) for i in first_window}
         assert len(position_sets) >= 2  # independent masking per dup at seed 42
         # Same underlying content: reconstruction equality across dups.
@@ -173,6 +181,26 @@ class TestGenerateInstances:
         from bertpipe.tokenization import tokenize
 
         assert len(instances) == len(segment_document(tokenize(text, mini_vocab), policy))
+
+    def test_one_keyed_stream_per_window(self, mini_vocab, monkeypatch):
+        # The dup_factor copies of a window share one stream; iter_document_instances
+        # looks keyed_rng up through the module, where bench/trace.py counts it.
+        from bertpipe.tokenization import tokenize
+
+        keys = []
+
+        def counting_keyed_rng(*parts):
+            keys.append(parts)
+            return keyed_rng(*parts)
+
+        monkeypatch.setattr(instances_module, "keyed_rng", counting_keyed_rng)
+        text = "the new world of state and work " * 60
+        policy = MaskingPolicy(dup_factor=10, seed=42)
+        instances = list(iter_document_instances(3, text, policy, mini_vocab))
+        windows = segment_document(tokenize(text, mini_vocab), policy)
+        assert len(windows) >= 2
+        assert len(instances) == 10 * len(windows)
+        assert keys == [(42, 3, w, "mask") for w in range(len(windows))]
 
     def test_worker_counts_byte_identical(self, tmp_path, mini_vocab):
         sharding = self._shards(tmp_path)
@@ -198,17 +226,19 @@ class TestGenerateInstances:
 
 
 class TestInstanceFiles:
-    def _round_trip(self, tmp_path, instances, seq_len):
+    def _round_trip(self, tmp_path, instances, seq_len, vocab_size):
         path = tmp_path / "x.xbi"
-        count = write_instance_file(path, instances, seq_len)
+        count = write_instance_file(path, instances, seq_len, vocab_size)
         return path, count
 
-    def test_round_trip(self, tmp_path, mini_vocab):
+    def _masked(self, mini_vocab, copies):
         window = [mini_vocab.token_to_id["world"]] * 30
-        original = [
-            apply_masking(window, MaskingPolicy(), mini_vocab, (1, 0, d)) for d in range(3)
-        ]
-        path, count = self._round_trip(tmp_path, original, 128)
+        rng = keyed_rng(1, 0, "mask")
+        return [apply_masking(window, MaskingPolicy(), mini_vocab, rng) for _ in range(copies)]
+
+    def test_round_trip(self, tmp_path, mini_vocab):
+        original = self._masked(mini_vocab, 3)
+        path, count = self._round_trip(tmp_path, original, 128, len(mini_vocab))
         loaded = list(read_instances(path))
         assert count == len(loaded) == 3
         for a, b in zip(original, loaded):
@@ -218,19 +248,70 @@ class TestInstanceFiles:
             assert tuple(a.masked_labels) == tuple(b.masked_labels)
 
     def test_header_magic(self, tmp_path):
-        path, _ = self._round_trip(tmp_path, [], 128)
+        path, _ = self._round_trip(tmp_path, [], 128, 30522)
         raw = path.read_bytes()
         assert raw[:8] == b"XBINST01"
-        assert len(raw) == 16
+        assert struct.unpack("<HHHI", raw[8:]) == (2, 128, 2, 0)
 
     def test_truncated_file_reports_offset(self, tmp_path, mini_vocab):
-        window = [mini_vocab.token_to_id["world"]] * 30
-        inst = apply_masking(window, MaskingPolicy(), mini_vocab, (1, 0, 0))
-        path, _ = self._round_trip(tmp_path, [inst, inst], 128)
+        inst = self._masked(mini_vocab, 1)[0]
+        path, _ = self._round_trip(tmp_path, [inst, inst], 128, len(mini_vocab))
         clipped = tmp_path / "clipped.xbi"
         clipped.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(InstanceFileError, match="byte offset"):
             list(read_instances(clipped))
+
+    def test_truncated_record_offset_is_exact(self, tmp_path, mini_vocab):
+        # Header 18 B; a record is 2 counts + ids + positions + labels, all u16.
+        inst = self._masked(mini_vocab, 1)[0]
+        record = 2 * (2 + inst.attention_len + 2 * len(inst.masked_positions))
+        path, _ = self._round_trip(tmp_path, [inst, inst], 128, len(mini_vocab))
+        assert path.stat().st_size == 18 + 2 * record
+        clipped = tmp_path / "clipped.xbi"
+        clipped.write_bytes(path.read_bytes()[:-1])
+        second_body = 18 + record + 4
+        with pytest.raises(InstanceFileError, match=f"at byte offset {second_body}$"):
+            list(read_instances(clipped))
+
+    def test_wide_ids_round_trip(self, tmp_path):
+        ids = (1, 65535, 65536, 70_000, 2)
+        inst = MlmInstance(input_ids=ids, attention_len=5, masked_positions=(2, 3),
+                           masked_labels=(65536, 69_999))
+        path, _ = self._round_trip(tmp_path, [inst], 128, 70_001)
+        assert struct.unpack("<H", path.read_bytes()[12:14]) == (4,)
+        assert list(read_instances(path)) == [inst]
+
+    def test_u16_width_up_to_65536_entries(self, tmp_path):
+        inst = MlmInstance(input_ids=(1, 65535, 2), attention_len=3, masked_positions=(1,),
+                           masked_labels=(65535,))
+        path, _ = self._round_trip(tmp_path, [inst], 128, 65536)
+        raw = path.read_bytes()
+        assert struct.unpack("<H", raw[12:14]) == (2,)
+        assert len(raw) == 18 + 2 * (2 + 3 + 1 + 1)
+        assert list(read_instances(path)) == [inst]
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # A version 1 header followed by one padded record, as older builds wrote it.
+        v1 = tmp_path / "v1.xbi"
+        v1.write_bytes(struct.pack("<8sHHI", b"XBINST01", 1, 4, 1)
+                       + struct.pack("<4IHHHI", 1, 7, 2, 0, 3, 1, 1, 9))
+        with pytest.raises(InstanceFileError, match="unsupported instance format version 1 "):
+            list(read_instances(v1))
+
+    def test_failed_write_leaves_no_file(self, tmp_path, mini_vocab):
+        path = tmp_path / "x.xbi"
+        seen_mid_file = []
+
+        def failing():
+            yield from self._masked(mini_vocab, 2)
+            # What a killed process would leave behind at this point.
+            seen_mid_file.append(path.exists())
+            raise RuntimeError("tokenizer crashed")
+
+        with pytest.raises(RuntimeError, match="tokenizer crashed"):
+            write_instance_file(path, failing(), 128, len(mini_vocab))
+        assert seen_mid_file == [False]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMaskRateReport:

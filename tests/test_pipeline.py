@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from bertpipe import pipeline
 from bertpipe.config import parse_config
+from bertpipe.instances import INSTANCE_FORMAT_VERSION
 from bertpipe.pipeline import (
     COMPLETED,
     SKIPPED_DISABLED,
@@ -220,3 +222,14 @@ class TestRerunReactsToChanges:
         ]
         assert report.dataset_id == first.dataset_id
         assert (ws.processed_dir / "META.yaml").is_file()
+
+    def test_instance_format_change_rebuilds_dataset(self, tmp_path, monkeypatch):
+        # The reader rejects files of another format version, so a workspace
+        # written by an older version must not be reused.
+        cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
+        monkeypatch.setattr(pipeline, "INSTANCE_FORMAT_VERSION", INSTANCE_FORMAT_VERSION + 1)
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [
+            SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
+        ]
+        assert report.dataset_id == first.dataset_id

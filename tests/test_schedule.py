@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -165,6 +166,24 @@ class TestWarmup:
         for k in range(overall - w + 1):
             assert schedule_value(w + k, overall, spec) == 1.0 * (1 - k / (overall - w))
         assert schedule_value(overall, overall, spec) == 0.0
+
+    def test_interleaved_budgets_and_specs_match_uncached_lookup(self):
+        # The re-based stage bounds are cached per (spec, horizon); calls that
+        # alternate between budgets and between specs differing only in eta0
+        # must each read their own entry.
+        def reference(k, budget, spec):
+            w = warmup_steps(budget, spec.warmup_proportion)
+            if k < w:
+                return spec.eta0 * k / w
+            table = stage_table(replace(spec, total_steps=max(1, budget - w)))
+            return next(s.lr for s in table if s.first_step <= k - w <= s.last_step)
+
+        specs = (ScheduleSpec(eta0=2e-3), ScheduleSpec(eta0=1e-3))
+        for k in range(2301):
+            for budget in (1000, 2300):
+                for spec in specs:
+                    if k <= budget:
+                        assert schedule_value(k, budget, spec) == reference(k, budget, spec)
 
 
 class TestEmitTrace:

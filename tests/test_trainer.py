@@ -190,11 +190,12 @@ class TestSimulationFinetune:
 
 
 class TestExternalTrainer:
-    def _stub(self, tmp_path, exit_code=0, write_result=True):
+    def _stub(self, tmp_path, exit_code=0, write_result=True, sleep_seconds=0):
         script = tmp_path / "stub_trainer.py"
         script.write_text(
             f"""\
-import sys, pathlib
+import sys, pathlib, time
+time.sleep({sleep_seconds!r})
 args = sys.argv[1:]
 out = pathlib.Path(args[args.index("--output_dir") + 1])
 out.mkdir(parents=True, exist_ok=True)
@@ -231,6 +232,12 @@ sys.exit({exit_code})
     def test_nonzero_exit(self, tmp_path):
         trainer = ExternalCommandTrainer(self._stub(tmp_path, exit_code=3))
         with pytest.raises(TrainerError, match="status 3"):
+            trainer.run(self._job(tmp_path))
+
+    def test_timeout_names_job(self, tmp_path):
+        trainer = ExternalCommandTrainer(self._stub(tmp_path, sleep_seconds=60),
+                                         timeout_seconds=0.5)
+        with pytest.raises(TrainerError, match=r"timed out after 0.5 s for job finetune/RTE/stub"):
             trainer.run(self._job(tmp_path))
 
     def test_missing_result_file(self, tmp_path):
