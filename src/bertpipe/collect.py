@@ -1,8 +1,15 @@
 """Result collection: summarize validation runs, pick winners, build the zip.
 
-Finetune runs leave a ``final_val_metric\\t<name>\\t<float>`` line in their
-run log and a ``predictions.tsv`` (``index\\tprediction`` with internal label
-ids) in their output directory. Collection parses every run, selects the best
+Each finetune job is given ``--output_dir output/finetune/<id>/<task>/<run>/``
+and ``--model_name_or_path`` in its argv. The trainer writes ``RESULT.tsv``
+and ``predictions.tsv`` (``index\\tprediction`` with internal label ids) there
+and prints a ``final_val_metric\\t<name>\\t<float>`` line on stdout, which its
+adapter parses into the run's outcome. After the job the pipeline writes
+``run.json`` (:func:`write_run_record`) into the run's log directory
+``log/finetune/<id>/<task>/<run>/``: the task, the grid-point hyperparameters,
+the STILT parent, the metric name and value, the eval loss and the wall time.
+
+Collection reads only those records and the predictions. It selects the best
 run per task (deterministic tie-breaking), translates predictions to the
 benchmark's label strings, and packs one TSV per task into a submission zip
 with normalized metadata so the archive is reproducible byte-for-byte.
@@ -17,9 +24,11 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from . import glue
-from .trainer import METRIC_LINE_PREFIX, parse_metric_line, winner_key
+from .atomic import replace_when_done
+from .trainer import RunOutcome, TrainerJob, winner_key
 
 SUBMISSION_ZIP_NAME = "glue_submission.zip"
+RUN_RECORD = "run.json"
 # Fixed DOS timestamp for zip members (zip epoch): reproducibility over mtimes.
 _ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
@@ -46,34 +55,41 @@ class SummarizeReport:
     skipped: tuple[tuple[Path, str], ...]  # (run dir, reason) for malformed runs
 
 
-def _parse_run_dir(task: str, run_dir: Path, predictions_dir: Path) -> RunResult:
-    log_path = run_dir / "run.log"
-    if not log_path.is_file():
-        raise ValueError("no run.log")
-    metric = parse_metric_line(log_path.read_text(encoding="utf-8", errors="replace"))
-    if metric is None:
-        raise ValueError(f"no {METRIC_LINE_PREFIX} line in run.log")
-    metric_name, metric_value = metric
-    hparams_path = run_dir / "hparams.json"
-    if not hparams_path.is_file():
-        raise ValueError("no hparams.json")
-    hyperparams = json.loads(hparams_path.read_text(encoding="utf-8"))
+def write_run_record(job: TrainerJob, outcome: RunOutcome) -> None:
+    """Record one finished finetune job in ``<log_dir>/run.json``, atomically."""
+    record = {
+        "task": job.task,
+        "hyperparams": job.hyperparams,
+        "stilt_parent": job.stilt_parent,
+        "metric_name": outcome.metric_name,
+        "val_metric": outcome.val_metric,
+        "eval_loss": outcome.eval_loss,
+        "wall_time_minutes": outcome.wall_time_minutes,
+    }
+    with replace_when_done(job.log_dir / RUN_RECORD) as fh:
+        fh.write((json.dumps(record, indent=2) + "\n").encode("utf-8"))
+
+
+def _parse_run_dir(run_dir: Path, predictions_root: Path) -> RunResult:
+    record = json.loads((run_dir / RUN_RECORD).read_text(encoding="utf-8"))
+    if record["val_metric"] is None:
+        raise ValueError("the run reported no validation metric")
     return RunResult(
-        task=task,
-        hyperparams=hyperparams,
-        val_metric=metric_value,
-        metric_name=metric_name,
-        predictions_path=predictions_dir / run_dir.name / "predictions.tsv",
+        task=record["task"],
+        hyperparams=record["hyperparams"],
+        val_metric=record["val_metric"],
+        metric_name=record["metric_name"],
+        predictions_path=predictions_root / record["task"] / run_dir.name / "predictions.tsv",
         log_dir=run_dir,
     )
 
 
 def summarize_val(log_root: str | Path, dataset_id: str,
                   output_root: str | Path | None = None) -> SummarizeReport:
-    """Parse every finetune run log under ``log/finetune/<dataset_id>/``.
+    """Read every finetune run record under ``log/finetune/<dataset_id>/``.
 
-    Malformed runs are reported and skipped, not fatal; having no parsable
-    logs at all is a CollectionError.
+    Runs with a missing or malformed record are reported and skipped, not
+    fatal; having no parsable record at all is a CollectionError.
     """
     log_root = Path(log_root)
     finetune_root = log_root / "finetune" / dataset_id
@@ -93,8 +109,8 @@ def summarize_val(log_root: str | Path, dataset_id: str,
             if not run_dir.is_dir():
                 continue
             try:
-                results.append(_parse_run_dir(task_dir.name, run_dir, predictions_root / task_dir.name))
-            except (ValueError, OSError, json.JSONDecodeError) as exc:
+                results.append(_parse_run_dir(run_dir, predictions_root))
+            except (ValueError, OSError, KeyError, TypeError) as exc:
                 skipped.append((run_dir, str(exc)))
     if not results:
         raise CollectionError(f"no parsable finetune runs under {finetune_root}")

@@ -25,17 +25,16 @@ is 2 when the vocabulary has at most 65536 entries, else 4.
 from __future__ import annotations
 
 import math
-import os
 import random
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import yaml
 
+from .atomic import replace_when_done
 from .rng import keyed_rng
 from .sharding import Shard, read_shard
 from .tokenization import TokenSequence, Vocabulary, tokenize, vocab_digest
@@ -168,20 +167,6 @@ def iter_document_instances(
             yield apply_masking(window, policy, vocab, rng)
 
 
-@contextmanager
-def _replace_when_done(path: Path) -> Iterator[BinaryIO]:
-    """Write to a temporary sibling and move it to ``path`` only on success."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _body_format(attention_len: int, n_masked: int, width: int) -> str:
     """struct format of one record after its two u16 counts."""
     code = _ID_CODES[width]
@@ -200,7 +185,7 @@ def write_instance_file(path: Path, instances: Iterable[MlmInstance],
     # needs at most max_seq_length of them.
     records: dict[tuple[int, int], struct.Struct] = {}
     count = 0
-    with _replace_when_done(path) as fh:
+    with replace_when_done(path) as fh:
         fh.write(version + _LAYOUT.pack(max_seq_length, width, 0))
         for inst in instances:
             shape = (inst.attention_len, len(inst.masked_positions))
@@ -330,7 +315,7 @@ def generate_instances(
             for f in files
         ],
     }
-    with _replace_when_done(meta_path) as fh:
+    with replace_when_done(meta_path) as fh:
         fh.write(yaml.safe_dump(meta, sort_keys=False).encode("utf-8"))
     return InstanceGenerationResult(tuple(files), total, meta_path)
 

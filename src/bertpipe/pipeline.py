@@ -6,8 +6,9 @@ on), the config and option values its work depends on, and the output it
 leaves; the stage's work is the module function ``_stage_<name>``. Three rules
 read the table:
 
-* Preconditions: before anything runs, an enabled stage that follows a
-  disabled one needs the disabled stage's output on disk already.
+* Preconditions: an enabled stage that follows a disabled one needs the
+  disabled stage's output on disk already. This is checked before anything
+  runs, and again before the stage starts, with the dataset id of this run.
 * Chained digests: a stage's digest hashes its inputs and the digest of the
   stage before it (the one computed in this run, or the one in that stage's
   sentinel when it is disabled), so a change upstream re-runs every later
@@ -23,7 +24,7 @@ Directory layout under the workspace root::
     data/processed/             pre-masked instance files + META.yaml
     saved_models/pretrain/<dataset_id>/
     log/pretrain/<dataset_id>/
-    log/finetune/<dataset_id>/<task>/<run>/
+    log/finetune/<dataset_id>/<task>/<run>/   run.json: the run's record
     output/finetune/<dataset_id>/<task>/<run>/
     output_test_translated/finetune/<dataset_id>/*.zip
     log/pipeline/               canonical config echo + machine-readable report
@@ -35,13 +36,14 @@ import hashlib
 import json
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from concurrent.futures import ThreadPoolExecutor
 
 from . import glue
+from .atomic import replace_when_done
 from .config import PipelineConfig, serialize_config, validate
 from .ingest import IngestError, enumerate_corpus_files, scan_local, sources_from_config
 from .instances import (
@@ -52,7 +54,7 @@ from .instances import (
     load_meta,
 )
 from .schedule import ScheduleSpec, warmup_steps
-from .search import SearchSpace, finetune_search, schedule_waves, select_best
+from .search import GridPoint, SearchSpace, finetune_search, schedule_waves, select_best
 from .sharding import ShardPlan, dataset_id as derive_dataset_id, shard_corpus
 from .tokenization import load_vocab, resolve_vocab
 from .trainer import (
@@ -70,6 +72,7 @@ from .collect import (
     collect_best_val,
     summarize_val,
     translate_test_result,
+    write_run_record,
 )
 
 COMPLETED = "completed"
@@ -288,7 +291,7 @@ def _pretrain_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[s
         "pretrain": asdict(config.pretrain),
         "tokenizer": asdict(config.tokenizer),
         "options": [
-            options.schedule_kind, options.eta0, options.warmup_proportion,
+            options.seed, options.schedule_kind, options.eta0, options.warmup_proportion,
             asdict(options.early_stop),
         ],
     }
@@ -349,18 +352,24 @@ def resolve_dataset_id(config: PipelineConfig, workspace: Workspace) -> str | No
     return meta.get("dataset_id")
 
 
+def _require_output(producer: StageSpec, consumer: StageSpec, workspace: Workspace,
+                    did: str | None) -> None:
+    """The precondition of an enabled stage after a disabled one, for dataset id ``did``."""
+    if not producer.output_exists(workspace, did):
+        path = producer.output(workspace, did)
+        raise StagePreconditionError(
+            producer.name,
+            consumer.name,
+            f"no {path}" if path else "no dataset id is resolvable (no processed data)",
+        )
+
+
 def check_preconditions(config: PipelineConfig, workspace: Workspace) -> None:
     """Verify that every enabled stage can get its inputs before running anything."""
     did = resolve_dataset_id(config, workspace)
     for producer, consumer in zip(STAGE_TABLE, STAGE_TABLE[1:]):
-        if (consumer.enabled(config) and not producer.enabled(config)
-                and not producer.output_exists(workspace, did)):
-            path = producer.output(workspace, did)
-            raise StagePreconditionError(
-                producer.name,
-                consumer.name,
-                f"no {path}" if path else "no dataset id is resolvable (no processed data)",
-            )
+        if consumer.enabled(config) and not producer.enabled(config):
+            _require_output(producer, consumer, workspace, did)
 
 
 def _stage_digest(stage: StageSpec, config: PipelineConfig, options: PipelineOptions,
@@ -381,11 +390,10 @@ def _sentinel_digest(workspace: Workspace, stage: str) -> str | None:
 
 
 def _mark_done(workspace: Workspace, stage: str, digest: str) -> None:
-    path = workspace.sentinel_path(stage)
-    path.parent.mkdir(parents=True, exist_ok=True)
     record = {"stage": stage, "digest": digest,
               "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    with replace_when_done(workspace.sentinel_path(stage)) as fh:
+        fh.write((json.dumps(record, indent=2) + "\n").encode("utf-8"))
 
 
 def run_pipeline(
@@ -421,11 +429,19 @@ def run_pipeline(
 
     failure: PipelineError | None = None
     upstream: str | None = None
-    for stage in STAGE_TABLE:
+    for previous, stage in zip((None, *STAGE_TABLE), STAGE_TABLE):
         if not stage.enabled(config):
             report.stages.append(StageReport(stage.name, SKIPPED_DISABLED))
             upstream = _sentinel_digest(workspace, stage.name)
             continue
+        if previous is not None and not previous.enabled(config):
+            try:
+                # Again: the dataset stage of this run may have made a new dataset id.
+                _require_output(previous, stage, workspace, state.dataset_id)
+            except StagePreconditionError as exc:
+                report.stages.append(StageReport(stage.name, FAILED, error=str(exc)))
+                failure = exc
+                break
         digest = upstream = _stage_digest(stage, config, options, upstream)
         if (not options.force and _sentinel_digest(workspace, stage.name) == digest
                 and stage.output_exists(workspace, state.dataset_id)):
@@ -510,6 +526,8 @@ def _stage_env_check(state: _RunState) -> dict[str, Any]:
 
 def _stage_dataset(state: _RunState) -> dict[str, Any]:
     config, ws, options = state.config, state.workspace, state.options
+    # Before any shard is written: an unresolvable vocabulary fails fast.
+    vocab = load_vocab(resolve_vocab(config.tokenizer.name_or_path))
     sources = sources_from_config(
         config.dataset.customized_datasets, config.dataset.huggingface_datasets
     )
@@ -521,8 +539,6 @@ def _stage_dataset(state: _RunState) -> dict[str, Any]:
     plan = options.shard_plan(config)
     sharding = shard_corpus(files, plan, ws.spill_dir, ws.sharded_dir, options.n_workers)
     did = derive_dataset_id(sharding.shards, config.dataset.id or None)
-
-    vocab = load_vocab(resolve_vocab(config.tokenizer.name_or_path))
     generation = generate_instances(
         sharding.shards,
         options.masking_policy(),
@@ -556,6 +572,7 @@ def _stage_pretrain(state: _RunState) -> dict[str, Any]:
         output_dir=ws.pretrain_model_dir(did),
         log_dir=ws.pretrain_log_dir(did),
         early_stop=options.early_stop,
+        seed=options.seed,
     )
     outcome = state.trainer.run(job)
     return {
@@ -566,65 +583,38 @@ def _stage_pretrain(state: _RunState) -> dict[str, Any]:
     }
 
 
-def _resolve_job_checkpoint(job: TrainerJob, checkpoint: str) -> TrainerJob:
-    argv = list(job.argv)
-    for k, token in enumerate(argv):
-        if token == "--model_name_or_path" and k + 1 < len(argv):
-            argv[k + 1] = checkpoint
-    hyperparams = dict(job.hyperparams)
-    hyperparams["checkpoint"] = checkpoint
-    return replace(job, argv=tuple(argv), hyperparams=hyperparams)
-
-
 def _stage_finetune(state: _RunState) -> dict[str, Any]:
-    config, ws, options = state.config, state.workspace, state.options
+    ws, options = state.workspace, state.options
     did = state.require_dataset_id()
     _, pretrain_checkpoint = parse_result_file(ws.pretrain_model_dir(did))
     if not pretrain_checkpoint.exists():
         raise PipelineError(f"pretrained checkpoint missing: {pretrain_checkpoint}")
 
-    jobs = finetune_search(
-        str(pretrain_checkpoint),
-        options.tasks,
-        space=options.search_space,
-        stilt_sources=options.stilt_sources,
-    )
-    placed: list[TrainerJob] = []
-    for job in jobs:
-        run = job.job_id.rsplit("/", 1)[1]
-        placed.append(
-            replace(
-                job,
-                output_dir=ws.finetune_output_dir(did, job.task, run),
-                log_dir=ws.finetune_log_dir(did, job.task, run),
-            )
-        )
-
+    points = finetune_search(options.tasks, options.search_space, options.stilt_sources)
     best: dict[str, tuple[TrainerJob, RunOutcome]] = {}
 
-    def run_job(job: TrainerJob) -> tuple[TrainerJob, RunOutcome]:
-        if job.stilt_parent is not None:
-            parent_job, parent_outcome = best[job.stilt_parent]
-            job = _resolve_job_checkpoint(job, str(parent_outcome.checkpoint_path))
-        return job, state.trainer.run(job)
+    def run_point(point: GridPoint) -> tuple[TrainerJob, RunOutcome]:
+        # A STILT child's wave starts after its parent task's winner is chosen.
+        checkpoint = (best[point.stilt_parent][1].checkpoint_path if point.stilt_parent
+                      else pretrain_checkpoint)
+        job = point.job(str(checkpoint), ws.finetune_output_dir(did, point.task, point.run),
+                        ws.finetune_log_dir(did, point.task, point.run))
+        outcome = state.trainer.run(job)
+        write_run_record(job, outcome)
+        return job, outcome
 
-    outcomes: list[tuple[TrainerJob, RunOutcome]] = []
-    for wave in schedule_waves(placed):
+    for wave in schedule_waves(points):
         if options.finetune_parallelism > 1:
             with ThreadPoolExecutor(max_workers=options.finetune_parallelism) as pool:
-                wave_outcomes = list(pool.map(run_job, wave))
+                wave_outcomes = list(pool.map(run_point, wave))
         else:
-            wave_outcomes = [run_job(job) for job in wave]
-        outcomes.extend(wave_outcomes)
-        by_task: dict[str, list[tuple[TrainerJob, RunOutcome]]] = {}
-        for job, outcome in wave_outcomes:
-            by_task.setdefault(job.task, []).append((job, outcome))
-        for task, pairs in by_task.items():
-            best[task] = select_best(pairs)
+            wave_outcomes = [run_point(point) for point in wave]
+        for task in {job.task for job, _ in wave_outcomes}:
+            best[task] = select_best(pair for pair in wave_outcomes if pair[0].task == task)
 
     return {
         "dataset_id": did,
-        "jobs": len(outcomes),
+        "jobs": len(points),
         **{
             f"best_{task}": f"{pair[0].job_id} metric={pair[1].val_metric}"
             for task, pair in sorted(best.items())

@@ -1,19 +1,22 @@
 """Finetuning hyperparameter search and STILT chaining.
 
-The search emits one job per point of the (learning rate x batch size x
-epochs) grid per task. Tasks configured with a STILT source are seeded from
-the *best* checkpoint of the source task's grid instead of the pretraining
-checkpoint, so their jobs can only start after the source grid has completed
-and its winner has been selected. The winner is always the run with the
-highest validation metric, ties broken by the lexicographically smallest
-hyperparameter tuple; selection is therefore independent of completion order.
+The search emits one grid point per (learning rate x batch size x epochs)
+combination per task. A point becomes a trainer job, with its argv built
+once, when its output directories and starting checkpoint are known. Tasks
+configured with a STILT source are seeded from the *best* checkpoint of the
+source task's grid instead of the pretraining checkpoint, so their jobs can
+only be built after the source grid has completed and its winner has been
+selected. The winner is always the run with the highest validation metric,
+ties broken by the lexicographically smallest hyperparameter tuple; selection
+is therefore independent of completion order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import Any, Iterable, Mapping
 
 from . import glue
 from .trainer import FINETUNE, RunOutcome, TrainerJob, build_finetune_argv, winner_key
@@ -56,17 +59,37 @@ def _check_stilt_dag(sources: Mapping[str, str]) -> None:
             seen.add(node)
 
 
+@dataclass(frozen=True)
+class GridPoint:
+    """One finetune run of the search, before it has a checkpoint or directories."""
+
+    task: str
+    run: str
+    hyperparams: dict[str, Any]
+    stilt_parent: str | None = None  # start from that task's winner, not from pretraining
+
+    def job(self, checkpoint: str, output_dir: Path, log_dir: Path) -> TrainerJob:
+        return TrainerJob(
+            kind=FINETUNE,
+            job_id=f"finetune/{self.task}/{self.run}",
+            argv=build_finetune_argv(checkpoint, self.task, str(output_dir), self.hyperparams),
+            hyperparams=self.hyperparams,
+            task=self.task,
+            stilt_parent=self.stilt_parent,
+            output_dir=output_dir,
+            log_dir=log_dir,
+        )
+
+
 def finetune_search(
-    checkpoint: str,
     tasks: Iterable[str],
     space: SearchSpace | None = None,
     stilt_sources: Mapping[str, str] | None = None,
-) -> list[TrainerJob]:
-    """Build the full grid of finetune jobs for the given tasks.
+) -> list[GridPoint]:
+    """Build the full grid of finetune runs for the given tasks.
 
-    ``checkpoint`` is the pretraining checkpoint; jobs whose task has a STILT
-    source among the scheduled tasks get ``stilt_parent`` set instead, and
-    their actual checkpoint is resolved at run time from the source's winner.
+    Runs whose task has a STILT source among the scheduled tasks get
+    ``stilt_parent`` set; the others start from the pretraining checkpoint.
     """
     space = space or SearchSpace()
     stilt_sources = dict(DEFAULT_STILT_SOURCES if stilt_sources is None else stilt_sources)
@@ -76,58 +99,40 @@ def finetune_search(
     _check_stilt_dag(stilt_sources)
 
     scheduled = set(tasks)
-    jobs: list[TrainerJob] = []
+    points: list[GridPoint] = []
     for task in tasks:
         parent = stilt_sources.get(task)
         if parent is not None and parent not in scheduled:
             parent = None  # source task not scheduled: fall back to the pretrain checkpoint
         for lr, batch_size, epochs in product(space.learning_rates, space.batch_sizes, space.epochs):
-            name = run_name(lr, batch_size, epochs)
-            jobs.append(
-                TrainerJob(
-                    kind=FINETUNE,
-                    job_id=f"finetune/{task}/{name}",
-                    argv=build_finetune_argv(
-                        checkpoint=checkpoint,
-                        task=task,
-                        output_dir=name,
-                        learning_rate=lr,
-                        batch_size=batch_size,
-                        epochs=epochs,
-                    ),
-                    hyperparams={
-                        "learning_rate": lr,
-                        "batch_size": batch_size,
-                        "epochs": epochs,
-                        "warmup_steps": 50,
-                        "weight_decay": 0.01,
-                        "scheduler": "polynomial",
-                        "checkpoint": checkpoint,
-                    },
-                    task=task,
-                    stilt_parent=parent,
-                )
-            )
-    return jobs
+            hyperparams = {
+                "learning_rate": lr,
+                "batch_size": batch_size,
+                "epochs": epochs,
+                "warmup_steps": 50,
+                "weight_decay": 0.01,
+                "scheduler": "polynomial",
+            }
+            points.append(GridPoint(task, run_name(lr, batch_size, epochs), hyperparams, parent))
+    return points
 
 
-def schedule_waves(jobs: Iterable[TrainerJob]) -> list[list[TrainerJob]]:
+def schedule_waves(points: Iterable[GridPoint]) -> list[list[GridPoint]]:
     """Topological layers of the STILT dependency graph.
 
-    Jobs in one wave are mutually independent; every job's parent task
+    Points in one wave are mutually independent; every point's parent task
     completes in an earlier wave.
     """
-    jobs = list(jobs)
-    by_task: dict[str, list[TrainerJob]] = {}
-    for job in jobs:
-        by_task.setdefault(job.task or "", []).append(job)
+    by_task: dict[str, list[GridPoint]] = {}
+    for point in points:
+        by_task.setdefault(point.task, []).append(point)
 
     depth: dict[str, int] = {}
 
     def task_depth(task: str) -> int:
         if task in depth:
             return depth[task]
-        parents = {j.stilt_parent for j in by_task[task] if j.stilt_parent}
+        parents = {p.stilt_parent for p in by_task[task] if p.stilt_parent}
         d = 0
         for parent in parents:
             if parent not in by_task:
@@ -136,9 +141,9 @@ def schedule_waves(jobs: Iterable[TrainerJob]) -> list[list[TrainerJob]]:
         depth[task] = d
         return d
 
-    waves: dict[int, list[TrainerJob]] = {}
-    for task, task_jobs in by_task.items():
-        waves.setdefault(task_depth(task), []).extend(task_jobs)
+    waves: dict[int, list[GridPoint]] = {}
+    for task, task_points in by_task.items():
+        waves.setdefault(task_depth(task), []).extend(task_points)
     return [waves[d] for d in sorted(waves)]
 
 

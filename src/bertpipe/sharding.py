@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .atomic import replace_when_done
 from .ingest import CorpusFile, DocumentRecord, iter_documents
 from .rng import derive_u64, keyed_uniform
 
@@ -273,10 +274,10 @@ def _finalize(plan: ShardPlan, spill_dirs: list[Path], out_dir: Path) -> Shardin
             total_docs += len(records)
 
     manifest = out_dir / MANIFEST_NAME
-    with open(manifest, "w", encoding="utf-8") as fh:
+    with replace_when_done(manifest) as fh:
         for shard in shards:
             fh.write(f"{shard_rel_path(shard.split, shard.index)}\t"
-                     f"{shard.num_records}\t{shard.checksum}\n")
+                     f"{shard.num_records}\t{shard.checksum}\n".encode("utf-8"))
     return ShardingResult(
         shards=tuple(shards),
         num_documents=total_docs,

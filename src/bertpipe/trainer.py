@@ -1,21 +1,32 @@
 """Trainer jobs and adapters.
 
-GPU training itself is out of scope here; the pipeline builds argv-shaped
-jobs and hands them to a :class:`TrainerAdapter`. Two adapters ship:
+GPU training itself is out of scope here; the pipeline builds each job's
+argv once, when its output directory and starting checkpoint are known, and
+hands the job to a :class:`TrainerAdapter`. The contract, per job:
+
+* The trainer writes under the ``--output_dir`` of its argv, and nowhere
+  else, a ``RESULT.tsv`` with the lines ``eval_loss\\t<float>`` and
+  ``checkpoint\\t<path>``.
+* A finetune job starts from ``--model_name_or_path``: the pretraining
+  checkpoint, or the winning checkpoint of its STILT parent task. It also
+  writes ``<output_dir>/predictions.tsv`` (``index\\t<label id or value>`` per
+  test example) and prints ``final_val_metric\\t<name>\\t<float>`` on stdout;
+  the last such line counts.
+* The adapter returns a :class:`RunOutcome`. After each finetune job the
+  pipeline writes that outcome, with the job's task and hyperparameters, to
+  ``<log_dir>/run.json``; result collection reads nothing else.
+
+Two adapters ship:
 
 * :class:`ExternalCommandTrainer` launches a real trainer process with the
-  job argv. Contract: the process must exit 0 and write
-  ``<output_dir>/RESULT.tsv`` with lines ``eval_loss\\t<float>`` and
-  ``checkpoint\\t<path>``; finetune trainers must also print a
-  ``final_val_metric\\t<name>\\t<float>`` line on stdout.
+  job argv, keeps its stdout/stderr under the job's log directory and times
+  it. The process must exit 0.
 * :class:`SimulationTrainer` iterates the configured steps hermetically,
   consuming the learning-rate schedule and emitting a synthetic eval loss
   ``loss(k) = loss_start * exp(-decay_per_lr * sum_{j<=k} lr_j) + loss_floor``
   so schedule quality is reflected in the outcome. It honors the validation
-  cadence and early stopping, and is fully deterministic.
-
-Both adapters leave stdout/stderr copies and a per-step TSV under the job's
-log directory.
+  cadence and early stopping, is fully deterministic, and leaves a per-step
+  TSV under the job's log directory.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import json
 import math
 import shlex
 import subprocess
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Protocol
@@ -116,8 +128,8 @@ def winner_key(val_metric: float, hyperparams: dict[str, Any]) -> tuple:
     return (-val_metric, hyperparam_sort_key(hyperparams))
 
 
-# Argument list of the standard pretraining command; config- and
-# schedule-driven values are substituted by build_pretrain_job.
+# Argument list of the standard pretraining command; config-, schedule- and
+# option-driven values are added by build_pretrain_job.
 PRETRAIN_STATIC_ARGS: tuple[tuple[str, str | None], ...] = (
     ("--model_type", "bert-mlm"),
     ("--hidden_act", "gelu"),
@@ -151,10 +163,6 @@ PRETRAIN_STATIC_ARGS: tuple[tuple[str, str | None], ...] = (
     ("--deepspeed", None),
     ("--data_loader_type", "dist"),
     ("--do_validation", None),
-    ("--use_early_stopping", None),
-    ("--early_stop_time", "180"),
-    ("--early_stop_eval_loss", "6"),
-    ("--seed", "42"),
     ("--fp16", None),
 )
 
@@ -170,8 +178,9 @@ def build_pretrain_job(
     output_dir: Path,
     log_dir: Path | None = None,
     early_stop: EarlyStopPolicy = EarlyStopPolicy(),
+    seed: int = 42,
 ) -> TrainerJob:
-    """Assemble the pretraining job argv with config/schedule values substituted."""
+    """Assemble the pretraining job argv from the config, schedule and options."""
     num_steps = config.pretrain.num_steps
     argv: list[str] = [
         "--dataset_path", str(dataset_path),
@@ -190,6 +199,11 @@ def build_pretrain_job(
         argv.append(flag)
         if value is not None:
             argv.append(value)
+    if early_stop.enabled:
+        argv += ["--use_early_stopping",
+                 "--early_stop_time", f"{early_stop.early_stop_time_minutes:g}",
+                 "--early_stop_eval_loss", f"{early_stop.early_stop_eval_loss:g}"]
+    argv += ["--seed", str(seed)]
     return TrainerJob(
         kind=PRETRAIN,
         job_id=f"pretrain/{dataset_id}",
@@ -206,17 +220,9 @@ def build_pretrain_job(
     )
 
 
-def build_finetune_argv(
-    checkpoint: str,
-    task: str,
-    output_dir: str,
-    learning_rate: float,
-    batch_size: int,
-    epochs: int,
-    warmup_steps: int = 50,
-    weight_decay: float = 0.01,
-) -> tuple[str, ...]:
-    """Finetuning argv in the standard run_glue shape."""
+def build_finetune_argv(checkpoint: str, task: str, output_dir: str,
+                        hp: dict[str, Any]) -> tuple[str, ...]:
+    """Finetuning argv in the standard run_glue shape, from grid-point hyperparams."""
     return (
         "--model_name_or_path", checkpoint,
         "--task_name", task,
@@ -225,16 +231,16 @@ def build_finetune_argv(
         "--overwrite_output_dir",
         "--do_train", "--do_eval",
         "--evaluation_strategy", "steps",
-        "--per_device_train_batch_size", str(batch_size),
+        "--per_device_train_batch_size", str(hp["batch_size"]),
         "--gradient_accumulation_steps", "1",
         "--per_device_eval_batch_size", "32",
-        "--learning_rate", f"{learning_rate:g}",
-        "--weight_decay", f"{weight_decay:g}",
+        "--learning_rate", f"{hp['learning_rate']:g}",
+        "--weight_decay", f"{hp['weight_decay']:g}",
         "--eval_steps", "50",
         "--max_grad_norm", "1.0",
-        "--num_train_epochs", str(epochs),
-        "--lr_scheduler_type", "polynomial",
-        "--warmup_steps", str(warmup_steps),
+        "--num_train_epochs", str(hp["epochs"]),
+        "--lr_scheduler_type", hp["scheduler"],
+        "--warmup_steps", str(hp["warmup_steps"]),
     )
 
 
@@ -292,6 +298,7 @@ class ExternalCommandTrainer:
         stdout_path = job.log_dir / "stdout.log"
         stderr_path = job.log_dir / "stderr.log"
         with open(stdout_path, "wb") as out, open(stderr_path, "wb") as err:
+            started = time.perf_counter()
             try:
                 proc = subprocess.run(full, stdout=out, stderr=err, timeout=self.timeout_seconds)
             except subprocess.TimeoutExpired as exc:
@@ -299,6 +306,7 @@ class ExternalCommandTrainer:
                     f"trainer timed out after {self.timeout_seconds} s "
                     f"for job {job.job_id}: {shlex.join(full)}"
                 ) from exc
+            wall_time_minutes = (time.perf_counter() - started) / 60
         if proc.returncode != 0:
             raise TrainerError(
                 f"trainer exited with status {proc.returncode} "
@@ -311,7 +319,7 @@ class ExternalCommandTrainer:
             raise TrainerError(f"job {job.job_id}: bad {METRIC_LINE_PREFIX} line: {exc}") from exc
         return RunOutcome(
             eval_loss=eval_loss,
-            wall_time_minutes=0.0,
+            wall_time_minutes=wall_time_minutes,
             checkpoint_path=checkpoint,
             log_path=stdout_path,
             val_metric=metric[1] if metric else None,
@@ -406,12 +414,6 @@ class SimulationTrainer:
         (job.output_dir / RESULT_FILE).write_text(
             f"eval_loss\t{loss!r}\ncheckpoint\t{checkpoint}\n", encoding="utf-8"
         )
-        summary = job.log_dir / "run.log"
-        summary.write_text(
-            f"pretrain steps={steps_done} total_lr={cum!r} final_eval_loss={loss!r} "
-            f"early_stopped_at={stopped_at}\n",
-            encoding="utf-8",
-        )
         return RunOutcome(
             eval_loss=loss,
             wall_time_minutes=steps_done / self.steps_per_minute,
@@ -432,12 +434,13 @@ class SimulationTrainer:
         lr: float = hp["learning_rate"]
         batch_size: int = hp["batch_size"]
         epochs: int = hp["epochs"]
-        checkpoint_in: str = hp["checkpoint"]
-        quality_in = self._checkpoint_quality(checkpoint_in)
+        quality_in = self._checkpoint_quality(
+            job.argv[job.argv.index("--model_name_or_path") + 1])
 
         n_train = SIM_TRAIN_EXAMPLES[task.name]
         steps = epochs * math.ceil(n_train / batch_size)
         cum = 0.0
+        loss = self.finetune_loss_start + self.finetune_loss_floor
         rows = []
         for k in range(steps):
             step_lr = lr * (1 - k / steps)
@@ -458,28 +461,6 @@ class SimulationTrainer:
 
         log_path = job.log_dir / "steps.tsv"
         log_path.write_text("step\tlr\tloss\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        (job.log_dir / "hparams.json").write_text(
-            json.dumps(
-                {
-                    "learning_rate": lr,
-                    "batch_size": batch_size,
-                    "epochs": epochs,
-                    "warmup_steps": hp.get("warmup_steps", 50),
-                    "weight_decay": hp.get("weight_decay", 0.01),
-                    "scheduler": hp.get("scheduler", "polynomial"),
-                    "stilt_parent": job.stilt_parent,
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        run_log = job.log_dir / "run.log"
-        run_log.write_text(
-            f"finetune task={task.name} {hp_key} steps={steps}\n"
-            f"{METRIC_LINE_PREFIX}\t{task.metric}\t{metric!r}\n",
-            encoding="utf-8",
-        )
 
         predictions = job.output_dir / "predictions.tsv"
         with open(predictions, "w", encoding="utf-8") as fh:
@@ -497,18 +478,14 @@ class SimulationTrainer:
             + "\n",
             encoding="utf-8",
         )
-        final_loss = (
-            self.finetune_loss_start * math.exp(-self.finetune_decay_per_lr * cum)
-            + self.finetune_loss_floor
-        )
         (job.output_dir / RESULT_FILE).write_text(
-            f"eval_loss\t{final_loss!r}\ncheckpoint\t{checkpoint_out}\n", encoding="utf-8"
+            f"eval_loss\t{loss!r}\ncheckpoint\t{checkpoint_out}\n", encoding="utf-8"
         )
         return RunOutcome(
-            eval_loss=final_loss,
+            eval_loss=loss,
             wall_time_minutes=steps / self.steps_per_minute,
             checkpoint_path=checkpoint_out,
-            log_path=run_log,
+            log_path=log_path,
             val_metric=metric,
             metric_name=task.metric,
         )

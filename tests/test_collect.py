@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import zipfile
 from pathlib import Path
 
@@ -10,13 +9,16 @@ from hypothesis import given, strategies as st
 from bertpipe import glue
 from bertpipe.collect import (
     CollectionError,
+    RUN_RECORD,
     RunResult,
     SUBMISSION_ZIP_NAME,
     collect_best_val,
     summarize_val,
     translate_predictions,
     translate_test_result,
+    write_run_record,
 )
+from bertpipe.trainer import RunOutcome, TrainerJob
 
 
 def write_run(log_root: Path, output_root: Path, dataset_id: str, task: str,
@@ -25,13 +27,14 @@ def write_run(log_root: Path, output_root: Path, dataset_id: str, task: str,
     run_dir = log_root / "finetune" / dataset_id / task / run
     run_dir.mkdir(parents=True, exist_ok=True)
     if corrupt:
-        (run_dir / "run.log").write_text("garbage without a metric\n")
+        (run_dir / RUN_RECORD).write_text("garbage without a metric\n")
     else:
-        metric_name = glue.get_task(task).metric
-        (run_dir / "run.log").write_text(
-            f"some preamble\nfinal_val_metric\t{metric_name}\t{metric}\n"
-        )
-    (run_dir / "hparams.json").write_text(json.dumps(hyperparams))
+        job = TrainerJob(kind="finetune", job_id=f"finetune/{task}/{run}", argv=(),
+                         hyperparams=hyperparams, task=task, log_dir=run_dir)
+        outcome = RunOutcome(eval_loss=0.5, wall_time_minutes=1.0, checkpoint_path=Path("c"),
+                             log_path=Path("l"), val_metric=metric,
+                             metric_name=glue.get_task(task).metric)
+        write_run_record(job, outcome)
     out_dir = output_root / "finetune" / dataset_id / task / run
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "predictions.tsv").write_text(

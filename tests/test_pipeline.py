@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
 from bertpipe import pipeline
-from bertpipe.config import parse_config
+from bertpipe.config import parse_config, with_stage_flags
 from bertpipe.instances import INSTANCE_FORMAT_VERSION
 from bertpipe.pipeline import (
     COMPLETED,
@@ -22,6 +24,9 @@ from bertpipe.pipeline import (
 )
 from bertpipe.search import SearchSpace
 from bertpipe.synthdata import generate_corpus
+from bertpipe.trainer import ExternalCommandTrainer, SimulationTrainer
+
+STUB_TRAINER = Path(__file__).with_name("stub_trainer.py")
 
 SMALL_TASKS = ("MNLI", "RTE", "CoLA", "STS-B")
 SMALL_SPACE = SearchSpace(learning_rates=(1e-5, 3e-5), batch_sizes=(16,), epochs=(3,))
@@ -73,6 +78,24 @@ class TestPreconditions:
         with pytest.raises(StagePreconditionError):
             run_pipeline(cfg, Workspace(tmp_path / "ws"), options=small_options())
 
+    def test_disabled_stage_checked_with_this_runs_dataset_id(self, tmp_path):
+        text = corpus_config(tmp_path)
+        ws = Workspace(tmp_path / "ws")
+        run_pipeline(with_stage_flags(parse_config(text), finetune=False, result_collection=False),
+                     ws, options=small_options())
+        corpus_file = sorted((tmp_path / "corpus").iterdir())[0]
+        with open(corpus_file, "a", encoding="utf-8") as fh:
+            fh.write("\n\nan appended article about nothing in particular\n")
+        # The checkpoint of the old dataset id exists; the new id has none.
+        cfg = with_stage_flags(parse_config(text), pretrain=False)
+        with pytest.raises(StagePreconditionError) as excinfo:
+            run_pipeline(cfg, ws, options=small_options())
+        assert (excinfo.value.producer, excinfo.value.consumer) == ("pretrain", "finetune")
+        report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
+        assert [s["status"] for s in report["stages"]] == [
+            SKIPPED_DONE, COMPLETED, SKIPPED_DISABLED, "failed",
+        ]
+
     def test_invalid_config_rejected(self, tmp_path):
         cfg = parse_config("")  # dataset stage enabled, no corpora listed
         with pytest.raises(PipelineError, match="DATASET"):
@@ -83,8 +106,6 @@ class TestFullRun:
     def test_preprocess_only_then_train(self, tmp_path):
         # Stage-disabling workflow: first preprocessing only, then the rest
         # on the preprocessed data.
-        from bertpipe.config import with_stage_flags
-
         preprocess_cfg = with_stage_flags(
             parse_config(corpus_config(tmp_path)),
             pretrain=False, finetune=False, result_collection=False,
@@ -147,6 +168,14 @@ class TestFullRun:
         assert statuses["dataset"] == "failed"
         assert "pretrain" not in statuses  # later stages never started
 
+    def test_unresolvable_vocabulary_fails_before_sharding(self, tmp_path):
+        # The default TOKENIZER.NAME_OR_PATH, bert-large-uncased, is not bundled.
+        text = corpus_config(tmp_path).replace("TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n", "")
+        ws = Workspace(tmp_path / "ws")
+        with pytest.raises(PipelineError, match="bert-large-uncased"):
+            run_pipeline(parse_config(text), ws, options=small_options())
+        assert not (ws.sharded_dir / "MANIFEST.tsv").exists()
+
     def test_log_layout(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
         ws = Workspace(tmp_path / "ws")
@@ -156,7 +185,12 @@ class TestFullRun:
         rte_runs = list((ws.log_root / "finetune" / did / "RTE").iterdir())
         assert len(rte_runs) == len(SMALL_SPACE.learning_rates)
         for run_dir in rte_runs:
-            assert (run_dir / "run.log").is_file()
+            record = json.loads((run_dir / "run.json").read_text())
+            assert set(record["hyperparams"]) == {
+                "learning_rate", "batch_size", "epochs", "warmup_steps", "weight_decay",
+                "scheduler",
+            }
+            assert record["task"] == "RTE" and record["metric_name"] == "accuracy"
         assert (ws.saved_models_root / "pretrain" / did / "checkpoint.json").is_file()
 
     def test_stilt_children_use_parent_checkpoint(self, tmp_path):
@@ -165,8 +199,8 @@ class TestFullRun:
         report = run_pipeline(cfg, ws, options=small_options())
         did = report.dataset_id
         rte_run = next((ws.log_root / "finetune" / did / "RTE").iterdir())
-        hparams = json.loads((rte_run / "hparams.json").read_text())
-        assert hparams["stilt_parent"] == "MNLI"
+        record = json.loads((rte_run / "run.json").read_text())
+        assert record["stilt_parent"] == "MNLI"
 
     def test_finetune_parallelism_same_selection(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
@@ -176,6 +210,36 @@ class TestFullRun:
         b1 = {k: v for k, v in r1.stage("finetune").artifacts.items() if k.startswith("best_")}
         b2 = {k: v for k, v in r2.stage("finetune").artifacts.items() if k.startswith("best_")}
         assert b1 == b2
+
+
+class TestExternalTrainerEndToEnd:
+    def test_five_stages_through_stub_trainer(self, tmp_path, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        ws = Workspace(tmp_path / "ws")
+        trainer = ExternalCommandTrainer((sys.executable, str(STUB_TRAINER)))
+        report = run_pipeline(parse_config(corpus_config(tmp_path)), ws, trainer=trainer,
+                              options=small_options(tasks=("MNLI", "RTE")))
+        assert [s.status for s in report.stages] == [COMPLETED] * 5
+        did = report.dataset_id
+
+        def given(task, run):  # what the stub trainer was given for one run
+            return json.loads((ws.finetune_output_dir(did, task, run) / "model.json").read_text())
+
+        runs = [(p.parent.name, p.name) for p in (ws.log_root / "finetune" / did).glob("*/*")]
+        assert len(runs) == 2 * len(SMALL_SPACE)
+        for task, run in runs:
+            assert given(task, run)["output_dir"] == str(ws.finetune_output_dir(did, task, run))
+        winner = report.stage("finetune").artifacts["best_MNLI"].split()[0].rsplit("/", 1)[1]
+        winner_checkpoint = ws.finetune_output_dir(did, "MNLI", winner) / "model.json"
+        for task, run in runs:
+            if task == "RTE":
+                assert given(task, run)["model_name_or_path"] == str(winner_checkpoint)
+        assert list(cwd.iterdir()) == []
+        zip_path = ws.translated_dir(did) / "glue_submission.zip"
+        with zipfile.ZipFile(zip_path) as zf:
+            assert zf.namelist() == ["MNLI-m.tsv", "RTE.tsv"]
 
 
 class TestRerunReactsToChanges:
@@ -222,6 +286,23 @@ class TestRerunReactsToChanges:
         ]
         assert report.dataset_id == first.dataset_id
         assert (ws.processed_dir / "META.yaml").is_file()
+
+    def test_seed_reaches_pretrain_with_dataset_disabled(self, tmp_path):
+        cfg, ws, _ = self._first_run(tmp_path, corpus_config(tmp_path))
+        jobs = []
+
+        class RecordingTrainer(SimulationTrainer):
+            def run(self, job):
+                jobs.append(job)
+                return super().run(job)
+
+        report = run_pipeline(with_stage_flags(cfg, dataset=False), ws,
+                              trainer=RecordingTrainer(), options=small_options(seed=7))
+        assert [s.status for s in report.stages] == [
+            SKIPPED_DONE, SKIPPED_DISABLED, COMPLETED, COMPLETED, COMPLETED,
+        ]
+        argv = jobs[0].argv
+        assert argv[argv.index("--seed") + 1] == "7"
 
     def test_instance_format_change_rebuilds_dataset(self, tmp_path, monkeypatch):
         # The reader rejects files of another format version, so a workspace

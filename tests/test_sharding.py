@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from bertpipe import sharding
 from bertpipe.ingest import CorpusSource, DocumentRecord, enumerate_corpus_files, iter_documents
 from bertpipe.rng import derive_u64
 from bertpipe.sharding import (
@@ -175,6 +176,20 @@ class TestFileFormat:
             assert rel == f"{shard.split}/shard-{shard.index:05d}.xbs"
             assert int(count) == shard.num_records
             assert checksum == shard.checksum
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_rel_path(split, index, real=sharding.shard_rel_path):
+            calls.append((split, index))
+            if len(calls) == 5:  # the second manifest line, after the three shard files
+                raise OSError("disk full")
+            return real(split, index)
+
+        monkeypatch.setattr(sharding, "shard_rel_path", failing_rel_path)
+        with pytest.raises(OSError, match="disk full"):
+            shuffle_and_shard(make_docs(5), plan(), tmp_path / "spill", tmp_path / "out")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["test", "train"]
 
     def test_read_rejects_bad_magic(self, tmp_path):
         bad = tmp_path / "bad.xbs"

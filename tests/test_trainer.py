@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,8 @@ from bertpipe.trainer import (
     hyperparam_sort_key,
     parse_result_file,
 )
+
+STUB_TRAINER = Path(__file__).with_name("stub_trainer.py")
 
 
 class TestEarlyStop:
@@ -75,6 +79,21 @@ class TestBuildPretrainJob:
         argv = self._job().argv
         assert argv[argv.index("--validation_begin_proportion") + 1] == "0.05"
         assert argv[argv.index("--validation_end_proportion") + 1] == "0.01"
+
+    def test_seed_and_early_stop_from_options(self):
+        cfg = get_default_config()
+        spec = ScheduleSpec(total_steps=21620)
+        job = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"), seed=7,
+                                 early_stop=EarlyStopPolicy(True, 90.0, 4.5))
+        argv = list(job.argv)
+        assert argv[argv.index("--seed") + 1] == "7"
+        assert argv[argv.index("--early_stop_time") + 1] == "90"
+        assert argv[argv.index("--early_stop_eval_loss") + 1] == "4.5"
+        assert "--use_early_stopping" in argv
+        disabled = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"),
+                                      early_stop=EarlyStopPolicy(enabled=False)).argv
+        early_stop_flags = {"--use_early_stopping", "--early_stop_time", "--early_stop_eval_loss"}
+        assert not early_stop_flags & set(disabled)
 
     def test_no_task_on_pretrain(self):
         assert self._job().task is None
@@ -148,22 +167,15 @@ class TestSimulationPretrain:
 
 class TestSimulationFinetune:
     def _job(self, tmp_path, task="RTE", lr=3e-5, checkpoint_quality=30.0, tag="f"):
-        import json
-
         checkpoint = tmp_path / tag / "ckpt.json"
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
         checkpoint.write_text(json.dumps({"quality": checkpoint_quality}))
         return TrainerJob(
             kind="finetune",
             job_id=f"finetune/{task}/x",
-            argv=(),
+            argv=("--model_name_or_path", str(checkpoint)),
             task=task,
-            hyperparams={
-                "learning_rate": lr,
-                "batch_size": 16,
-                "epochs": 3,
-                "checkpoint": str(checkpoint),
-            },
+            hyperparams={"learning_rate": lr, "batch_size": 16, "epochs": 3},
             output_dir=tmp_path / tag / "out",
             log_dir=tmp_path / tag / "log",
         )
@@ -173,8 +185,8 @@ class TestSimulationFinetune:
         assert outcome.val_metric is not None and 0 < outcome.val_metric < 1
         assert outcome.metric_name == "accuracy"
         assert (tmp_path / "f" / "out" / "predictions.tsv").is_file()
-        assert (tmp_path / "f" / "log" / "hparams.json").is_file()
-        assert "final_val_metric\taccuracy\t" in outcome.log_path.read_text()
+        assert parse_result_file(tmp_path / "f" / "out")[1] == outcome.checkpoint_path
+        assert outcome.log_path == tmp_path / "f" / "log" / "steps.tsv"
 
     def test_better_checkpoint_better_metric(self, tmp_path):
         low = SimulationTrainer().run(self._job(tmp_path, checkpoint_quality=1.0, tag="lo"))
@@ -191,30 +203,16 @@ class TestSimulationFinetune:
 
 class TestExternalTrainer:
     def _stub(self, tmp_path, exit_code=0, write_result=True, sleep_seconds=0):
-        script = tmp_path / "stub_trainer.py"
-        script.write_text(
-            f"""\
-import sys, pathlib, time
-time.sleep({sleep_seconds!r})
-args = sys.argv[1:]
-out = pathlib.Path(args[args.index("--output_dir") + 1])
-out.mkdir(parents=True, exist_ok=True)
-if {write_result!r}:
-    ckpt = out / "model.bin"
-    ckpt.write_text("weights")
-    (out / "RESULT.tsv").write_text(f"eval_loss\\t2.25\\ncheckpoint\\t{{ckpt}}\\n")
-print("final_val_metric\\taccuracy\\t0.5")
-print("final_val_metric\\taccuracy\\t0.8125")
-sys.exit({exit_code})
-"""
-        )
-        return (sys.executable, str(script))
+        no_result = () if write_result else ("--stub_no_result",)
+        return (sys.executable, str(STUB_TRAINER), "--stub_exit_code", str(exit_code),
+                "--stub_sleep", str(sleep_seconds), *no_result)
 
     def _job(self, tmp_path):
         return TrainerJob(
             kind="finetune",
             job_id="finetune/RTE/stub",
-            argv=("--task_name", "RTE", "--output_dir", str(tmp_path / "out")),
+            argv=("--model_name_or_path", "ckpt-in", "--task_name", "RTE",
+                  "--output_dir", str(tmp_path / "out")),
             task="RTE",
             output_dir=tmp_path / "out",
             log_dir=tmp_path / "log",
@@ -224,10 +222,14 @@ sys.exit({exit_code})
         trainer = ExternalCommandTrainer(self._stub(tmp_path))
         outcome = trainer.run(self._job(tmp_path))
         assert outcome.eval_loss == 2.25
-        assert outcome.checkpoint_path.read_text() == "weights"
+        assert json.loads(outcome.checkpoint_path.read_text())["model_name_or_path"] == "ckpt-in"
         assert outcome.val_metric == 0.8125
         assert (tmp_path / "log" / "stdout.log").is_file()
         assert (tmp_path / "log" / "stderr.log").is_file()
+
+    def test_wall_time_measured(self, tmp_path):
+        trainer = ExternalCommandTrainer(self._stub(tmp_path, sleep_seconds=0.2))
+        assert trainer.run(self._job(tmp_path)).wall_time_minutes > 0
 
     def test_nonzero_exit(self, tmp_path):
         trainer = ExternalCommandTrainer(self._stub(tmp_path, exit_code=3))
@@ -253,11 +255,11 @@ sys.exit({exit_code})
 
 class TestFinetuneSearch:
     def test_grid_cross_product(self):
-        jobs = finetune_search("ckpt", ["RTE"])
+        jobs = finetune_search(["RTE"])
         assert len(jobs) == 16  # 4 lrs x 2 batch sizes x 2 epochs
 
     def test_stilt_dependencies(self):
-        jobs = finetune_search("ckpt", ["MNLI", "RTE", "MRPC", "STS-B", "CoLA"])
+        jobs = finetune_search(["MNLI", "RTE", "MRPC", "STS-B", "CoLA"])
         for job in jobs:
             if job.task in ("RTE", "MRPC", "STS-B"):
                 assert job.stilt_parent == "MNLI"
@@ -265,12 +267,12 @@ class TestFinetuneSearch:
                 assert job.stilt_parent is None
 
     def test_stilt_skipped_when_parent_absent(self):
-        jobs = finetune_search("ckpt", ["RTE"])
+        jobs = finetune_search(["RTE"])
         assert all(job.stilt_parent is None for job in jobs)
 
     def test_unknown_task(self):
         with pytest.raises(KeyError, match="SNLI"):
-            finetune_search("ckpt", ["SNLI"])
+            finetune_search(["SNLI"])
 
     def test_empty_grid(self):
         with pytest.raises(SearchError, match="empty"):
@@ -278,20 +280,23 @@ class TestFinetuneSearch:
 
     def test_stilt_cycle_rejected(self):
         with pytest.raises(SearchError, match="cycle"):
-            finetune_search("ckpt", ["RTE", "MRPC"],
-                            stilt_sources={"RTE": "MRPC", "MRPC": "RTE"})
+            finetune_search(["RTE", "MRPC"], stilt_sources={"RTE": "MRPC", "MRPC": "RTE"})
 
     def test_waves_topological(self):
-        jobs = finetune_search("ckpt", ["MNLI", "RTE", "CoLA"])
+        jobs = finetune_search(["MNLI", "RTE", "CoLA"])
         waves = schedule_waves(jobs)
         assert len(waves) == 2
         wave0_tasks = {j.task for j in waves[0]}
         assert wave0_tasks == {"MNLI", "CoLA"}
         assert {j.task for j in waves[1]} == {"RTE"}
 
-    def test_argv_shape(self):
-        job = finetune_search("ckpt", ["MRPC"], stilt_sources={})[0]
+    def test_argv_shape(self, tmp_path):
+        point = finetune_search(["MRPC"], stilt_sources={})[0]
+        job = point.job("ckpt", tmp_path / "out", tmp_path / "log")
         argv = job.argv
+        assert argv[argv.index("--model_name_or_path") + 1] == "ckpt"
+        assert argv[argv.index("--output_dir") + 1] == str(tmp_path / "out")
+        assert (job.output_dir, job.log_dir) == (tmp_path / "out", tmp_path / "log")
         assert argv[argv.index("--task_name") + 1] == "MRPC"
         assert argv[argv.index("--lr_scheduler_type") + 1] == "polynomial"
         assert "--do_train" in argv and "--do_eval" in argv
