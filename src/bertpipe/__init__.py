@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .config import PipelineConfig, get_default_config, load_config, parse_config, validate
 from .pipeline import PipelineOptions, Workspace, run_pipeline
 from .schedule import ScheduleSpec, esd_value, schedule_value
-from .sharding import ShardPlan, shard_corpus, shuffle_and_shard
+from .sharding import ShardPlan, shard_corpus
 from .instances import MaskingPolicy, generate_instances
 from .trainer import ExternalCommandTrainer, SimulationTrainer
 
@@ -29,7 +29,6 @@ __all__ = [
     "schedule_value",
     "ShardPlan",
     "shard_corpus",
-    "shuffle_and_shard",
     "MaskingPolicy",
     "generate_instances",
     "ExternalCommandTrainer",

@@ -8,11 +8,16 @@ adapter parses into the run's outcome. After the job the pipeline writes
 ``run.json`` (:func:`write_run_record`) into the run's log directory
 ``log/finetune/<id>/<task>/<run>/``: the task, the grid-point hyperparameters,
 the STILT parent, the metric name and value, the eval loss and the wall time.
+Once the grid is done the stage writes ``log/finetune/<id>/RUNS.tsv``
+(:func:`write_runs_index`): one ``task``, ``run``, ``winner`` line per run of
+this grid. Run directories left by an earlier, different grid stay on disk
+but are not listed.
 
-Collection reads only those records and the predictions. It selects the best
-run per task (deterministic tie-breaking), translates predictions to the
-benchmark's label strings, and packs one TSV per task into a submission zip
-with normalized metadata so the archive is reproducible byte-for-byte.
+Collection reads only the runs that index lists, their records and their
+predictions. It selects the best run per task (deterministic tie-breaking),
+translates predictions to the benchmark's label strings, and packs one TSV
+per task into a submission zip with normalized metadata so the archive is
+reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .trainer import RunOutcome, TrainerJob, winner_key
 
 SUBMISSION_ZIP_NAME = "glue_submission.zip"
 RUN_RECORD = "run.json"
+RUNS_INDEX = "RUNS.tsv"
+_RUNS_INDEX_HEADER = "task\trun\twinner\n"
 # Fixed DOS timestamp for zip members (zip epoch): reproducibility over mtimes.
 _ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
@@ -70,6 +77,13 @@ def write_run_record(job: TrainerJob, outcome: RunOutcome) -> None:
         fh.write((json.dumps(record, indent=2) + "\n").encode("utf-8"))
 
 
+def write_runs_index(finetune_root: Path, runs: Iterable[tuple[str, str, bool]]) -> None:
+    """List a grid's ``(task, run, is winner)`` runs in ``<finetune_root>/RUNS.tsv``, atomically."""
+    lines = [f"{task}\t{run}\t{int(winner)}\n" for task, run, winner in runs]
+    with replace_when_done(finetune_root / RUNS_INDEX) as fh:
+        fh.write((_RUNS_INDEX_HEADER + "".join(lines)).encode("utf-8"))
+
+
 def _parse_run_dir(run_dir: Path, predictions_root: Path) -> RunResult:
     record = json.loads((run_dir / RUN_RECORD).read_text(encoding="utf-8"))
     if record["val_metric"] is None:
@@ -86,10 +100,10 @@ def _parse_run_dir(run_dir: Path, predictions_root: Path) -> RunResult:
 
 def summarize_val(log_root: str | Path, dataset_id: str,
                   output_root: str | Path | None = None) -> SummarizeReport:
-    """Read every finetune run record under ``log/finetune/<dataset_id>/``.
+    """Read the record of every run that ``log/finetune/<dataset_id>/RUNS.tsv`` lists.
 
     Runs with a missing or malformed record are reported and skipped, not
-    fatal; having no parsable record at all is a CollectionError.
+    fatal; having no index or no parsable record at all is a CollectionError.
     """
     log_root = Path(log_root)
     finetune_root = log_root / "finetune" / dataset_id
@@ -98,20 +112,18 @@ def summarize_val(log_root: str | Path, dataset_id: str,
         output_root = log_root.parent / "output"
     predictions_root = Path(output_root) / "finetune" / dataset_id
 
-    if not finetune_root.is_dir():
-        raise CollectionError(f"no finetune logs under {finetune_root}")
+    index = finetune_root / RUNS_INDEX
+    if not index.is_file():
+        raise CollectionError(f"no finetune logs under {finetune_root}: no {RUNS_INDEX}")
     results: list[RunResult] = []
     skipped: list[tuple[Path, str]] = []
-    for task_dir in sorted(finetune_root.iterdir()):
-        if not task_dir.is_dir():
-            continue
-        for run_dir in sorted(task_dir.iterdir()):
-            if not run_dir.is_dir():
-                continue
-            try:
-                results.append(_parse_run_dir(run_dir, predictions_root))
-            except (ValueError, OSError, KeyError, TypeError) as exc:
-                skipped.append((run_dir, str(exc)))
+    for line in index.read_text(encoding="utf-8").splitlines()[1:]:
+        task, run, _winner = line.split("\t")
+        run_dir = finetune_root / task / run
+        try:
+            results.append(_parse_run_dir(run_dir, predictions_root))
+        except (ValueError, OSError, KeyError, TypeError) as exc:
+            skipped.append((run_dir, str(exc)))
     if not results:
         raise CollectionError(f"no parsable finetune runs under {finetune_root}")
     return SummarizeReport(results=tuple(results), skipped=tuple(skipped))

@@ -184,6 +184,22 @@ def iter_documents(files: Iterable[CorpusFile]) -> Iterator[DocumentRecord]:
         yield from iter_file_documents(f.path, f.file_index, f.source)
 
 
+def _http_get(url: str, timeout: float) -> tuple[int, bytes]:
+    """``(status, body)`` of a GET; a failure to get any response is retryable."""
+    import http.client
+    import urllib.error
+    import urllib.request  # only remote fetches pay for importing it
+
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, b""
+    except (OSError, http.client.HTTPException) as exc:
+        raise RetryableFetchError(f"fetching {url}: {exc}") from exc
+
+
 def fetch_remote(
     name: str,
     split: str,
@@ -212,37 +228,28 @@ def fetch_remote(
             "and no remote-corpus base URL is configured"
         )
 
-    import requests  # only remote fetches pay for importing it
-
     prefix = f"{base_url.rstrip('/')}/{name}/{split}"
-    try:
-        resp = requests.get(f"{prefix}/{INDEX_FILE}", timeout=timeout)
-    except requests.RequestException as exc:
-        raise RetryableFetchError(f"fetching {prefix}/{INDEX_FILE}: {exc}") from exc
-    if resp.status_code == 404:
+    status, body = _http_get(f"{prefix}/{INDEX_FILE}", timeout)
+    if status == 404:
         raise PermanentFetchError(f"unknown remote corpus: {name}/{split}")
-    if resp.status_code >= 500:
-        raise RetryableFetchError(f"server error {resp.status_code} for {name}/{split}")
-    if resp.status_code != 200:
+    if status >= 500:
+        raise RetryableFetchError(f"server error {status} for {name}/{split}")
+    if status != 200:
         raise PermanentFetchError(
-            f"unexpected status {resp.status_code} fetching index of {name}/{split}"
+            f"unexpected status {status} fetching index of {name}/{split}"
         )
 
-    file_names = [line.strip() for line in resp.text.splitlines() if line.strip()]
+    text = body.decode("utf-8", errors="replace")
+    file_names = [line.strip() for line in text.splitlines() if line.strip()]
     target.mkdir(parents=True, exist_ok=True)
     for file_name in file_names:
         if "/" in file_name or file_name.startswith("."):
             raise PermanentFetchError(f"illegal file name in corpus index: {file_name!r}")
-        try:
-            file_resp = requests.get(f"{prefix}/{file_name}", timeout=timeout)
-        except requests.RequestException as exc:
-            raise RetryableFetchError(f"fetching {prefix}/{file_name}: {exc}") from exc
-        if file_resp.status_code != 200:
-            raise RetryableFetchError(
-                f"status {file_resp.status_code} fetching {name}/{split}/{file_name}"
-            )
+        status, content = _http_get(f"{prefix}/{file_name}", timeout)
+        if status != 200:
+            raise RetryableFetchError(f"status {status} fetching {name}/{split}/{file_name}")
         tmp = target / (file_name + ".part")
-        tmp.write_bytes(file_resp.content)
+        tmp.write_bytes(content)
         tmp.replace(target / file_name)
     marker.touch()
     return target

@@ -259,10 +259,10 @@ class InstanceGenerationResult:
     meta_path: Path
 
 
-def _generate_for_shard(shard_path: str, doc_ids: tuple[int, ...], out_path: str,
-                        policy: MaskingPolicy, vocab: Vocabulary) -> int:
+def _generate_for_shard(shard_path: str, out_path: str, policy: MaskingPolicy,
+                        vocab: Vocabulary) -> int:
     def all_instances() -> Iterator[MlmInstance]:
-        for doc_id, text in zip(doc_ids, read_shard(Path(shard_path))):
+        for doc_id, text in read_shard(Path(shard_path)):
             yield from iter_document_instances(doc_id, text, policy, vocab)
 
     return write_instance_file(Path(out_path), all_instances(), policy.max_seq_length,
@@ -286,21 +286,18 @@ def generate_instances(
         raise ValueError("n_workers must be >= 1")
     out_dir = Path(out_dir)
     shards = list(shards)
-    jobs = [
-        (str(s.path), s.doc_ids, str(out_dir / instance_rel_path(s.split, s.index)), s)
-        for s in shards
-    ]
+    jobs = [(str(s.path), str(out_dir / instance_rel_path(s.split, s.index)), s)
+            for s in shards]
     files: list[InstanceFile] = []
     if n_workers == 1 or len(jobs) <= 1:
-        counts = [_generate_for_shard(p, ids, out, policy, vocab) for p, ids, out, _ in jobs]
+        counts = [_generate_for_shard(p, out, policy, vocab) for p, out, _ in jobs]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [
-                pool.submit(_generate_for_shard, p, ids, out, policy, vocab)
-                for p, ids, out, _ in jobs
+                pool.submit(_generate_for_shard, p, out, policy, vocab) for p, out, _ in jobs
             ]
             counts = [f.result() for f in futures]
-    for (_, _, out, shard), count in zip(jobs, counts):
+    for (_, out, shard), count in zip(jobs, counts):
         files.append(InstanceFile(shard.split, shard.index, Path(out), count))
 
     total = sum(f.num_instances for f in files)

@@ -24,6 +24,7 @@ Directory layout under the workspace root::
     data/processed/             pre-masked instance files + META.yaml
     saved_models/pretrain/<dataset_id>/
     log/pretrain/<dataset_id>/
+    log/finetune/<dataset_id>/RUNS.tsv        this grid's runs and each task's winner
     log/finetune/<dataset_id>/<task>/<run>/   run.json: the run's record
     output/finetune/<dataset_id>/<task>/<run>/
     output_test_translated/finetune/<dataset_id>/*.zip
@@ -55,7 +56,12 @@ from .instances import (
 )
 from .schedule import ScheduleSpec, warmup_steps
 from .search import GridPoint, SearchSpace, finetune_search, schedule_waves, select_best
-from .sharding import ShardPlan, dataset_id as derive_dataset_id, shard_corpus
+from .sharding import (
+    SHARD_FORMAT_VERSION,
+    ShardPlan,
+    dataset_id as derive_dataset_id,
+    shard_corpus,
+)
 from .tokenization import load_vocab, resolve_vocab
 from .trainer import (
     RESULT_FILE,
@@ -68,11 +74,13 @@ from .trainer import (
     parse_result_file,
 )
 from .collect import (
+    RUNS_INDEX,
     SUBMISSION_ZIP_NAME,
     collect_best_val,
     summarize_val,
     translate_test_result,
     write_run_record,
+    write_runs_index,
 )
 
 COMPLETED = "completed"
@@ -283,6 +291,7 @@ def _dataset_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[st
         ],
         "corpus": _corpus_fingerprint(config.dataset.customized_datasets),
         "instance_format": INSTANCE_FORMAT_VERSION,
+        "shard_format": SHARD_FORMAT_VERSION,
     }
 
 
@@ -333,7 +342,7 @@ STAGE_TABLE: tuple[StageSpec, ...] = (
     StageSpec("pretrain", "pretrain", _pretrain_inputs,
               lambda ws, did: ws.pretrain_model_dir(did) / RESULT_FILE if did else None),
     StageSpec("finetune", "finetune", _finetune_inputs,
-              lambda ws, did: ws.log_root / "finetune" / did if did else None),
+              lambda ws, did: ws.log_root / "finetune" / did / RUNS_INDEX if did else None),
     StageSpec("collect", "result_collection",
               lambda config, options: {"options": [sorted(options.tasks)]},
               lambda ws, did: ws.translated_dir(did) / SUBMISSION_ZIP_NAME if did else None),
@@ -612,9 +621,19 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
         for task in {job.task for job, _ in wave_outcomes}:
             best[task] = select_best(pair for pair in wave_outcomes if pair[0].task == task)
 
+    # Collect reads only this grid; runs of an earlier grid are the user's data and stay.
+    finetune_root = ws.log_root / "finetune" / did
+    write_runs_index(finetune_root, [
+        (point.task, point.run, best[point.task][0].log_dir.name == point.run)
+        for point in points
+    ])
+    grid = {(point.task, point.run) for point in points}
+    stale = [d for d in finetune_root.glob("*/*")
+             if d.is_dir() and (d.parent.name, d.name) not in grid]
     return {
         "dataset_id": did,
         "jobs": len(points),
+        "stale_runs": len(stale),
         **{
             f"best_{task}": f"{pair[0].job_id} metric={pair[1].val_metric}"
             for task, pair in sorted(best.items())

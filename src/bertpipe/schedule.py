@@ -184,11 +184,6 @@ def schedule_value(global_step: int, overall_steps: int, spec: ScheduleSpec) -> 
     return rates[bisect_left(last_steps, global_step - w)]
 
 
-def schedule_values(overall_steps: int, spec: ScheduleSpec) -> list[float]:
-    """Learning rate at every step 0..overall_steps inclusive."""
-    return [schedule_value(k, overall_steps, spec) for k in range(overall_steps + 1)]
-
-
 def emit_trace(spec: ScheduleSpec, overall_steps: int, out: str | Path) -> Path:
     """Write a per-step ``step\\tlr`` trace with a '#' summary header line.
 

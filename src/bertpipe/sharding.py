@@ -1,11 +1,21 @@
 """Shuffle the document stream into train/test shards under a RAM budget.
 
-Large corpora do not fit in memory, so the shuffle trades time for memory by
-spilling to disk: documents are buffered per destination shard, and once the
-byte-accounting counter crosses 80% of the budget the largest buffers are
-serialized to per-shard spill files (sequential appends). The remaining 20%
-headroom absorbs bookkeeping overhead. At the end every destination is read
-back one shard at a time and written in its final order.
+Large corpora do not fit in memory, so sharding is an external sort with
+sorted runs and a k-way merge (Knuth, TAOCP vol. 3, §5.4.1), in two phases
+that share one process pool (or run in this process with one worker):
+
+* Spill: workers own disjoint subsets of the corpus files and share the
+  budget equally. Each buffers documents per destination shard, computing a
+  document's order key once, on arrival. Once the byte-accounting counter
+  would cross 80% of the worker's share, the largest buffers are spilled:
+  each is sorted in place by (order key, doc_id) and written to a file of
+  its own as one sorted run. The remaining 20% headroom absorbs bookkeeping
+  overhead.
+* Merge: one task per destination shard streams ``heapq.merge`` over that
+  shard's runs, from every worker, into the shard file. The file is written
+  through ``atomic.replace_when_done``, header first (the record count is
+  the sum of the run counts), and hashed with sha256 in the same pass. No
+  process ever holds a whole shard.
 
 All randomized decisions are keyed functions of (seed, doc_id):
 
@@ -14,33 +24,45 @@ All randomized decisions are keyed functions of (seed, doc_id):
 * final order:  ascending U64(seed, doc_id, "order"), doc_id as tie-break
 
 so any worker partitioning or interleaving of the stream yields bit-identical
-shard files. Byte accounting counts UTF-8 text bytes plus a fixed 64-byte
-per-record overhead; the high-water mark is reported and never exceeds the
-budget.
+shard files.
 
-Shard file format (bit-exact for determinism tests): 16-byte header of magic
-"XBSHARD1", format version u16, record count u32, 2 padding bytes; then per
-record a u32 little-endian byte length followed by that many UTF-8 bytes.
+Budget rule: a record is accounted as its UTF-8 text bytes plus a fixed
+64-byte overhead. The spill workers run concurrently, so the spill phase's
+accounted peak is the sum of the workers' peaks. A merge holds one record
+per run, at most the run's largest, and up to one merge per worker runs at
+a time, so the merge phase's accounted peak is the sum of the largest such
+per-shard bounds, one per worker; it is known before any merge starts. The
+reported peak is the larger of the two phases; if it exceeds the budget,
+sharding fails with a ShardError that names both, before any shard file is
+written.
+
+Shard file format v2 (bit-exact for determinism tests), all little-endian:
+16-byte header of magic "XBSHARD1", format version u16, record count u32, 2
+padding bytes; then per record doc_id u64, byte length u32 and that many
+UTF-8 bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .atomic import replace_when_done
 from .ingest import CorpusFile, DocumentRecord, iter_documents
 from .rng import derive_u64, keyed_uniform
 
 SHARD_MAGIC = b"XBSHARD1"
-SHARD_FORMAT_VERSION = 1
+SHARD_FORMAT_VERSION = 2
 _HEADER = struct.Struct("<8sHI2x")
-_RECORD_LEN = struct.Struct("<I")
-_SPILL_RECORD = struct.Struct("<QI")
+_RECORD = struct.Struct("<QI")  # doc_id, byte length
+_RUN_RECORD = struct.Struct("<QQI")  # order key, doc_id, byte length
 
 RECORD_OVERHEAD_BYTES = 64
 MIN_MEMORY_BYTES = 16 * 2**20
@@ -81,17 +103,13 @@ class ShardPlan:
 
 @dataclass(frozen=True)
 class Shard:
-    """One finalized shard file plus the doc_ids of its records, in file order."""
+    """One finalized shard file."""
 
     split: str
     index: int
     path: Path
     num_records: int
     checksum: str
-    doc_ids: tuple[int, ...]
-
-    def documents(self) -> Iterator[str]:
-        yield from read_shard(self.path)
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,15 @@ class ShardingResult:
     num_documents: int
     peak_accounted_bytes: int
     manifest_path: Path
+
+
+@dataclass(frozen=True)
+class Run:
+    """One sorted spill file: its record count and its largest record's accounted bytes."""
+
+    path: str
+    count: int
+    largest: int
 
 
 def assign_split(doc: DocumentRecord | int, plan: ShardPlan) -> str:
@@ -125,15 +152,16 @@ def shard_rel_path(split: str, index: int) -> str:
 
 
 class _SpillWriter:
-    """Per-destination buffers with budget accounting and largest-first spill."""
+    """Per-destination buffers with budget accounting; each spill writes one sorted run."""
 
     def __init__(self, plan: ShardPlan, spill_dir: Path, budget_bytes: int):
         self.plan = plan
         self.spill_dir = spill_dir
         self.budget = budget_bytes
         self.threshold = int(budget_bytes * SPILL_THRESHOLD)
-        self.buffers: dict[tuple[str, int], list[tuple[int, bytes]]] = {}
+        self.buffers: dict[tuple[str, int], list[tuple[int, int, bytes]]] = {}
         self.sizes: dict[tuple[str, int], int] = {}
+        self.runs: dict[tuple[str, int], list[Run]] = {}
         self.total = 0
         self.peak = 0
         self.num_documents = 0
@@ -151,26 +179,29 @@ class _SpillWriter:
             self._spill_until(self.threshold - cost)
         split = assign_split(doc.doc_id, self.plan)
         dest = (split, assign_shard_index(doc.doc_id, split, self.plan))
-        self.buffers.setdefault(dest, []).append((doc.doc_id, data))
+        record = (_order_key(doc.doc_id, self.plan.seed), doc.doc_id, data)
+        self.buffers.setdefault(dest, []).append(record)
         self.sizes[dest] = self.sizes.get(dest, 0) + cost
         self.total += cost
         self.peak = max(self.peak, self.total)
         self.num_documents += 1
 
-    def _spill_path(self, dest: tuple[str, int]) -> Path:
-        return self.spill_dir / f"{dest[0]}-{dest[1]:05d}.spill"
-
     def _spill_dest(self, dest: tuple[str, int]) -> None:
         records = self.buffers.pop(dest)
+        records.sort()  # (order key, doc_id) is unique, so texts are never compared
+        runs = self.runs.setdefault(dest, [])
+        path = self.spill_dir / f"{dest[0]}-{dest[1]:05d}-{len(runs):06d}.run"
         try:
-            with open(self._spill_path(dest), "ab") as fh:
-                for doc_id, data in records:
-                    fh.write(_SPILL_RECORD.pack(doc_id, len(data)))
+            with open(path, "wb") as fh:
+                for key, doc_id, data in records:
+                    fh.write(_RUN_RECORD.pack(key, doc_id, len(data)))
                     fh.write(data)
         except OSError as exc:
             raise ShardError(
                 f"spill write failed for {dest} (needed {self.sizes[dest]} bytes): {exc}"
             ) from exc
+        largest = max(record_cost(data) for _, _, data in records)
+        runs.append(Run(str(path), len(records), largest))
         self.total -= self.sizes.pop(dest)
 
     def _spill_until(self, target_total: int) -> None:
@@ -183,35 +214,55 @@ class _SpillWriter:
             self._spill_dest(dest)
 
 
-def _iter_spill_records(path: Path) -> Iterator[tuple[int, bytes]]:
+def _spill_worker(files: list[CorpusFile], plan: ShardPlan, spill_dir: str,
+                  budget_bytes: int) -> tuple[int, int, dict[tuple[str, int], list[Run]]]:
+    """Spill a file subset into sorted runs; returns (accounted peak, documents, runs)."""
+    writer = _SpillWriter(plan, Path(spill_dir), budget_bytes)
+    for doc in iter_documents(files):
+        writer.add(doc)
+    writer.flush_all()
+    return writer.peak, writer.num_documents, writer.runs
+
+
+def _iter_run(path: str) -> Iterator[tuple[int, int, bytes]]:
     with open(path, "rb") as fh:
-        while True:
-            head = fh.read(_SPILL_RECORD.size)
-            if not head:
-                return
-            doc_id, length = _SPILL_RECORD.unpack(head)
-            yield doc_id, fh.read(length)
+        while head := fh.read(_RUN_RECORD.size):
+            key, doc_id, length = _RUN_RECORD.unpack(head)
+            data = fh.read(length)
+            if len(data) != length:
+                raise ShardError(f"truncated run file {path}")
+            yield key, doc_id, data
 
 
-def write_shard_file(path: Path, records: list[bytes]) -> str:
-    """Write one shard file; returns the sha256 hex digest of its content."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _merge_shard(runs: list[Run], path: str) -> tuple[int, str]:
+    """Merge one shard's sorted runs into its file; returns (record count, sha256 hex).
+
+    The file appears at ``path`` only once every record is written; the
+    runs are deleted after that.
+    """
+    count = sum(run.count for run in runs)
     hasher = hashlib.sha256()
-    with open(path, "wb") as fh:
-        header = _HEADER.pack(SHARD_MAGIC, SHARD_FORMAT_VERSION, len(records))
+    written = 0
+    with replace_when_done(Path(path)) as fh:
+        header = _HEADER.pack(SHARD_MAGIC, SHARD_FORMAT_VERSION, count)
         fh.write(header)
         hasher.update(header)
-        for data in records:
-            prefix = _RECORD_LEN.pack(len(data))
+        for _, doc_id, data in heapq.merge(*(_iter_run(run.path) for run in runs)):
+            prefix = _RECORD.pack(doc_id, len(data))
             fh.write(prefix)
             fh.write(data)
             hasher.update(prefix)
             hasher.update(data)
-    return hasher.hexdigest()
+            written += 1
+        if written != count:
+            raise ShardError(f"runs of {path} declared {count} records but held {written}")
+    for run in runs:
+        os.unlink(run.path)
+    return count, hasher.hexdigest()
 
 
-def read_shard(path: Path) -> Iterator[str]:
-    """Yield the document texts of a shard file, validating the header."""
+def read_shard(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield the ``(doc_id, text)`` records of a shard file, validating the header."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -222,85 +273,40 @@ def read_shard(path: Path) -> Iterator[str]:
         if version != SHARD_FORMAT_VERSION:
             raise ShardError(f"unsupported shard format version {version} in {path}")
         for _ in range(count):
-            prefix = fh.read(_RECORD_LEN.size)
-            if len(prefix) != _RECORD_LEN.size:
+            prefix = fh.read(_RECORD.size)
+            if len(prefix) != _RECORD.size:
                 raise ShardError(f"truncated shard file {path}")
-            (length,) = _RECORD_LEN.unpack(prefix)
+            doc_id, length = _RECORD.unpack(prefix)
             data = fh.read(length)
             if len(data) != length:
                 raise ShardError(f"truncated shard file {path}")
-            yield data.decode("utf-8")
+            yield doc_id, data.decode("utf-8")
 
 
-def _spill_worker(files: list[CorpusFile], plan: ShardPlan, spill_dir: str,
-                  budget_bytes: int) -> tuple[int, int]:
-    writer = _SpillWriter(plan, Path(spill_dir), budget_bytes)
-    for doc in iter_documents(files):
-        writer.add(doc)
-    writer.flush_all()
-    return writer.peak, writer.num_documents
+def _run_tasks(pool: ProcessPoolExecutor | None, fn: Callable, jobs: list[tuple]) -> list:
+    """``fn`` over ``jobs`` in the pool, or in this process without one; results in job order."""
+    if pool is None:
+        return [fn(*job) for job in jobs]
+    futures = [pool.submit(fn, *job) for job in jobs]
+    return [future.result() for future in futures]
 
 
-def _finalize(plan: ShardPlan, spill_dirs: list[Path], out_dir: Path) -> ShardingResult:
-    """Merge spill files into final shards in canonical keyed order."""
-    shards: list[Shard] = []
-    peak = 0
-    total_docs = 0
-    for split, n_shards in ((TRAIN, plan.num_train_shards), (TEST, plan.num_test_shards)):
-        for index in range(n_shards):
-            records: list[tuple[int, int, bytes]] = []
-            accounted = 0
-            for spill_dir in spill_dirs:
-                spill = spill_dir / f"{split}-{index:05d}.spill"
-                if not spill.exists():
-                    continue
-                for doc_id, data in _iter_spill_records(spill):
-                    records.append((_order_key(doc_id, plan.seed), doc_id, data))
-                    accounted += record_cost(data)
-            peak = max(peak, accounted)
-            records.sort(key=lambda r: (r[0], r[1]))
-            path = out_dir / shard_rel_path(split, index)
-            checksum = write_shard_file(path, [r[2] for r in records])
-            shards.append(
-                Shard(
-                    split=split,
-                    index=index,
-                    path=path,
-                    num_records=len(records),
-                    checksum=checksum,
-                    doc_ids=tuple(r[1] for r in records),
-                )
-            )
-            total_docs += len(records)
-
-    manifest = out_dir / MANIFEST_NAME
-    with replace_when_done(manifest) as fh:
+def _finalize(plan: ShardPlan, runs: dict[tuple[str, int], list[Run]], out_dir: Path,
+              pool: ProcessPoolExecutor | None) -> tuple[Shard, ...]:
+    """Merge every destination's runs into its shard file, one task per shard; write the manifest."""
+    dests = [(split, index) for split in (TRAIN, TEST) for index in range(plan.shards_for(split))]
+    paths = [out_dir / shard_rel_path(split, index) for split, index in dests]
+    merged = _run_tasks(pool, _merge_shard,
+                        [(runs.get(dest, []), str(path)) for dest, path in zip(dests, paths)])
+    shards = tuple(
+        Shard(split, index, path, count, checksum)
+        for (split, index), path, (count, checksum) in zip(dests, paths, merged)
+    )
+    with replace_when_done(out_dir / MANIFEST_NAME) as fh:
         for shard in shards:
             fh.write(f"{shard_rel_path(shard.split, shard.index)}\t"
                      f"{shard.num_records}\t{shard.checksum}\n".encode("utf-8"))
-    return ShardingResult(
-        shards=tuple(shards),
-        num_documents=total_docs,
-        peak_accounted_bytes=peak,
-        manifest_path=manifest,
-    )
-
-
-def shuffle_and_shard(
-    docs: Iterable[DocumentRecord],
-    plan: ShardPlan,
-    spill_dir: str | Path,
-    out_dir: str | Path,
-) -> ShardingResult:
-    """Shard an already-materialized document stream (single worker)."""
-    spill_dir, out_dir = Path(spill_dir), Path(out_dir)
-    writer = _SpillWriter(plan, spill_dir, plan.max_memory_bytes)
-    for doc in docs:
-        writer.add(doc)
-    writer.flush_all()
-    result = _finalize(plan, [spill_dir], out_dir)
-    peak = max(result.peak_accounted_bytes, writer.peak)
-    return ShardingResult(result.shards, result.num_documents, peak, result.manifest_path)
+    return shards
 
 
 def shard_corpus(
@@ -326,40 +332,40 @@ def shard_corpus(
             f"budget of {plan.max_memory_bytes} bytes split over {n_workers} workers "
             f"falls below the {MIN_MEMORY_BYTES}-byte per-worker floor"
         )
-    worker_dirs = [spill_dir / f"w{k}" for k in range(n_workers)]
-    # Spill files are appended to: leftovers of a crashed run would be read twice.
-    for stale in spill_dir.glob("w*/*.spill"):
+    # Runs left by a crashed run are never merged; clear them so they do not pile up.
+    for stale in spill_dir.glob("w*/*.run"):
         stale.unlink()
 
-    peaks: list[int] = []
-    ndocs = 0
-    if n_workers == 1:
-        peak, n = _spill_worker(chunks[0], plan, str(worker_dirs[0]), budget_per_worker)
-        peaks.append(peak)
-        ndocs += n
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_spill_worker, chunk, plan, str(wdir), budget_per_worker)
-                for chunk, wdir in zip(chunks, worker_dirs)
-            ]
-            for future in futures:
-                peak, n = future.result()
-                peaks.append(peak)
-                ndocs += n
+    pool_context = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext()
+    with pool_context as pool:
+        spilled = _run_tasks(pool, _spill_worker, [
+            (chunk, plan, str(spill_dir / f"w{k}"), budget_per_worker)
+            for k, chunk in enumerate(chunks)
+        ])
+        runs: dict[tuple[str, int], list[Run]] = {}
+        for _, _, worker_runs in spilled:
+            for dest, dest_runs in worker_runs.items():
+                runs.setdefault(dest, []).extend(dest_runs)
+        # Workers spill concurrently, and up to n_workers merges run at once.
+        spill_peak = sum(peak for peak, _, _ in spilled)
+        merge_bounds = sorted((sum(run.largest for run in dest_runs)
+                               for dest_runs in runs.values()), reverse=True)
+        peak = max(spill_peak, sum(merge_bounds[:n_workers]))
+        if peak > plan.max_memory_bytes:
+            for dest_runs in runs.values():
+                for run in dest_runs:
+                    os.unlink(run.path)
+            raise ShardError(
+                f"accounted peak of {peak} bytes exceeds the memory budget of "
+                f"{plan.max_memory_bytes} bytes (a merge holds one record per sorted run)"
+            )
+        shards = _finalize(plan, runs, out_dir, pool)
 
-    result = _finalize(plan, worker_dirs, out_dir)
-    if result.num_documents != ndocs:
-        raise ShardError(
-            f"document count mismatch: spilled {ndocs}, finalized {result.num_documents}"
-        )
-    # Workers run concurrently: their accounting peaks can coincide, so the
-    # conservative global high-water mark is the sum of per-worker peaks.
-    peak = max(sum(peaks), result.peak_accounted_bytes)
-    for wdir in worker_dirs:
-        for spill in wdir.glob("*.spill"):
-            spill.unlink()
-    return ShardingResult(result.shards, result.num_documents, peak, result.manifest_path)
+    ndocs = sum(n for _, n, _ in spilled)
+    total = sum(shard.num_records for shard in shards)
+    if total != ndocs:
+        raise ShardError(f"document count mismatch: spilled {ndocs}, finalized {total}")
+    return ShardingResult(shards, total, peak, out_dir / MANIFEST_NAME)
 
 
 def dataset_id(shards: Iterable[Shard], override: str | None = None) -> str:

@@ -173,7 +173,7 @@ def test_criterion_4_sharding_conservation_and_budget(tmp_path_factory):
         )
         output_digests: Counter = Counter()
         for shard in result.shards:
-            for text in read_shard(shard.path):
+            for _, text in read_shard(shard.path):
                 output_digests[hashlib.blake2b(text.encode(), digest_size=16).digest()] += 1
         assert output_digests == input_digests
         assert sum(output_digests.values()) == result.num_documents

@@ -84,12 +84,13 @@ def _src_env() -> dict:
 
 
 def test_cli_import_does_not_load_requests():
-    # Only remote corpus fetches need requests; every other run skips its import cost.
+    # Only remote corpus fetches need an HTTP client; every other run skips its import cost.
     env = _src_env()
-    probe = "import sys, bertpipe.cli; print('requests' in sys.modules)"
+    probe = ("import sys, bertpipe.cli; "
+             "print([m for m in ('requests', 'urllib.request') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_bench_trace_sees_every_stage(tmp_path):

@@ -17,6 +17,7 @@ from bertpipe.collect import (
     translate_predictions,
     translate_test_result,
     write_run_record,
+    write_runs_index,
 )
 from bertpipe.trainer import RunOutcome, TrainerJob
 
@@ -40,6 +41,13 @@ def write_run(log_root: Path, output_root: Path, dataset_id: str, task: str,
     (out_dir / "predictions.tsv").write_text(
         "".join(f"{i}\t{p}\n" for i, p in enumerate(predictions))
     )
+    index_runs(log_root, dataset_id)
+
+
+def index_runs(log_root: Path, dataset_id: str) -> None:
+    """List every run directory present in the dataset's RUNS.tsv, as the finetune stage does."""
+    root = log_root / "finetune" / dataset_id
+    write_runs_index(root, [(d.parent.name, d.name, False) for d in sorted(root.glob("*/*"))])
 
 
 HP = {"learning_rate": 3e-5, "batch_size": 16, "epochs": 3}
@@ -66,6 +74,16 @@ class TestSummarizeVal:
     def test_empty_log_root_is_error(self, tmp_path):
         with pytest.raises(CollectionError, match="no finetune logs"):
             summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+
+    def test_unlisted_run_ignored(self, tmp_path):
+        # A run of an earlier grid outranks this grid's run but is not in its index.
+        write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "old", 0.9, HP, ["1"])
+        root = tmp_path / "log" / "finetune" / "d1"
+        write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "new", 0.5, HP, ["0"])
+        write_runs_index(root, [("RTE", "new", True)])
+        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        assert [r.log_dir.name for r in report.results] == ["new"]
+        assert (root / "RTE" / "old").is_dir()
 
     def test_predictions_path_derived(self, tmp_path):
         write_run(tmp_path / "log", tmp_path / "output", "d1", "QNLI", "r0", 0.8, HP, ["0"])

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from bertpipe import pipeline
+from bertpipe import glue, pipeline
+from bertpipe.collect import translate_predictions
 from bertpipe.config import parse_config, with_stage_flags
 from bertpipe.instances import INSTANCE_FORMAT_VERSION
 from bertpipe.pipeline import (
@@ -23,6 +24,7 @@ from bertpipe.pipeline import (
     run_pipeline,
 )
 from bertpipe.search import SearchSpace
+from bertpipe.sharding import SHARD_FORMAT_VERSION
 from bertpipe.synthdata import generate_corpus
 from bertpipe.trainer import ExternalCommandTrainer, SimulationTrainer
 
@@ -212,6 +214,31 @@ class TestFullRun:
         assert b1 == b2
 
 
+    def test_smaller_grid_rerun_ignores_stale_runs(self, tmp_path):
+        text = corpus_config(tmp_path)
+        ws = Workspace(tmp_path / "ws")
+
+        def grid(*learning_rates):
+            space = SearchSpace(learning_rates=learning_rates, batch_sizes=(16,), epochs=(3,))
+            return small_options(tasks=("RTE",), search_space=space)
+
+        run_pipeline(parse_config(text), ws, options=grid(1e-5, 8e-5))
+        report = run_pipeline(parse_config(text), ws, options=grid(1e-5))
+        did = report.dataset_id
+        finetune = report.stage("finetune").artifacts
+        assert finetune["best_RTE"].split()[0] == "finetune/RTE/lr1e-05_bs16_ep3"
+        assert finetune["stale_runs"] == 1
+        assert ws.finetune_log_dir(did, "RTE", "lr8e-05_bs16_ep3").is_dir()  # the user's data
+        assert report.stage("collect").artifacts["runs"] == 1
+
+        predictions = ws.finetune_output_dir(did, "RTE", "lr1e-05_bs16_ep3") / "predictions.tsv"
+        rows = [tuple(line.split("\t")) for line in predictions.read_text().splitlines()]
+        zip_path = ws.translated_dir(did) / "glue_submission.zip"
+        with zipfile.ZipFile(zip_path) as zf:
+            shipped = zf.read("RTE.tsv").decode()
+        assert shipped == translate_predictions(glue.get_task("RTE"), rows)
+
+
 class TestExternalTrainerEndToEnd:
     def test_five_stages_through_stub_trainer(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"
@@ -313,4 +340,17 @@ class TestRerunReactsToChanges:
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
         ]
+        assert report.dataset_id == first.dataset_id
+
+    def test_shard_format_change_rebuilds_dataset(self, tmp_path, monkeypatch):
+        # Shards of another format version are unreadable: they must be rebuilt.
+        cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
+        shard = ws.sharded_dir / "train" / "shard-00000.xbs"
+        before = shard.stat().st_ino
+        monkeypatch.setattr(pipeline, "SHARD_FORMAT_VERSION", SHARD_FORMAT_VERSION + 1)
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [
+            SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
+        ]
+        assert shard.stat().st_ino != before
         assert report.dataset_id == first.dataset_id

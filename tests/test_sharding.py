@@ -4,11 +4,19 @@ import hashlib
 import math
 import struct
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from bertpipe import sharding
-from bertpipe.ingest import CorpusSource, DocumentRecord, enumerate_corpus_files, iter_documents
+from bertpipe.ingest import (
+    CorpusFile,
+    CorpusSource,
+    DocumentRecord,
+    enumerate_corpus_files,
+    iter_documents,
+)
 from bertpipe.rng import derive_u64
 from bertpipe.sharding import (
     MIN_MEMORY_BYTES,
@@ -21,7 +29,6 @@ from bertpipe.sharding import (
     read_shard,
     _spill_worker,
     shard_corpus,
-    shuffle_and_shard,
 )
 from bertpipe.synthdata import generate_corpus
 
@@ -43,6 +50,16 @@ def plan(**kwargs) -> ShardPlan:
     )
     defaults.update(kwargs)
     return ShardPlan(**defaults)
+
+
+def shard_docs(docs, p: ShardPlan, spill_dir, out_dir):
+    """``shard_corpus`` over one corpus file holding ``docs``, whose doc_ids are 0, 1, ..."""
+    docs = list(docs)
+    assert [d.doc_id for d in docs] == list(range(len(docs)))
+    out_dir = Path(out_dir)
+    corpus = out_dir.with_name(out_dir.name + "-corpus.txt")
+    corpus.write_text("\n\n".join(d.text for d in docs) + "\n", encoding="utf-8")
+    return shard_corpus([CorpusFile(0, corpus, "t")], p, spill_dir, out_dir)
 
 
 def doc_digests(texts) -> Counter:
@@ -93,20 +110,22 @@ class TestShuffleAndShard:
     def test_union_and_keyed_layout(self, tmp_path):
         docs = make_docs(10)
         p = plan()
-        result = shuffle_and_shard(docs, p, tmp_path / "spill", tmp_path / "out")
+        result = shard_docs(docs, p, tmp_path / "spill", tmp_path / "out")
         assert result.num_documents == 10
 
         out_texts = []
         for shard in result.shards:
-            texts = list(read_shard(shard.path))
-            assert len(texts) == shard.num_records == len(shard.doc_ids)
-            out_texts.extend(texts)
+            records = list(read_shard(shard.path))
+            assert len(records) == shard.num_records
+            doc_ids = [doc_id for doc_id, _ in records]
+            out_texts.extend(text for _, text in records)
             # Every document sits in the shard its keyed draw selects, in
-            # ascending keyed-order-key sequence.
-            for doc_id in shard.doc_ids:
+            # ascending keyed-order-key sequence, next to its own doc_id.
+            for doc_id, text in records:
+                assert docs[doc_id].text == text
                 assert assign_split(doc_id, p) == shard.split
                 assert assign_shard_index(doc_id, shard.split, p) == shard.index
-            keys = [(derive_u64(p.seed, d, "order"), d) for d in shard.doc_ids]
+            keys = [(derive_u64(p.seed, d, "order"), d) for d in doc_ids]
             assert keys == sorted(keys)
         assert doc_digests(out_texts) == doc_digests(d.text for d in docs)
         train = [s for s in result.shards if s.split == "train"]
@@ -114,12 +133,12 @@ class TestShuffleAndShard:
 
     def test_seed_changes_layout_not_content(self, tmp_path):
         docs = make_docs(40)
-        r42 = shuffle_and_shard(docs, plan(seed=42), tmp_path / "s42", tmp_path / "o42")
-        r43 = shuffle_and_shard(docs, plan(seed=43), tmp_path / "s43", tmp_path / "o43")
-        layout42 = [s.doc_ids for s in r42.shards]
-        layout43 = [s.doc_ids for s in r43.shards]
+        r42 = shard_docs(docs, plan(seed=42), tmp_path / "s42", tmp_path / "o42")
+        r43 = shard_docs(docs, plan(seed=43), tmp_path / "s43", tmp_path / "o43")
+        layout42 = [[d for d, _ in read_shard(s.path)] for s in r42.shards]
+        layout43 = [[d for d, _ in read_shard(s.path)] for s in r43.shards]
         assert layout42 != layout43
-        union = lambda r: doc_digests(t for s in r.shards for t in read_shard(s.path))
+        union = lambda r: doc_digests(t for s in r.shards for _, t in read_shard(s.path))
         assert union(r42) == union(r43)
 
     def test_budget_spill_and_high_water(self, tmp_path):
@@ -130,28 +149,59 @@ class TestShuffleAndShard:
             for i in range(1000)
         ]
         p = plan(num_train_shards=4)
-        result = shuffle_and_shard(iter(docs), p, tmp_path / "spill", tmp_path / "out")
+        result = shard_docs(iter(docs), p, tmp_path / "spill", tmp_path / "out")
         assert result.peak_accounted_bytes <= p.max_memory_bytes
         total_cost = sum(len(d.text.encode()) + RECORD_OVERHEAD_BYTES for d in docs)
         assert total_cost > p.max_memory_bytes  # spilling actually happened
-        out = doc_digests(t for s in result.shards for t in read_shard(s.path))
+        out = doc_digests(t for s in result.shards for _, t in read_shard(s.path))
         assert out == doc_digests(d.text for d in docs)
 
+    def test_one_shard_larger_than_budget(self, tmp_path):
+        # The same ~48 MB into a single train shard: the shard is three times
+        # the budget, yet no phase may account more than the budget.
+        docs = [
+            DocumentRecord(doc_id=i, source="t", text=f"{i}:" + "y" * 50_000)
+            for i in range(1000)
+        ]
+        p = plan(num_train_shards=1)
+        result = shard_docs(docs, p, tmp_path / "spill", tmp_path / "out")
+        assert result.peak_accounted_bytes <= p.max_memory_bytes
+        train = next(s for s in result.shards if s.split == "train")
+        assert train.num_records == 1000
+        assert [d for d, _ in read_shard(train.path)] == sorted(
+            range(1000), key=lambda d: derive_u64(p.seed, d, "order"))
+        out = doc_digests(t for s in result.shards for _, t in read_shard(s.path))
+        assert out == doc_digests(d.text for d in docs)
+        assert list((tmp_path / "spill").glob("w*/*.run")) == []
+
+    def test_unavoidable_merge_breach_fatal(self, tmp_path):
+        # Each document fits the budget, but they reach one shard in two runs,
+        # and merging them holds one record of each: 2 x 9 MiB over 16 MiB.
+        docs = [DocumentRecord(doc_id=i, source="t", text=c * (9 * 2**20)) for i, c in
+                enumerate("ab")]
+        peak = 2 * (9 * 2**20 + RECORD_OVERHEAD_BYTES)
+        with pytest.raises(ShardError, match=f"accounted peak of {peak} bytes exceeds the memory "
+                                             f"budget of {MIN_MEMORY_BYTES} bytes"):
+            shard_docs(docs, plan(num_train_shards=1), tmp_path / "spill", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        assert list((tmp_path / "spill").glob("w*/*.run")) == []
+
     def test_oversized_document_fatal(self, tmp_path):
-        doc = DocumentRecord(doc_id=7, source="t", text="z" * (MIN_MEMORY_BYTES + 1))
+        docs = make_docs(7) + [
+            DocumentRecord(doc_id=7, source="t", text="z" * (MIN_MEMORY_BYTES + 1))]
         with pytest.raises(ShardError, match="document 7"):
-            shuffle_and_shard([doc], plan(), tmp_path / "spill", tmp_path / "out")
+            shard_docs(docs, plan(), tmp_path / "spill", tmp_path / "out")
 
     def test_empty_shard_files_written(self, tmp_path):
-        result = shuffle_and_shard(make_docs(1), plan(num_train_shards=3),
-                                   tmp_path / "spill", tmp_path / "out")
+        result = shard_docs(make_docs(1), plan(num_train_shards=3),
+                            tmp_path / "spill", tmp_path / "out")
         assert len(result.shards) == 4  # 3 train + 1 test, all files exist
         assert all(s.path.is_file() for s in result.shards)
 
 
 class TestFileFormat:
     def test_header_bytes_exact(self, tmp_path):
-        result = shuffle_and_shard(
+        result = shard_docs(
             [DocumentRecord(doc_id=0, source="t", text="ab")],
             plan(num_train_shards=1),
             tmp_path / "spill",
@@ -161,14 +211,14 @@ class TestFileFormat:
         raw = shard.path.read_bytes()
         assert raw[:8] == b"XBSHARD1"
         version, count = struct.unpack("<HI", raw[8:14])
-        assert (version, count) == (1, 1)
+        assert (version, count) == (2, 1)
         assert raw[14:16] == b"\x00\x00"
-        (length,) = struct.unpack("<I", raw[16:20])
-        assert length == 2 and raw[20:22] == b"ab"
+        doc_id, length = struct.unpack("<QI", raw[16:28])
+        assert (doc_id, length) == (0, 2) and raw[28:] == b"ab"
         assert shard.checksum == hashlib.sha256(raw).hexdigest()
 
     def test_manifest_lines(self, tmp_path):
-        result = shuffle_and_shard(make_docs(5), plan(), tmp_path / "spill", tmp_path / "out")
+        result = shard_docs(make_docs(5), plan(), tmp_path / "spill", tmp_path / "out")
         lines = result.manifest_path.read_text().splitlines()
         assert len(lines) == len(result.shards)
         for line, shard in zip(lines, result.shards):
@@ -188,8 +238,28 @@ class TestFileFormat:
 
         monkeypatch.setattr(sharding, "shard_rel_path", failing_rel_path)
         with pytest.raises(OSError, match="disk full"):
-            shuffle_and_shard(make_docs(5), plan(), tmp_path / "spill", tmp_path / "out")
+            shard_docs(make_docs(5), plan(), tmp_path / "spill", tmp_path / "out")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["test", "train"]
+
+    def test_failed_shard_write_leaves_no_shard(self, tmp_path, monkeypatch):
+        class FailingHash:  # the disk fills up after the first record's bytes
+            def __init__(self):
+                self.real = hashlib.sha256()
+                self.updates = 0
+
+            def update(self, chunk):
+                self.updates += 1
+                if self.updates == 3:
+                    raise OSError("disk full")
+                self.real.update(chunk)
+
+            def hexdigest(self):
+                return self.real.hexdigest()
+
+        monkeypatch.setattr(sharding, "hashlib", SimpleNamespace(sha256=FailingHash))
+        with pytest.raises(OSError, match="disk full"):
+            shard_docs(make_docs(5), plan(), tmp_path / "spill", tmp_path / "out")
+        assert list((tmp_path / "out" / "train").iterdir()) == []
 
     def test_read_rejects_bad_magic(self, tmp_path):
         bad = tmp_path / "bad.xbs"
@@ -219,7 +289,7 @@ class TestShardCorpus:
         p = plan(num_train_shards=2, frac_test=0.1)
         result = shard_corpus(files, p, tmp_path / "spill", tmp_path / "out")
         original = doc_digests(d.text for d in iter_documents(files))
-        sharded = doc_digests(t for s in result.shards for t in read_shard(s.path))
+        sharded = doc_digests(t for s in result.shards for _, t in read_shard(s.path))
         assert sharded == original
 
     def test_stale_spill_files_are_cleared(self, tmp_path):
@@ -235,7 +305,7 @@ class TestShardCorpus:
 class TestDatasetId:
     def _shards(self, tmp_path, texts, tag):
         docs = [DocumentRecord(doc_id=i, source="t", text=t) for i, t in enumerate(texts)]
-        result = shuffle_and_shard(docs, plan(), tmp_path / f"sp{tag}", tmp_path / f"o{tag}")
+        result = shard_docs(docs, plan(), tmp_path / f"sp{tag}", tmp_path / f"o{tag}")
         return result.shards
 
     def test_override_wins(self, tmp_path):
