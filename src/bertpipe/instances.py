@@ -259,8 +259,21 @@ class InstanceGenerationResult:
     meta_path: Path
 
 
+# A pool worker's vocabulary, set once per worker by ``_init_worker``.
+_worker_vocab: Vocabulary | None = None
+
+
+def _init_worker(vocab: Vocabulary) -> None:
+    global _worker_vocab
+    _worker_vocab = vocab
+
+
 def _generate_for_shard(shard_path: str, out_path: str, policy: MaskingPolicy,
-                        vocab: Vocabulary) -> int:
+                        vocab: Vocabulary | None = None) -> int:
+    """Write one shard's instance file; ``vocab`` None: the pool worker's."""
+    if vocab is None:
+        vocab = _worker_vocab
+
     def all_instances() -> Iterator[MlmInstance]:
         for doc_id, text in read_shard(Path(shard_path)):
             yield from iter_document_instances(doc_id, text, policy, vocab)
@@ -292,10 +305,10 @@ def generate_instances(
     if n_workers == 1 or len(jobs) <= 1:
         counts = [_generate_for_shard(p, out, policy, vocab) for p, out, _ in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_generate_for_shard, p, out, policy, vocab) for p, out, _ in jobs
-            ]
+        # The vocabulary goes to each worker once, not with every shard.
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
+                                 initargs=(vocab,)) as pool:
+            futures = [pool.submit(_generate_for_shard, p, out, policy) for p, out, _ in jobs]
             counts = [f.result() for f in futures]
     for (_, out, shard), count in zip(jobs, counts):
         files.append(InstanceFile(shard.split, shard.index, Path(out), count))

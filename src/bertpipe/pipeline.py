@@ -62,7 +62,7 @@ from .sharding import (
     dataset_id as derive_dataset_id,
     shard_corpus,
 )
-from .tokenization import load_vocab, resolve_vocab
+from .tokenization import VocabularyError, load_vocab, resolve_vocab
 from .trainer import (
     RESULT_FILE,
     EarlyStopPolicy,
@@ -277,11 +277,20 @@ def _corpus_fingerprint(directories: tuple[str, ...]) -> list:
     return files
 
 
+def _vocab_sha256(name_or_path: str) -> str | None:
+    """sha256 of the resolved vocabulary file; None: the dataset stage reports why."""
+    try:
+        return hashlib.sha256(resolve_vocab(name_or_path).read_bytes()).hexdigest()
+    except (VocabularyError, OSError):
+        return None
+
+
 def _dataset_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[str, Any]:
     # A remote corpus is keyed by (name, split) alone: a completed cache never changes.
     return {
         "dataset": asdict(config.dataset),
         "tokenizer": asdict(config.tokenizer),
+        "vocab": _vocab_sha256(config.tokenizer.name_or_path),
         "max_memory_in_gb": config.system.max_memory_in_gb,
         "options": [
             options.seed, options.num_train_shards, options.num_test_shards,
@@ -373,12 +382,17 @@ def _require_output(producer: StageSpec, consumer: StageSpec, workspace: Workspa
         )
 
 
-def check_preconditions(config: PipelineConfig, workspace: Workspace) -> None:
-    """Verify that every enabled stage can get its inputs before running anything."""
-    did = resolve_dataset_id(config, workspace)
+def check_preconditions(config: PipelineConfig, workspace: Workspace,
+                        dataset_id: str | None = ...) -> None:
+    """Verify that every enabled stage can get its inputs before running anything.
+
+    ``dataset_id`` defaults to the one :func:`resolve_dataset_id` finds.
+    """
+    if dataset_id is ...:
+        dataset_id = resolve_dataset_id(config, workspace)
     for producer, consumer in zip(STAGE_TABLE, STAGE_TABLE[1:]):
         if consumer.enabled(config) and not producer.enabled(config):
-            _require_output(producer, consumer, workspace, did)
+            _require_output(producer, consumer, workspace, dataset_id)
 
 
 def _stage_digest(stage: StageSpec, config: PipelineConfig, options: PipelineOptions,
@@ -425,7 +439,9 @@ def run_pipeline(
     if violations:
         details = "; ".join(f"{v.key_path}: {v.message}" for v in violations)
         raise PipelineError(f"configuration is invalid: {details}")
-    check_preconditions(config, workspace)
+    # Resolved once (META.yaml is parsed at most once); only the dataset stage changes it.
+    dataset_id = resolve_dataset_id(config, workspace)
+    check_preconditions(config, workspace, dataset_id)
 
     workspace.root.mkdir(parents=True, exist_ok=True)
     pipeline_log = workspace.pipeline_log_dir()
@@ -433,7 +449,7 @@ def run_pipeline(
     # Provenance: the exact config this run saw, in canonical form.
     (pipeline_log / "config.yaml").write_text(serialize_config(config), encoding="utf-8")
 
-    state = _RunState(config, workspace, options, trainer)
+    state = _RunState(config, workspace, options, trainer, dataset_id)
     report = PipelineReport(stages=[], dataset_id=None)
 
     failure: PipelineError | None = None
@@ -496,13 +512,12 @@ class _RunState:
     """Mutable cross-stage context of one pipeline invocation."""
 
     def __init__(self, config: PipelineConfig, workspace: Workspace,
-                 options: PipelineOptions, trainer: TrainerAdapter):
+                 options: PipelineOptions, trainer: TrainerAdapter, dataset_id: str | None):
         self.config = config
         self.workspace = workspace
         self.options = options
         self.trainer = trainer
-        # Resolved once: only the dataset stage changes it, and it sets the new id.
-        self.dataset_id = resolve_dataset_id(config, workspace)
+        self.dataset_id = dataset_id  # the dataset stage sets the new id
 
     def require_dataset_id(self) -> str:
         if self.dataset_id is None:

@@ -20,14 +20,19 @@ generator's job.
    lower-casing, drops Mn marks. It is filled lazily, one code point the
    first time it is seen, so it holds at most the code points met so far.
 
-``wordpiece`` finds the greedy longest match with a forward scan over a
-table of every prefix of every vocabulary piece (Song et al., "Fast
-WordPiece Tokenization", arXiv 2012.15524, prune the same search with a
-trie). The scan stops at the first prefix that no piece starts with, because
-no longer piece can match beyond it. Continuation pieces have their own
-table, keyed without the "##", so no "##" strings are built per piece. Both
-tables are built once per :class:`Vocabulary` and travel with it to pool
-workers.
+``wordpiece`` finds the greedy longest match by walking a path-compressed
+trie of the vocabulary's pieces (Song et al., "Fast WordPiece Tokenization",
+arXiv 2012.15524, match on a trie; Morrison, "PATRICIA", JACM 1968, compress
+its paths). A node exists only where a piece ends or where paths branch, so
+each edge carries a label of one or more characters, and no piece ends inside
+a label. The walk takes one edge per step: it looks up the edge by the word's
+next character, advances over a one-character label at once and checks a
+longer one with ``str.startswith``. It stops at the first character with no
+edge or the first label the word does not continue, because no longer piece
+can match beyond it. Continuation pieces have their own trie, keyed without
+the "##", so no "##" strings are built per piece. Both tries are built once
+per :class:`Vocabulary`; a worker pool receives the vocabulary once per
+worker, not once per task.
 
 A word-to-ids memo of ``WORDPIECE_MEMO_SIZE`` entries sits in front of the
 scan and is cleared whenever it fills. Natural text repeats its frequent
@@ -71,11 +76,14 @@ class Vocabulary:
     sep_id: int
     mask_id: int
     non_special_ids: tuple[int, ...] = field(repr=False, compare=False)
-    # Every prefix of every piece -> the piece's id, or -1 where the prefix is
-    # not a piece itself. Initial pieces are whole tokens; continuation pieces
-    # are "##" tokens with the "##" removed.
-    initial_prefixes: dict[str, int] = field(repr=False, compare=False)
-    continuation_prefixes: dict[str, int] = field(repr=False, compare=False)
+    # Path-compressed tries of the pieces: first character of an edge ->
+    # (label, id of the piece ending at the label's end or -1, child edges or
+    # None at a leaf). A leaf holds no dict, so the garbage collector drops its
+    # edge from tracking and a copy unpickles fast.
+    # Initial pieces are whole tokens; continuation pieces are "##" tokens
+    # with the "##" removed.
+    initial_trie: dict[str, tuple] = field(repr=False, compare=False)
+    continuation_trie: dict[str, tuple] = field(repr=False, compare=False)
     wordpiece_memo: dict[str, tuple[int, ...]] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -93,13 +101,35 @@ class TokenSequence:
         return len(self.ids)
 
 
-def _prefix_table(pieces: dict[str, int]) -> dict[str, int]:
-    table: dict[str, int] = {}
-    for piece in pieces:
-        for end in range(1, len(piece)):
-            table.setdefault(piece[:end], -1)
-    table.update(pieces)
-    return table
+def _trie(pieces: dict[str, int]) -> dict[str, tuple]:
+    """Path-compressed trie of ``pieces``; see :class:`Vocabulary`."""
+    keys = sorted(piece for piece in pieces if piece)
+    root: dict[str, tuple] = {}
+    # (edges to fill, keys[lo:hi] sharing their first ``depth`` characters, depth)
+    stack = [(root, 0, len(keys), 0)]
+    while stack:
+        edges, lo, hi, depth = stack.pop()
+        while lo < hi:
+            first = keys[lo]
+            char = first[depth]
+            end = lo + 1
+            while end < hi and keys[end][depth] == char:
+                end += 1
+            # Sorted keys: the group's common prefix is that of its first and
+            # last key. It ends where they differ or where the first one ends,
+            # so the node it leads to is a branch or a piece.
+            last = keys[end - 1]
+            stop, limit = depth + 1, min(len(first), len(last))
+            while stop < limit and first[stop] == last[stop]:
+                stop += 1
+            piece_id = pieces[first] if len(first) == stop else -1
+            rest = lo + 1 if piece_id >= 0 else lo
+            children = {} if rest < end else None
+            edges[char] = (first[depth:stop], piece_id, children)
+            if children is not None:
+                stack.append((children, rest, end, stop))
+            lo = end
+    return root
 
 
 def make_vocabulary(tokens: list[str]) -> Vocabulary:
@@ -123,8 +153,8 @@ def make_vocabulary(tokens: list[str]) -> Vocabulary:
         sep_id=token_to_id["[SEP]"],
         mask_id=token_to_id["[MASK]"],
         non_special_ids=tuple(i for i in range(len(tokens)) if i not in special_ids),
-        initial_prefixes=_prefix_table(token_to_id),
-        continuation_prefixes=_prefix_table(continuations),
+        initial_trie=_trie(token_to_id),
+        continuation_trie=_trie(continuations),
     )
 
 
@@ -221,21 +251,29 @@ def basic_tokenize(text: str, do_lower_case: bool = True) -> list[str]:
 
 def _longest_match_pieces(word: str, vocab: Vocabulary) -> tuple[int, ...]:
     ids: list[int] = []
-    table = vocab.initial_prefixes
+    trie = vocab.initial_trie
     start, length = 0, len(word)
     while start < length:
         piece_id, piece_end = -1, start
-        for end in range(start + 1, length + 1):
-            found = table.get(word[start:end])
-            if found is None:
+        edges, pos = trie, start
+        while pos < length:
+            edge = edges.get(word[pos])
+            if edge is None:
                 break
+            label, found, edges = edge
+            size = len(label)
+            if size > 1 and not word.startswith(label, pos):
+                break
+            pos += size
             if found >= 0:
-                piece_id, piece_end = found, end
+                piece_id, piece_end = found, pos
+                if edges is None:  # a leaf; only a piece ends a path
+                    break
         if piece_id < 0:
             return (vocab.unk_id,)
         ids.append(piece_id)
         start = piece_end
-        table = vocab.continuation_prefixes
+        trie = vocab.continuation_trie
     return tuple(ids)
 
 

@@ -213,6 +213,30 @@ class TestGenerateInstances:
         for f1, f2 in zip(g1.files, g2.files):
             assert f1.path.read_bytes() == f2.path.read_bytes()
 
+    def test_vocabulary_sent_once_per_worker(self, tmp_path, mini_vocab, monkeypatch):
+        # Counted in this process: a task's arguments are pickled here, and a
+        # worker's initializer arguments too when workers are spawned.
+        sharding = self._shards(tmp_path, size=60_000, num_train_shards=10,
+                                num_test_shards=2)
+        assert len(sharding.shards) >= 10
+        pickles = []
+        reduce_ex = Vocabulary.__reduce_ex__
+
+        def counting(self, protocol):
+            pickles.append(protocol)
+            return reduce_ex(self, protocol)
+
+        monkeypatch.setattr(Vocabulary, "__reduce_ex__", counting)
+        policy = MaskingPolicy(dup_factor=1, seed=42)
+        gen = generate_instances(sharding.shards, policy, mini_vocab,
+                                 tmp_path / "p2", "did", n_workers=2)
+        assert len(pickles) <= 2
+        monkeypatch.undo()
+        alone = generate_instances(sharding.shards, policy, mini_vocab,
+                                   tmp_path / "p1", "did", n_workers=1)
+        for f1, f2 in zip(alone.files, gen.files, strict=True):
+            assert f1.path.read_bytes() == f2.path.read_bytes()
+
     def test_meta_contents(self, tmp_path, mini_vocab):
         sharding = self._shards(tmp_path, size=40_000)
         policy = MaskingPolicy(dup_factor=1, seed=42)

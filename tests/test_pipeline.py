@@ -11,7 +11,7 @@ import pytest
 from bertpipe import glue, pipeline
 from bertpipe.collect import translate_predictions
 from bertpipe.config import parse_config, with_stage_flags
-from bertpipe.instances import INSTANCE_FORMAT_VERSION
+from bertpipe.instances import INSTANCE_FORMAT_VERSION, load_meta
 from bertpipe.pipeline import (
     COMPLETED,
     SKIPPED_DISABLED,
@@ -26,6 +26,7 @@ from bertpipe.pipeline import (
 from bertpipe.search import SearchSpace
 from bertpipe.sharding import SHARD_FORMAT_VERSION
 from bertpipe.synthdata import generate_corpus
+from bertpipe.tokenization import load_vocab, resolve_vocab, vocab_digest
 from bertpipe.trainer import ExternalCommandTrainer, SimulationTrainer
 
 STUB_TRAINER = Path(__file__).with_name("stub_trainer.py")
@@ -313,6 +314,43 @@ class TestRerunReactsToChanges:
         ]
         assert report.dataset_id == first.dataset_id
         assert (ws.processed_dir / "META.yaml").is_file()
+
+    def test_vocabulary_edit_reruns_dataset_and_downstream(self, tmp_path):
+        # The config names the same file before and after the edit.
+        lines = resolve_vocab("mini-uncased").read_text(encoding="utf-8").splitlines()
+        the, and_ = lines.index("the"), lines.index("and")
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = corpus_config(tmp_path).replace("NAME_OR_PATH: mini-uncased",
+                                               f"NAME_OR_PATH: {vocab_file}")
+        cfg, ws, first = self._first_run(tmp_path, text)
+        before = {p: p.read_bytes() for p in ws.processed_dir.rglob("*.xbi")}
+        lines[the], lines[and_] = lines[and_], lines[the]
+        vocab_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [
+            SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
+        ]
+        assert report.dataset_id == first.dataset_id
+        after = {p: p.read_bytes() for p in ws.processed_dir.rglob("*.xbi")}
+        assert after.keys() == before.keys()
+        assert after != before
+        meta = load_meta(ws.processed_dir)
+        assert meta["vocab_digest"] == vocab_digest(load_vocab(vocab_file))
+
+    def test_rerun_parses_meta_once(self, tmp_path, monkeypatch):
+        cfg, ws, _ = self._first_run(tmp_path, corpus_config(tmp_path))
+        loads = []
+
+        def counting_load_meta(processed_dir):
+            loads.append(processed_dir)
+            return load_meta(processed_dir)
+
+        # Looked up through the module, where bench/trace.py counts it too.
+        monkeypatch.setattr(pipeline, "load_meta", counting_load_meta)
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [SKIPPED_DONE] * 5
+        assert len(loads) == 1
 
     def test_seed_reaches_pretrain_with_dataset_disabled(self, tmp_path):
         cfg, ws, _ = self._first_run(tmp_path, corpus_config(tmp_path))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import re
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bertpipe import tokenization
 from bertpipe.tokenization import (
+    SPECIAL_TOKENS,
     WORDPIECE_MEMO_SIZE,
     VocabularyError,
     basic_tokenize,
@@ -126,6 +129,108 @@ class TestWordpiece:
         assert wordpiece("##", tiny_vocab) == [tiny_vocab.unk_id]
         for word in ("##able", "##affable", "##", "##s", "##c##c"):
             assert wordpiece(word, tiny_vocab) == _reference_wordpiece(word, tiny_vocab)
+
+
+# -- The path-compressed trie ---------------------------------------------
+
+@st.composite
+def _trie_pieces(draw) -> list[str]:
+    """1-12 pieces over "abc", some "##"; prefixes of drawn pieces are likely too."""
+    bodies = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=7),
+                           min_size=1, max_size=12, unique=True))
+    cuts = draw(st.lists(st.integers(1, 6), max_size=len(bodies)))
+    # A cut body ends a piece on the path of a longer one; the rest of that
+    # path is a single-child chain unless another piece branches off it.
+    bodies += [body[:cut] for body, cut in zip(bodies, cuts)]
+    marks = draw(st.lists(st.booleans(), min_size=len(bodies), max_size=len(bodies)))
+    return sorted({"##" + body if mark else body for body, mark in zip(bodies, marks)})[:12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trie_pieces(), st.lists(st.text(alphabet="abcd", min_size=1, max_size=12),
+                                min_size=1, max_size=8))
+def test_trie_matches_reference_on_random_vocabularies(pieces, words):
+    # "d" is in no piece, so a word that holds it maps to [UNK] at some point.
+    vocab = make_vocabulary([*SPECIAL_TOKENS, *pieces])
+    for word in words:
+        assert wordpiece(word, vocab) == _reference_wordpiece(word, vocab)
+
+
+def _synthetic_vocab(n: int, seed: int):
+    """``n`` distinct pieces over a skewed alphabet, about a third "##" pieces."""
+    rng = random.Random(seed)
+    letters = "etaoinshrdlcumwfgypbvkjxqz"
+    weights = range(len(letters), 0, -1)
+    pieces: set[str] = set()
+    while len(pieces) < n:
+        body = "".join(rng.choices(letters, weights, k=rng.randint(1, 10)))
+        pieces.add("##" + body if rng.random() < 0.35 else body)
+    return make_vocabulary([*SPECIAL_TOKENS, *sorted(pieces)])
+
+
+def _trie_nodes(trie):
+    """Yield (path, piece id, child edges) for every node below the root."""
+    stack = [("", trie)]
+    while stack:
+        prefix, edges = stack.pop()
+        for char, (label, piece_id, children) in edges.items():
+            assert label[0] == char
+            if children is not None:
+                stack.append((prefix + label, children))
+            yield prefix + label, piece_id, children
+
+
+@pytest.fixture(scope="module")
+def synthetic_vocab():
+    return _synthetic_vocab(30_000, seed=7)
+
+
+def test_trie_is_path_compressed(mini_vocab, synthetic_vocab):
+    for vocab in (mini_vocab, synthetic_vocab):
+        found = {}
+        edges = 0
+        for trie, marker in ((vocab.initial_trie, ""), (vocab.continuation_trie, "##")):
+            for path, piece_id, children in _trie_nodes(trie):
+                edges += 1
+                # A node exists only where a piece ends or where paths branch;
+                # a leaf has None for its edges.
+                assert piece_id >= 0 or len(children) >= 2, path
+                assert children is None or children, path
+                if piece_id >= 0:
+                    found[marker + path] = piece_id
+        assert found == {t: i for t, i in vocab.token_to_id.items() if t not in ("", "##")}
+        assert edges <= 2 * len(vocab)
+
+
+def _prefix_table(pieces):
+    """Every prefix of every piece -> the piece's id or -1: the uncompressed alternative."""
+    table = {}
+    for piece in pieces:
+        for end in range(1, len(piece)):
+            table.setdefault(piece[:end], -1)
+    table.update(pieces)
+    return table
+
+
+def _traced_bytes(build) -> int:
+    """Bytes allocated by ``build()`` that its result still holds."""
+    tracemalloc.start()
+    try:
+        result = build()  # noqa: F841 - alive while measured
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trie_is_smaller_than_a_prefix_table(synthetic_vocab):
+    tokens = list(synthetic_vocab.tokens)
+    ids = synthetic_vocab.token_to_id
+    continuations = {t[2:]: i for t, i in ids.items() if t.startswith("##")}
+    trie_bytes = _traced_bytes(lambda: make_vocabulary(tokens))
+    # make_vocabulary also builds token_to_id; the tables are measured with a copy of it.
+    table_bytes = _traced_bytes(lambda: (ids.copy(), _prefix_table(ids),
+                                         _prefix_table(continuations)))
+    assert trie_bytes <= table_bytes
 
 
 def _reference_wordpiece(word: str, vocab, max_chars_per_word: int = 200) -> list[int]:
