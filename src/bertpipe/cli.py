@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import config as config_mod
-from . import glue
 from .pipeline import STAGE_TABLE, PipelineError, PipelineOptions, Workspace, run_pipeline
 from .schedule import (
     DEFAULT_ELL,
@@ -30,6 +29,7 @@ from .trainer import ExternalCommandTrainer, SimulationTrainer
 
 
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
+    defaults = PipelineOptions()
     parser.add_argument("--config", required=True, help="YAML pipeline configuration file")
     parser.add_argument("--workdir", default=".", help="workspace root (default: cwd)")
     parser.add_argument(
@@ -40,23 +40,26 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         "--trainer-cmd", default=None,
         help="command prefix for the external trainer, e.g. 'deepspeed run_pretraining.py'",
     )
-    parser.add_argument("--n-workers", type=int, default=1, help="preprocessing worker processes")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--num-train-shards", type=int, default=256)
-    parser.add_argument("--num-test-shards", type=int, default=128)
-    parser.add_argument("--frac-test", type=float, default=0.005,
-                        help="held-out fraction of the data (default 0.005)")
-    parser.add_argument("--dup-factor", type=int, default=10)
-    parser.add_argument("--masked-lm-prob", type=float, default=0.15)
-    parser.add_argument("--max-seq-length", type=int, default=128)
-    parser.add_argument("--max-predictions-per-seq", type=int, default=20)
-    parser.add_argument("--schedule", choices=("esd", "linear"), default="esd",
+    parser.add_argument("--n-workers", type=int, default=defaults.n_workers,
+                        help="preprocessing worker processes")
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--num-train-shards", type=int, default=defaults.num_train_shards)
+    parser.add_argument("--num-test-shards", type=int, default=defaults.num_test_shards)
+    parser.add_argument("--frac-test", type=float, default=defaults.frac_test,
+                        help="held-out fraction of the data (default %(default)s)")
+    parser.add_argument("--dup-factor", type=int, default=defaults.dup_factor)
+    parser.add_argument("--masked-lm-prob", type=float, default=defaults.masked_lm_prob)
+    parser.add_argument("--max-seq-length", type=int, default=defaults.max_seq_length)
+    parser.add_argument("--max-predictions-per-seq", type=int,
+                        default=defaults.max_predictions_per_seq)
+    parser.add_argument("--schedule", choices=("esd", "linear"), default=defaults.schedule_kind,
                         help="pretraining LR schedule kind")
-    parser.add_argument("--eta0", type=float, default=DEFAULT_ETA0, help="peak learning rate")
-    parser.add_argument("--tasks", default=",".join(glue.TASK_NAMES),
+    parser.add_argument("--eta0", type=float, default=defaults.eta0, help="peak learning rate")
+    parser.add_argument("--tasks", default=",".join(defaults.tasks),
                         help="comma-separated GLUE task list")
-    parser.add_argument("--finetune-parallelism", type=int, default=1)
-    parser.add_argument("--remote-base-url", default=None,
+    parser.add_argument("--finetune-parallelism", type=int,
+                        default=defaults.finetune_parallelism)
+    parser.add_argument("--remote-base-url", default=defaults.remote_base_url,
                         help="base URL serving remote corpora (<base>/<name>/<split>/...)")
     parser.add_argument("--force", action="store_true",
                         help="re-run stages even if their sentinels say they completed")

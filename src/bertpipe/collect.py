@@ -1,4 +1,4 @@
-"""Result collection: summarize validation runs, pick winners, build the zip.
+"""Result collection: read each task's recorded winner, build the zip.
 
 Each finetune job is given ``--output_dir output/finetune/<id>/<task>/<run>/``
 and ``--model_name_or_path`` in its argv. The trainer writes ``RESULT.tsv``
@@ -10,14 +10,16 @@ adapter parses into the run's outcome. After the job the pipeline writes
 the STILT parent, the metric name and value, the eval loss and the wall time.
 Once the grid is done the stage writes ``log/finetune/<id>/RUNS.tsv``
 (:func:`write_runs_index`): one ``task``, ``run``, ``winner`` line per run of
-this grid. Run directories left by an earlier, different grid stay on disk
-but are not listed.
+this grid, where ``winner`` is 1 for the run ``search.select_best`` chose.
+Run directories left by an earlier, different grid stay on disk but are not
+listed.
 
-Collection reads only the runs that index lists, their records and their
-predictions. It selects the best run per task (deterministic tie-breaking),
-translates predictions to the benchmark's label strings, and packs one TSV
-per task into a submission zip with normalized metadata so the archive is
-reproducible byte-for-byte.
+That index is the only record of the winners, and collection does no ranking
+of its own. It opens the record of each listed winner and nothing else (a
+winner whose record is missing or malformed is an error, never a reason to
+ship another run), translates the winners' predictions to the benchmark's
+label strings, and packs one TSV per task into a submission zip with
+normalized metadata so the archive is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import json
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import glue
 from .atomic import replace_when_done
-from .trainer import RunOutcome, TrainerJob, winner_key
+from .trainer import RunOutcome, TrainerJob
 
 SUBMISSION_ZIP_NAME = "glue_submission.zip"
 RUN_RECORD = "run.json"
@@ -46,20 +48,15 @@ class CollectionError(Exception):
 
 @dataclass(frozen=True)
 class RunResult:
-    """One finetuning run: hyperparameters, validation metric, predictions."""
+    """The winning finetune run of one task: where its test predictions are."""
 
     task: str
-    hyperparams: dict[str, Any]
-    val_metric: float
-    metric_name: str
     predictions_path: Path
-    log_dir: Path
 
 
 @dataclass(frozen=True)
 class SummarizeReport:
-    results: tuple[RunResult, ...]
-    skipped: tuple[tuple[Path, str], ...]  # (run dir, reason) for malformed runs
+    results: tuple[RunResult, ...]  # one per task, in index order
 
 
 def write_run_record(job: TrainerJob, outcome: RunOutcome) -> None:
@@ -84,60 +81,47 @@ def write_runs_index(finetune_root: Path, runs: Iterable[tuple[str, str, bool]])
         fh.write((_RUNS_INDEX_HEADER + "".join(lines)).encode("utf-8"))
 
 
-def _parse_run_dir(run_dir: Path, predictions_root: Path) -> RunResult:
-    record = json.loads((run_dir / RUN_RECORD).read_text(encoding="utf-8"))
-    if record["val_metric"] is None:
-        raise ValueError("the run reported no validation metric")
-    return RunResult(
-        task=record["task"],
-        hyperparams=record["hyperparams"],
-        val_metric=record["val_metric"],
-        metric_name=record["metric_name"],
-        predictions_path=predictions_root / record["task"] / run_dir.name / "predictions.tsv",
-        log_dir=run_dir,
-    )
+def _read_winner(run_dir: Path, task: str, predictions_path: Path) -> RunResult:
+    try:
+        record = json.loads((run_dir / RUN_RECORD).read_text(encoding="utf-8"))
+        intact = record["task"] == task and record["val_metric"] is not None
+    except (ValueError, OSError, KeyError, TypeError) as exc:
+        raise CollectionError(f"winning run {run_dir}: unreadable {RUN_RECORD}: {exc}") from None
+    if not intact:
+        raise CollectionError(f"winning run {run_dir}: {RUN_RECORD} does not match the index")
+    return RunResult(task=task, predictions_path=predictions_path)
 
 
 def summarize_val(log_root: str | Path, dataset_id: str,
-                  output_root: str | Path | None = None) -> SummarizeReport:
-    """Read the record of every run that ``log/finetune/<dataset_id>/RUNS.tsv`` lists.
+                  output_root: str | Path) -> SummarizeReport:
+    """Read the record of each winner that ``log/finetune/<dataset_id>/RUNS.tsv`` marks.
 
-    Runs with a missing or malformed record are reported and skipped, not
-    fatal; having no index or no parsable record at all is a CollectionError.
+    Runs that did not win are never opened. A missing index, an index without
+    winners, or a winner whose record is missing or malformed is a
+    CollectionError.
     """
-    log_root = Path(log_root)
-    finetune_root = log_root / "finetune" / dataset_id
-    if output_root is None:
-        # Default layout: log/ and output/ are siblings.
-        output_root = log_root.parent / "output"
+    finetune_root = Path(log_root) / "finetune" / dataset_id
     predictions_root = Path(output_root) / "finetune" / dataset_id
-
     index = finetune_root / RUNS_INDEX
     if not index.is_file():
         raise CollectionError(f"no finetune logs under {finetune_root}: no {RUNS_INDEX}")
     results: list[RunResult] = []
-    skipped: list[tuple[Path, str]] = []
     for line in index.read_text(encoding="utf-8").splitlines()[1:]:
-        task, run, _winner = line.split("\t")
-        run_dir = finetune_root / task / run
-        try:
-            results.append(_parse_run_dir(run_dir, predictions_root))
-        except (ValueError, OSError, KeyError, TypeError) as exc:
-            skipped.append((run_dir, str(exc)))
+        task, run, winner = line.split("\t")
+        if winner == "1":
+            results.append(_read_winner(finetune_root / task / run, task,
+                                        predictions_root / task / run / "predictions.tsv"))
     if not results:
-        raise CollectionError(f"no parsable finetune runs under {finetune_root}")
-    return SummarizeReport(results=tuple(results), skipped=tuple(skipped))
+        raise CollectionError(f"{index} marks no winning run")
+    return SummarizeReport(results=tuple(results))
 
 
 def collect_best_val(results: Iterable[RunResult]) -> dict[str, RunResult]:
-    """Best run per task: max metric, ties to the smallest hyperparameter tuple.
-
-    The outcome is independent of input order. Tasks without any rows are
-    simply absent from the mapping.
-    """
+    """The recorded winners keyed by task; two winners for one task is a CollectionError."""
     best: dict[str, RunResult] = {}
-    for result in sorted(results, key=lambda r: winner_key(r.val_metric, r.hyperparams)):
-        best.setdefault(result.task, result)
+    for result in results:
+        if best.setdefault(result.task, result) is not result:
+            raise CollectionError(f"more than one winning run recorded for task {result.task}")
     return best
 
 

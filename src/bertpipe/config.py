@@ -278,24 +278,15 @@ def serialize_config(config: PipelineConfig) -> str:
     return yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)
 
 
-def with_stage_flags(
-    config: PipelineConfig,
-    *,
-    dataset: bool | None = None,
-    pretrain: bool | None = None,
-    finetune: bool | None = None,
-    result_collection: bool | None = None,
-) -> PipelineConfig:
-    """Copy of the config with some stage-enable flags overridden (CLI single-stage runs)."""
-    out = config
-    if dataset is not None:
-        out = replace(out, dataset=replace(out.dataset, enabled=dataset))
-    if pretrain is not None:
-        out = replace(out, pretrain=replace(out.pretrain, enabled=pretrain))
-    if finetune is not None:
-        out = replace(out, finetune=replace(out.finetune, enabled=finetune))
-    if result_collection is not None:
-        out = replace(
-            out, result_collection=replace(out.result_collection, enabled=result_collection)
-        )
-    return out
+def with_stage_flags(config: PipelineConfig, **enabled: bool | None) -> PipelineConfig:
+    """Copy of the config with some stage-enable flags overridden (CLI single-stage runs).
+
+    Each keyword names a section that has an ``enabled`` flag; None leaves it as is.
+    """
+    for section, flag in enabled.items():
+        current = getattr(config, section, None)
+        if not hasattr(current, "enabled"):
+            raise TypeError(f"not a stage section: {section!r}")
+        if flag is not None:
+            config = replace(config, **{section: replace(current, enabled=flag)})
+    return config

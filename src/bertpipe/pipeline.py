@@ -54,7 +54,7 @@ from .instances import (
     generate_instances,
     load_meta,
 )
-from .schedule import ScheduleSpec, warmup_steps
+from .schedule import DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, ScheduleSpec, warmup_steps
 from .search import GridPoint, SearchSpace, finetune_search, schedule_waves, select_best
 from .sharding import (
     SHARD_FORMAT_VERSION,
@@ -187,8 +187,8 @@ class PipelineOptions:
     max_predictions_per_seq: int = 20
     do_lower_case: bool = True
     schedule_kind: str = "esd"
-    eta0: float = 2e-3
-    warmup_proportion: float = 0.06
+    eta0: float = DEFAULT_ETA0
+    warmup_proportion: float = DEFAULT_WARMUP_PROPORTION
     early_stop: EarlyStopPolicy = field(default_factory=EarlyStopPolicy)
     tasks: tuple[str, ...] = glue.TASK_NAMES
     search_space: SearchSpace = field(default_factory=SearchSpace)
@@ -665,7 +665,6 @@ def _stage_collect(state: _RunState) -> dict[str, Any]:
     return {
         "dataset_id": did,
         "runs": len(summary.results),
-        "skipped_runs": len(summary.skipped),
         "tasks": len(best),
         "submission_zip": zip_path,
     }

@@ -128,6 +128,9 @@ def winner_key(val_metric: float, hyperparams: dict[str, Any]) -> tuple:
     return (-val_metric, hyperparam_sort_key(hyperparams))
 
 
+VALIDATION_BEGIN_PROPORTION = 0.05
+VALIDATION_END_PROPORTION = 0.01
+
 # Argument list of the standard pretraining command; config-, schedule- and
 # option-driven values are added by build_pretrain_job.
 PRETRAIN_STATIC_ARGS: tuple[tuple[str, str | None], ...] = (
@@ -157,17 +160,14 @@ PRETRAIN_STATIC_ARGS: tuple[tuple[str, str | None], ...] = (
     ("--validation_epochs", "3"),
     ("--validation_epochs_begin", "1"),
     ("--validation_epochs_end", "1"),
-    ("--validation_begin_proportion", "0.05"),
-    ("--validation_end_proportion", "0.01"),
+    ("--validation_begin_proportion", str(VALIDATION_BEGIN_PROPORTION)),
+    ("--validation_end_proportion", str(VALIDATION_END_PROPORTION)),
     ("--validation_micro_batch", "16"),
     ("--deepspeed", None),
     ("--data_loader_type", "dist"),
     ("--do_validation", None),
     ("--fp16", None),
 )
-
-VALIDATION_BEGIN_PROPORTION = 0.05
-VALIDATION_END_PROPORTION = 0.01
 
 
 def build_pretrain_job(

@@ -7,8 +7,8 @@ import sys
 import zipfile
 from pathlib import Path
 
-from bertpipe.cli import main
-from bertpipe.pipeline import STAGES
+from bertpipe.cli import _options_from_args, build_parser, main
+from bertpipe.pipeline import STAGES, PipelineOptions
 from bertpipe.synthdata import generate_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +57,11 @@ def test_stage_subcommands_mirror_enable_flags(tmp_path, capsys):
     assert main(["finetune", *base_args(cfg, ws)]) == 0
     assert main(["collect", *base_args(cfg, ws)]) == 0
     capsys.readouterr()
+
+
+def test_flag_defaults_are_the_option_defaults():
+    args = build_parser().parse_args(["run", "--config", "x"])
+    assert _options_from_args(args) == PipelineOptions()
 
 
 def test_precondition_error_is_reported(tmp_path, capsys):
@@ -109,5 +114,6 @@ def test_bench_trace_sees_every_stage(tmp_path):
     expected = {f"pipeline.stage.{stage}" for stage in STAGES}
     expected |= {"pipeline.stage_digest", "pipeline.check_preconditions",
                  "instances.apply_masking", "instances.write_instance_file", "rng.keyed_rng",
-                 "schedule.schedule_value"}
+                 "schedule.schedule_value", "search.select_best", "collect.summarize_val",
+                 "collect.collect_best_val"}
     assert expected <= names

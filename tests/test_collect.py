@@ -4,12 +4,12 @@ import zipfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
 from bertpipe import glue
 from bertpipe.collect import (
     CollectionError,
     RUN_RECORD,
+    RUNS_INDEX,
     RunResult,
     SUBMISSION_ZIP_NAME,
     collect_best_val,
@@ -24,7 +24,12 @@ from bertpipe.trainer import RunOutcome, TrainerJob
 
 def write_run(log_root: Path, output_root: Path, dataset_id: str, task: str,
               run: str, metric: float, hyperparams: dict, predictions: list[str],
-              corrupt: bool = False) -> None:
+              corrupt: bool = False, winner: bool = True) -> None:
+    """Write one run's record and predictions, and list it in the index.
+
+    A winner replaces its task's earlier winner in the index; a task's only
+    run, written with the default, is its winner.
+    """
     run_dir = log_root / "finetune" / dataset_id / task / run
     run_dir.mkdir(parents=True, exist_ok=True)
     if corrupt:
@@ -41,13 +46,27 @@ def write_run(log_root: Path, output_root: Path, dataset_id: str, task: str,
     (out_dir / "predictions.tsv").write_text(
         "".join(f"{i}\t{p}\n" for i, p in enumerate(predictions))
     )
-    index_runs(log_root, dataset_id)
+    winners = {(t, r) for t, r in indexed_winners(log_root, dataset_id)
+               if not (winner and t == task)}
+    if winner:
+        winners.add((task, run))
+    index_runs(log_root, dataset_id, winners)
 
 
-def index_runs(log_root: Path, dataset_id: str) -> None:
+def indexed_winners(log_root: Path, dataset_id: str) -> list[tuple[str, str]]:
+    """``(task, run)`` of each winner the dataset's RUNS.tsv marks."""
+    index = log_root / "finetune" / dataset_id / RUNS_INDEX
+    if not index.is_file():
+        return []
+    rows = [line.split("\t") for line in index.read_text().splitlines()[1:]]
+    return [(task, run) for task, run, won in rows if won == "1"]
+
+
+def index_runs(log_root: Path, dataset_id: str, winners: set[tuple[str, str]]) -> None:
     """List every run directory present in the dataset's RUNS.tsv, as the finetune stage does."""
     root = log_root / "finetune" / dataset_id
-    write_runs_index(root, [(d.parent.name, d.name, False) for d in sorted(root.glob("*/*"))])
+    runs = [(d.parent.name, d.name) for d in sorted(root.glob("*/*")) if d.is_dir()]
+    write_runs_index(root, [(task, run, (task, run) in winners) for task, run in runs])
 
 
 HP = {"learning_rate": 3e-5, "batch_size": 16, "epochs": 3}
@@ -55,24 +74,57 @@ HP = {"learning_rate": 3e-5, "batch_size": 16, "epochs": 3}
 
 class TestSummarizeVal:
     def test_one_row_per_run(self, tmp_path):
-        for k in range(16):
-            write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", f"run{k:02d}",
-                      0.5 + k / 100, {**HP, "epochs": k}, ["0", "1"])
+        # One row per run the index marks as its task's winner.
+        for task in ("RTE", "CoLA"):
+            for k in range(16):
+                write_run(tmp_path / "log", tmp_path / "output", "d1", task, f"run{k:02d}",
+                          0.5 + k / 100, {**HP, "epochs": k}, ["0", "1"], winner=(k == 5))
         report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
-        assert len(report.results) == 16
-        assert report.skipped == ()
+        assert [(r.task, r.predictions_path.parent.name) for r in report.results] == [
+            ("CoLA", "run05"), ("RTE", "run05"),
+        ]
 
-    def test_corrupt_log_skipped(self, tmp_path):
+    def test_corrupt_non_winner_never_read(self, tmp_path):
         for k in range(16):
             write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", f"run{k:02d}",
-                      0.5, {**HP, "epochs": k}, ["0"], corrupt=(k == 3))
+                      0.5, {**HP, "epochs": k}, ["0"], corrupt=(k == 3), winner=(k == 0))
         report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
-        assert len(report.results) == 15
-        assert len(report.skipped) == 1
-        assert "run03" in str(report.skipped[0][0])
+        assert [r.predictions_path.parent.name for r in report.results] == ["run00"]
+
+    @pytest.mark.parametrize("damage", ["corrupt", "delete", "other_task"])
+    def test_damaged_winner_record_is_fatal(self, tmp_path, damage):
+        for k in range(4):
+            write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", f"run{k:02d}",
+                      0.5 + k / 100, {**HP, "epochs": k}, ["0"], corrupt=(k == 1),
+                      winner=(k == 2))
+        record = tmp_path / "log" / "finetune" / "d1" / "RTE" / "run02" / RUN_RECORD
+        if damage == "corrupt":
+            record.write_text("{not json")
+        elif damage == "delete":
+            record.unlink()
+        else:
+            record.write_text(record.read_text().replace('"RTE"', '"CoLA"'))
+        # The other runs are intact (run03 even scores higher), but none of them is the winner.
+        with pytest.raises(CollectionError, match=str(record.parent)):
+            summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+
+    def test_recorded_winner_shipped_over_higher_metric(self, tmp_path):
+        # Run A is the index's winner; run B's record has the higher metric.
+        write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "A", 0.6, HP, ["0"])
+        write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "B", 0.9, HP, ["1"],
+                  winner=False)
+        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        translate_test_result(collect_best_val(report.results), tmp_path / "zip")
+        assert (tmp_path / "zip" / "RTE.tsv").read_text() == "index\tprediction\n0\tentailment\n"
 
     def test_empty_log_root_is_error(self, tmp_path):
         with pytest.raises(CollectionError, match="no finetune logs"):
+            summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+
+    def test_index_without_winner_is_error(self, tmp_path):
+        write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "r0", 0.5, HP, ["0"])
+        index_runs(tmp_path / "log", "d1", set())
+        with pytest.raises(CollectionError, match="no winning run"):
             summarize_val(tmp_path / "log", "d1", tmp_path / "output")
 
     def test_unlisted_run_ignored(self, tmp_path):
@@ -82,7 +134,7 @@ class TestSummarizeVal:
         write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "new", 0.5, HP, ["0"])
         write_runs_index(root, [("RTE", "new", True)])
         report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
-        assert [r.log_dir.name for r in report.results] == ["new"]
+        assert [r.predictions_path.parent.name for r in report.results] == ["new"]
         assert (root / "RTE" / "old").is_dir()
 
     def test_predictions_path_derived(self, tmp_path):
@@ -92,44 +144,13 @@ class TestSummarizeVal:
 
 
 class TestCollectBestVal:
-    def _result(self, task, metric, lr):
-        return RunResult(
-            task=task,
-            hyperparams={**HP, "learning_rate": lr},
-            val_metric=metric,
-            metric_name="accuracy",
-            predictions_path=Path("unused"),
-            log_dir=Path("unused"),
-        )
-
-    def test_tie_break_smallest_lr(self):
-        results = [
-            self._result("RTE", 0.70, 1e-5),
-            self._result("RTE", 0.72, 5e-5),
-            self._result("RTE", 0.72, 3e-5),
-        ]
-        best = collect_best_val(results)
-        assert best["RTE"].hyperparams["learning_rate"] == 3e-5
-
     def test_single_run(self):
-        best = collect_best_val([self._result("CoLA", 0.4, 1e-5)])
-        assert best["CoLA"].val_metric == 0.4
+        result = RunResult(task="CoLA", predictions_path=Path("unused"))
+        assert collect_best_val([result]) == {"CoLA": result}
 
-    @given(st.permutations(list(range(6))))
-    def test_order_invariance(self, order):
-        rows = [
-            self._result("RTE", 0.70, 1e-5),
-            self._result("RTE", 0.72, 5e-5),
-            self._result("RTE", 0.72, 3e-5),
-            self._result("CoLA", 0.41, 8e-5),
-            self._result("CoLA", 0.41, 1e-5),
-            self._result("QNLI", 0.9, 5e-5),
-        ]
-        permuted = [rows[i] for i in order]
-        best = collect_best_val(permuted)
-        assert best["RTE"].hyperparams["learning_rate"] == 3e-5
-        assert best["CoLA"].hyperparams["learning_rate"] == 1e-5
-        assert set(best) == {"RTE", "CoLA", "QNLI"}
+    def test_two_winners_for_one_task_is_error(self):
+        with pytest.raises(CollectionError, match="RTE"):
+            collect_best_val([RunResult("RTE", Path("a")), RunResult("RTE", Path("b"))])
 
 
 class TestTranslate:
@@ -159,10 +180,7 @@ class TestTranslate:
 
     def test_missing_predictions_fatal(self, tmp_path):
         best = {
-            "RTE": RunResult(
-                task="RTE", hyperparams=HP, val_metric=0.7, metric_name="accuracy",
-                predictions_path=tmp_path / "nope.tsv", log_dir=tmp_path,
-            )
+            "RTE": RunResult(task="RTE", predictions_path=tmp_path / "nope.tsv")
         }
         with pytest.raises(CollectionError, match="RTE"):
             translate_test_result(best, tmp_path / "zip")

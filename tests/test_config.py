@@ -192,3 +192,8 @@ def test_defaulting_is_monotone(pretrain_present: bool, dataset_present: bool):
 def test_with_stage_flags():
     cfg = with_stage_flags(get_default_config(), pretrain=False, finetune=False)
     assert cfg.dataset.enabled and not cfg.pretrain.enabled and not cfg.finetune.enabled
+    assert cfg.result_collection.enabled
+    assert with_stage_flags(cfg, pretrain=None) == cfg
+    for name in ("system", "tokenizer", "collect"):
+        with pytest.raises(TypeError, match=name):
+            with_stage_flags(cfg, **{name: False})

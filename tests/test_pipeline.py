@@ -240,6 +240,26 @@ class TestFullRun:
         assert shipped == translate_predictions(glue.get_task("RTE"), rows)
 
 
+    def test_corrupt_winner_record_fails_collect(self, tmp_path):
+        # The finetune stage's winner is what ships; collect never falls back to a runner-up.
+        ws = Workspace(tmp_path / "ws")
+        space = SearchSpace(learning_rates=(1e-5, 3e-5, 5e-5, 8e-5), batch_sizes=(16,),
+                            epochs=(3,))
+        options = small_options(tasks=("RTE",), search_space=space)
+        cfg = parse_config(corpus_config(tmp_path))
+        report = run_pipeline(cfg, ws, options=options)
+        did = report.dataset_id
+        winner = report.stage("finetune").artifacts["best_RTE"].split()[0].rsplit("/", 1)[1]
+        assert winner == "lr3e-05_bs16_ep3"
+        winner_dir = ws.finetune_log_dir(did, "RTE", winner)
+        (winner_dir / "run.json").write_text("{truncated")
+        (ws.translated_dir(did) / "glue_submission.zip").unlink()
+        with pytest.raises(PipelineError, match="stage 'collect' failed") as excinfo:
+            run_pipeline(cfg, ws, options=options)
+        assert str(winner_dir) in str(excinfo.value)
+        assert not (ws.translated_dir(did) / "glue_submission.zip").exists()
+
+
 class TestExternalTrainerEndToEnd:
     def test_five_stages_through_stub_trainer(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"
