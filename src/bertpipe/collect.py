@@ -96,9 +96,9 @@ def summarize_val(log_root: str | Path, dataset_id: str,
                   output_root: str | Path) -> SummarizeReport:
     """Read the record of each winner that ``log/finetune/<dataset_id>/RUNS.tsv`` marks.
 
-    Runs that did not win are never opened. A missing index, an index without
-    winners, or a winner whose record is missing or malformed is a
-    CollectionError.
+    Runs that did not win are never opened. A missing index, a damaged index
+    row, an index without winners, or a winner whose record is missing or
+    malformed is a CollectionError.
     """
     finetune_root = Path(log_root) / "finetune" / dataset_id
     predictions_root = Path(output_root) / "finetune" / dataset_id
@@ -106,8 +106,12 @@ def summarize_val(log_root: str | Path, dataset_id: str,
     if not index.is_file():
         raise CollectionError(f"no finetune logs under {finetune_root}: no {RUNS_INDEX}")
     results: list[RunResult] = []
-    for line in index.read_text(encoding="utf-8").splitlines()[1:]:
-        task, run, winner = line.split("\t")
+    for number, line in enumerate(index.read_text(encoding="utf-8").splitlines()[1:], start=2):
+        row = line.split("\t")
+        if len(row) != 3 or row[2] not in ("0", "1"):
+            raise CollectionError(
+                f"{index}, line {number}: not a tab-separated task, run, 0/1 winner row: {line!r}")
+        task, run, winner = row
         if winner == "1":
             results.append(_read_winner(finetune_root / task / run, task,
                                         predictions_root / task / run / "predictions.tsv"))

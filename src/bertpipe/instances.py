@@ -20,6 +20,9 @@ magic "XBINST01", format version u16, max_seq_length u16, id width u16 (2 or
 n_masked u16, input_ids as id-width ints x attention_len, masked_positions
 u16 x n_masked and masked_labels as id-width ints x n_masked. The id width
 is 2 when the vocabulary has at most 65536 entries, else 4.
+
+META.yaml is read with libyaml (``yaml.CSafeLoader``) when PyYAML has it,
+and with the pure-Python ``SafeLoader`` otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -47,6 +49,8 @@ _COUNTS = struct.Struct("<HH")
 _ID_CODES = {2: "H", 4: "I"}
 
 META_NAME = "META.yaml"
+# libyaml parses a large META.yaml several times faster than pure-Python PyYAML.
+_META_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class InstanceFileError(Exception):
@@ -305,6 +309,8 @@ def generate_instances(
     if n_workers == 1 or len(jobs) <= 1:
         counts = [_generate_for_shard(p, out, policy, vocab) for p, out, _ in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a one-worker run never loads it
+
         # The vocabulary goes to each worker once, not with every shard.
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
                                  initargs=(vocab,)) as pool:
@@ -336,7 +342,7 @@ def load_meta(processed_dir: str | Path) -> dict:
     if not meta_path.is_file():
         raise InstanceFileError(f"no {META_NAME} under {processed_dir}")
     with open(meta_path, encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
+        return yaml.load(fh, Loader=_META_LOADER)
 
 
 @dataclass(frozen=True)

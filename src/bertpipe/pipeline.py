@@ -41,8 +41,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import glue
 from .atomic import replace_when_done
 from .config import PipelineConfig, serialize_config, validate
@@ -629,6 +627,8 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
 
     for wave in schedule_waves(points):
         if options.finetune_parallelism > 1:
+            from concurrent.futures import ThreadPoolExecutor  # a serial grid never loads it
+
             with ThreadPoolExecutor(max_workers=options.finetune_parallelism) as pool:
                 wave_outcomes = list(pool.map(run_point, wave))
         else:

@@ -48,11 +48,13 @@ import hashlib
 import heapq
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 from .atomic import replace_when_done
 from .ingest import CorpusFile, DocumentRecord, iter_documents
@@ -336,7 +338,12 @@ def shard_corpus(
     for stale in spill_dir.glob("w*/*.run"):
         stale.unlink()
 
-    pool_context = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext()
+    if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a one-worker run never loads it
+
+        pool_context = ProcessPoolExecutor(max_workers=n_workers)
+    else:
+        pool_context = nullcontext()
     with pool_context as pool:
         spilled = _run_tasks(pool, _spill_worker, [
             (chunk, plan, str(spill_dir / f"w{k}"), budget_per_worker)

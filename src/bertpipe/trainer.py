@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import shlex
-import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -290,6 +289,8 @@ class ExternalCommandTrainer:
     timeout_seconds: float | None = None
 
     def run(self, job: TrainerJob) -> RunOutcome:
+        import subprocess  # only external-trainer runs pay for importing it
+
         if job.output_dir is None or job.log_dir is None:
             raise TrainerError(f"job {job.job_id} has no output/log directory assigned")
         job.output_dir.mkdir(parents=True, exist_ok=True)

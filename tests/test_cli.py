@@ -88,14 +88,35 @@ def _src_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# Loaded on first use only: an HTTP client for remote corpora, process pools for
+# more than one worker, a thread pool for a parallel grid, subprocess for an
+# external trainer.
+LAZY_MODULES = ("requests", "urllib.request", "multiprocessing", "concurrent.futures.process",
+                "concurrent.futures.thread", "subprocess")
+
+
+def _loaded_lazy_modules(statement: str) -> list[str]:
+    """The LAZY_MODULES a fresh interpreter has loaded after running ``statement``."""
+    probe = (f"import json, sys\n{statement}\n"
+             f"print(json.dumps([m for m in {LAZY_MODULES!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def test_cli_import_does_not_load_requests():
-    # Only remote corpus fetches need an HTTP client; every other run skips its import cost.
-    env = _src_env()
-    probe = ("import sys, bertpipe.cli; "
-             "print([m for m in ('requests', 'urllib.request') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _loaded_lazy_modules("import bertpipe.cli") == []
+
+
+def test_noop_rerun_loads_no_pool_or_subprocess(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    ws = tmp_path / "ws"
+    assert main(["run", *base_args(cfg, ws)]) == 0
+    capsys.readouterr()
+    rerun = f"from bertpipe.cli import main\nassert main({['run', *base_args(cfg, ws)]!r}) == 0"
+    assert _loaded_lazy_modules(rerun) == []
+    report = json.loads((ws / "log" / "pipeline" / "report.json").read_text())
+    assert [stage["status"] for stage in report["stages"]] == ["skipped_done"] * len(STAGES)
 
 
 def test_bench_trace_sees_every_stage(tmp_path):

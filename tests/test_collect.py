@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import zipfile
 from pathlib import Path
 
@@ -119,6 +120,13 @@ class TestSummarizeVal:
 
     def test_empty_log_root_is_error(self, tmp_path):
         with pytest.raises(CollectionError, match="no finetune logs"):
+            summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+
+    def test_damaged_index_row_names_the_line(self, tmp_path):
+        write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "r0", 0.5, HP, ["0"])
+        index = tmp_path / "log" / "finetune" / "d1" / RUNS_INDEX
+        index.write_text("task\trun\twinner\nRTE r0 1\n")  # space-separated
+        with pytest.raises(CollectionError, match=re.escape(f"{index}, line 2: ")):
             summarize_val(tmp_path / "log", "d1", tmp_path / "output")
 
     def test_index_without_winner_is_error(self, tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import struct
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from bertpipe import instances as instances_module
@@ -143,6 +144,10 @@ def test_masking_invariants_property(mini_vocab):
     inner()
 
 
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML is built without libyaml")
+
+
 class TestGenerateInstances:
     def _shards(self, tmp_path, size=120_000, **plan_kwargs):
         generate_corpus(tmp_path / "corpus", size, seed=11, n_files=2)
@@ -247,6 +252,21 @@ class TestGenerateInstances:
         assert meta["vocab_digest"] == vocab_digest(mini_vocab)
         assert meta["num_instances"] == gen.num_instances
         assert meta["policy"]["dup_factor"] == 1
+
+    @needs_libyaml
+    def test_meta_libyaml_and_python_agree(self, tmp_path, mini_vocab):
+        sharding = self._shards(tmp_path, size=40_000)
+        generate_instances(sharding.shards, MaskingPolicy(dup_factor=1, seed=42), mini_vocab,
+                           tmp_path / "proc", "did")
+        text = (tmp_path / "proc" / "META.yaml").read_text(encoding="utf-8")
+        meta = load_meta(tmp_path / "proc")
+        assert meta == yaml.load(text, Loader=yaml.SafeLoader)
+        assert meta == yaml.load(text, Loader=yaml.CSafeLoader)
+
+    def test_meta_round_trip_without_libyaml(self, tmp_path, mini_vocab, monkeypatch):
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        monkeypatch.setattr(instances_module, "_META_LOADER", yaml.SafeLoader)
+        self.test_meta_contents(tmp_path, mini_vocab)
 
 
 class TestInstanceFiles:
