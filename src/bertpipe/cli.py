@@ -28,6 +28,34 @@ from .schedule import (
 from .trainer import ExternalCommandTrainer, SimulationTrainer
 
 
+def _task_list(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+# Each PipelineOptions field the CLI sets, with its ``add_argument`` keywords.
+# The flag is the field name with dashes unless "flag" names it; the default
+# is always the field's default.
+_OPTION_FLAGS: dict[str, dict] = {
+    "n_workers": {"type": int, "help": "preprocessing worker processes"},
+    "seed": {"type": int},
+    "num_train_shards": {"type": int},
+    "num_test_shards": {"type": int},
+    "frac_test": {"type": float, "help": "held-out fraction of the data (default %(default)s)"},
+    "dup_factor": {"type": int},
+    "masked_lm_prob": {"type": float},
+    "max_seq_length": {"type": int},
+    "max_predictions_per_seq": {"type": int},
+    "schedule_kind": {"flag": "--schedule", "choices": ("esd", "linear"),
+                      "help": "pretraining LR schedule kind"},
+    "eta0": {"type": float, "help": "peak learning rate"},
+    "tasks": {"type": _task_list, "help": "comma-separated GLUE task list"},
+    "finetune_parallelism": {"type": int},
+    "remote_base_url": {"help": "base URL serving remote corpora (<base>/<name>/<split>/...)"},
+    "force": {"action": "store_true",
+              "help": "re-run stages even if their sentinels say they completed"},
+}
+
+
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     defaults = PipelineOptions()
     parser.add_argument("--config", required=True, help="YAML pipeline configuration file")
@@ -40,49 +68,14 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         "--trainer-cmd", default=None,
         help="command prefix for the external trainer, e.g. 'deepspeed run_pretraining.py'",
     )
-    parser.add_argument("--n-workers", type=int, default=defaults.n_workers,
-                        help="preprocessing worker processes")
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--num-train-shards", type=int, default=defaults.num_train_shards)
-    parser.add_argument("--num-test-shards", type=int, default=defaults.num_test_shards)
-    parser.add_argument("--frac-test", type=float, default=defaults.frac_test,
-                        help="held-out fraction of the data (default %(default)s)")
-    parser.add_argument("--dup-factor", type=int, default=defaults.dup_factor)
-    parser.add_argument("--masked-lm-prob", type=float, default=defaults.masked_lm_prob)
-    parser.add_argument("--max-seq-length", type=int, default=defaults.max_seq_length)
-    parser.add_argument("--max-predictions-per-seq", type=int,
-                        default=defaults.max_predictions_per_seq)
-    parser.add_argument("--schedule", choices=("esd", "linear"), default=defaults.schedule_kind,
-                        help="pretraining LR schedule kind")
-    parser.add_argument("--eta0", type=float, default=defaults.eta0, help="peak learning rate")
-    parser.add_argument("--tasks", default=",".join(defaults.tasks),
-                        help="comma-separated GLUE task list")
-    parser.add_argument("--finetune-parallelism", type=int,
-                        default=defaults.finetune_parallelism)
-    parser.add_argument("--remote-base-url", default=defaults.remote_base_url,
-                        help="base URL serving remote corpora (<base>/<name>/<split>/...)")
-    parser.add_argument("--force", action="store_true",
-                        help="re-run stages even if their sentinels say they completed")
+    for name, keywords in _OPTION_FLAGS.items():
+        keywords = dict(keywords)
+        flag = keywords.pop("flag", "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, default=getattr(defaults, name), **keywords)
 
 
 def _options_from_args(args: argparse.Namespace) -> PipelineOptions:
-    return PipelineOptions(
-        seed=args.seed,
-        n_workers=args.n_workers,
-        num_train_shards=args.num_train_shards,
-        num_test_shards=args.num_test_shards,
-        frac_test=args.frac_test,
-        dup_factor=args.dup_factor,
-        masked_lm_prob=args.masked_lm_prob,
-        max_seq_length=args.max_seq_length,
-        max_predictions_per_seq=args.max_predictions_per_seq,
-        schedule_kind=args.schedule,
-        eta0=args.eta0,
-        tasks=tuple(t.strip() for t in args.tasks.split(",") if t.strip()),
-        finetune_parallelism=args.finetune_parallelism,
-        remote_base_url=args.remote_base_url,
-        force=args.force,
-    )
+    return PipelineOptions(**{name: getattr(args, name) for name in _OPTION_FLAGS})
 
 
 def _trainer_from_args(args: argparse.Namespace):

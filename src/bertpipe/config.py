@@ -5,16 +5,17 @@ every key that is not part of it is rejected, so a typo like ``NUM_STEP``
 fails loudly instead of silently falling back to a default.
 
 Section and key names are matched case-insensitively (configs conventionally
-use upper case, e.g. ``PRETRAIN.NUM_STEPS``). Values absent from the file
-always take the documented defaults, so an empty document parses to exactly
-``get_default_config()``.
+use upper case, e.g. ``PRETRAIN.NUM_STEPS``). Each value is coerced by the
+type its section dataclass declares for the field, so a new field needs only
+its declaration. Values absent from the file always take the documented
+defaults, so an empty document parses to exactly ``get_default_config()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import yaml
 
@@ -116,64 +117,47 @@ def get_default_config() -> PipelineConfig:
     return PipelineConfig()
 
 
-def _coerce_scalar(path: str, value: Any, target: type) -> Any:
-    if target is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigValidationError(path, f"expected a boolean, got {value!r}")
-    if target is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ConfigValidationError(path, f"expected an integer, got {value!r}")
-    if target is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigValidationError(path, f"expected a number, got {value!r}")
-    if target is str:
-        if isinstance(value, str):
-            return value
-        raise ConfigValidationError(path, f"expected a string, got {value!r}")
-    raise AssertionError(f"unhandled scalar type {target}")
+def _checked(path: str, value: Any, ok: bool, expected: str) -> Any:
+    if not ok:
+        raise ConfigValidationError(path, f"expected {expected}, got {value!r}")
+    return value
 
 
-def _coerce_field(path: str, name: str, value: Any) -> Any:
-    """Coerce one section field against its schema type."""
-    if name == "api_key" or name == "id":
-        if value is None:
-            return None
-        return _coerce_scalar(path, value, str)
-    if name == "customized_datasets":
-        if value is None:
-            return ()
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigValidationError(path, f"expected a list of paths, got {value!r}")
-        return tuple(value)
-    if name == "huggingface_datasets":
-        if value is None:
-            return ()
-        if not isinstance(value, list):
-            raise ConfigValidationError(path, f"expected a list of [name, split] pairs, got {value!r}")
-        pairs = []
-        for item in value:
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-                or not all(isinstance(x, str) for x in item)
-            ):
-                raise ConfigValidationError(
-                    path, f"expected a [name, split] pair of strings, got {item!r}"
-                )
-            pairs.append((item[0], item[1]))
-        return tuple(pairs)
-    if name == "enabled":
-        return _coerce_scalar(path, value, bool)
-    if name in ("num_gpus", "num_steps"):
-        return _coerce_scalar(path, value, int)
-    if name == "max_memory_in_gb":
-        return _coerce_scalar(path, value, float)
-    if name == "name_or_path":
-        return _coerce_scalar(path, value, str)
-    raise AssertionError(f"unhandled field {name}")
+def _coerce_strings(path: str, value: Any) -> tuple[str, ...]:
+    if value is None:
+        return ()
+    ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return tuple(_checked(path, value, ok, "a list of strings"))
+
+
+def _coerce_string_pairs(path: str, value: Any) -> tuple[tuple[str, str], ...]:
+    if value is None:
+        return ()
+    _checked(path, value, isinstance(value, list), "a list of [name, split] pairs")
+    for item in value:
+        ok = (isinstance(item, (list, tuple)) and len(item) == 2
+              and all(isinstance(x, str) for x in item))
+        _checked(path, item, ok, "a [name, split] pair of strings")
+    return tuple((item[0], item[1]) for item in value)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A section field's declared type, as written (a string: annotations are
+# postponed), -> coercion of its YAML value.
+_COERCE_BY_TYPE: dict[str, Callable[[str, Any], Any]] = {
+    "bool": lambda path, v: _checked(path, v, isinstance(v, bool), "a boolean"),
+    "int": lambda path, v: _checked(path, v, _is_int(v), "an integer"),
+    "float": lambda path, v: float(
+        _checked(path, v, _is_int(v) or isinstance(v, float), "a number")),
+    "str": lambda path, v: _checked(path, v, isinstance(v, str), "a string"),
+    "str | None": lambda path, v: (
+        None if v is None else _checked(path, v, isinstance(v, str), "a string")),
+    "tuple[str, ...]": _coerce_strings,
+    "tuple[tuple[str, str], ...]": _coerce_string_pairs,
+}
 
 
 def _parse_section(section_name: str, cls: type, data: Any) -> Any:
@@ -181,16 +165,16 @@ def _parse_section(section_name: str, cls: type, data: Any) -> Any:
         return cls()
     if not isinstance(data, dict):
         raise ConfigValidationError(section_name, f"expected a mapping, got {data!r}")
-    known = {f.name.upper(): f.name for f in fields(cls)}
+    known = {f.name.upper(): f for f in fields(cls)}
     kwargs: dict[str, Any] = {}
     for raw_key, value in data.items():
         key = str(raw_key).upper()
         if key not in known:
             raise ConfigValidationError(f"{section_name}.{raw_key}", "unknown key")
-        name = known[key]
-        if name in kwargs:
+        f = known[key]
+        if f.name in kwargs:
             raise ConfigValidationError(f"{section_name}.{raw_key}", "duplicate key")
-        kwargs[name] = _coerce_field(f"{section_name}.{key}", name, value)
+        kwargs[f.name] = _COERCE_BY_TYPE[f.type](f"{section_name}.{key}", value)
     return cls(**kwargs)
 
 
@@ -255,6 +239,11 @@ def validate(config: PipelineConfig) -> list[Violation]:
     return violations
 
 
+def _yaml_value(value: Any) -> Any:
+    """A field value with every tuple, nested ones too, as a YAML list."""
+    return [_yaml_value(v) for v in value] if isinstance(value, tuple) else value
+
+
 def serialize_config(config: PipelineConfig) -> str:
     """Canonical YAML form (fixed section order, upper-case keys).
 
@@ -267,13 +256,8 @@ def serialize_config(config: PipelineConfig) -> str:
         body: dict[str, Any] = {}
         for f in fields(section):
             value = getattr(section, f.name)
-            if value is None:
-                continue
-            if f.name == "huggingface_datasets":
-                value = [list(pair) for pair in value]
-            elif isinstance(value, tuple):
-                value = list(value)
-            body[f.name.upper()] = value
+            if value is not None:
+                body[f.name.upper()] = _yaml_value(value)
         tree[section_name] = body
     return yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)
 

@@ -260,7 +260,6 @@ class InstanceFile:
 class InstanceGenerationResult:
     files: tuple[InstanceFile, ...]
     num_instances: int
-    meta_path: Path
 
 
 # A pool worker's vocabulary, set once per worker by ``_init_worker``.
@@ -320,7 +319,6 @@ def generate_instances(
         files.append(InstanceFile(shard.split, shard.index, Path(out), count))
 
     total = sum(f.num_instances for f in files)
-    meta_path = out_dir / META_NAME
     meta = {
         "dataset_id": dataset_id,
         "vocab_digest": vocab_digest(vocab),
@@ -331,9 +329,9 @@ def generate_instances(
             for f in files
         ],
     }
-    with replace_when_done(meta_path) as fh:
+    with replace_when_done(out_dir / META_NAME) as fh:
         fh.write(yaml.safe_dump(meta, sort_keys=False).encode("utf-8"))
-    return InstanceGenerationResult(tuple(files), total, meta_path)
+    return InstanceGenerationResult(tuple(files), total)
 
 
 def load_meta(processed_dir: str | Path) -> dict:

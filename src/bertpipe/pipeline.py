@@ -86,6 +86,8 @@ SKIPPED_DISABLED = "skipped_disabled"
 SKIPPED_DONE = "skipped_done"
 FAILED = "failed"
 
+MIN_FREE_BYTES = 256 * 2**20  # env_check refuses a workspace with less free disk
+
 
 class PipelineError(Exception):
     """A stage failed; the message names the stage."""
@@ -193,7 +195,6 @@ class PipelineOptions:
     stilt_sources: Mapping[str, str] | None = None
     finetune_parallelism: int = 1
     remote_base_url: str | None = None
-    min_free_bytes: int = 256 * 2**20
     force: bool = False  # ignore stage sentinels and re-run
 
     def shard_plan(self, config: PipelineConfig) -> ShardPlan:
@@ -289,13 +290,8 @@ def _dataset_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[st
         "dataset": asdict(config.dataset),
         "tokenizer": asdict(config.tokenizer),
         "vocab": _vocab_sha256(config.tokenizer.name_or_path),
-        "max_memory_in_gb": config.system.max_memory_in_gb,
-        "options": [
-            options.seed, options.num_train_shards, options.num_test_shards,
-            options.frac_test, options.dup_factor, options.masked_lm_prob,
-            options.max_seq_length, options.max_predictions_per_seq,
-            options.do_lower_case,
-        ],
+        "shard_plan": asdict(options.shard_plan(config)),
+        "masking_policy": asdict(options.masking_policy()),
         "corpus": _corpus_fingerprint(config.dataset.customized_datasets),
         "instance_format": INSTANCE_FORMAT_VERSION,
         "shard_format": SHARD_FORMAT_VERSION,
@@ -306,10 +302,9 @@ def _pretrain_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[s
     return {
         "pretrain": asdict(config.pretrain),
         "tokenizer": asdict(config.tokenizer),
-        "options": [
-            options.seed, options.schedule_kind, options.eta0, options.warmup_proportion,
-            asdict(options.early_stop),
-        ],
+        "schedule": asdict(options.schedule_spec(config.pretrain.num_steps)),
+        "early_stop": asdict(options.early_stop),
+        "seed": options.seed,
     }
 
 
@@ -465,14 +460,16 @@ def run_pipeline(
                 report.stages.append(StageReport(stage.name, FAILED, error=str(exc)))
                 failure = exc
                 break
-        digest = upstream = _stage_digest(stage, config, options, upstream)
-        if (not options.force and _sentinel_digest(workspace, stage.name) == digest
-                and stage.output_exists(workspace, state.dataset_id)):
-            report.stages.append(
-                StageReport(stage.name, SKIPPED_DONE, artifacts={"digest": digest}))
-            continue
         started = time.perf_counter()
         try:
+            # Inside the stage's failure handling: the digest builds the stage's
+            # validated plan, policy or schedule, which rejects bad options.
+            digest = upstream = _stage_digest(stage, config, options, upstream)
+            if (not options.force and _sentinel_digest(workspace, stage.name) == digest
+                    and stage.output_exists(workspace, state.dataset_id)):
+                report.stages.append(
+                    StageReport(stage.name, SKIPPED_DONE, artifacts={"digest": digest}))
+                continue
             # Looked up at call time, so a wrapped module attribute is what runs.
             artifacts = globals()[f"_stage_{stage.name}"](state)
         except Exception as exc:
@@ -533,10 +530,10 @@ def _stage_env_check(state: _RunState) -> dict[str, Any]:
     except OSError as exc:
         raise PipelineError(f"workspace {ws.root} is not writable: {exc}") from exc
     usage = shutil.disk_usage(ws.root)
-    if usage.free < state.options.min_free_bytes:
+    if usage.free < MIN_FREE_BYTES:
         raise PipelineError(
             f"insufficient disk space under {ws.root}: {usage.free} bytes free, "
-            f"{state.options.min_free_bytes} required"
+            f"{MIN_FREE_BYTES} required"
         )
     trainer_cmd = getattr(state.trainer, "command", None)
     if trainer_cmd:
@@ -665,6 +662,5 @@ def _stage_collect(state: _RunState) -> dict[str, Any]:
     return {
         "dataset_id": did,
         "runs": len(summary.results),
-        "tasks": len(best),
         "submission_zip": zip_path,
     }

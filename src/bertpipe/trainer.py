@@ -340,21 +340,21 @@ SIM_TEST_EXAMPLES: dict[str, int] = {
 }
 
 
-@dataclass
 class SimulationTrainer:
     """Deterministic stand-in trainer for hermetic end-to-end runs.
 
     The loss model rewards total learning-rate mass: a schedule with larger
-    sum of per-step rates reaches a strictly smaller final loss.
+    sum of per-step rates reaches a strictly smaller final loss. Its
+    constants are fixed; the simulation only has to rank schedules.
     """
 
-    loss_start: float = 10.0
-    loss_floor: float = 1.5
-    decay_per_lr: float = 0.1
-    steps_per_minute: float = 2000.0
-    finetune_loss_start: float = 2.0
-    finetune_loss_floor: float = 0.3
-    finetune_decay_per_lr: float = 40.0
+    loss_start = 10.0
+    loss_floor = 1.5
+    decay_per_lr = 0.1
+    steps_per_minute = 2000.0
+    finetune_loss_start = 2.0
+    finetune_loss_floor = 0.3
+    finetune_decay_per_lr = 40.0
 
     def run(self, job: TrainerJob) -> RunOutcome:
         if job.output_dir is None or job.log_dir is None:

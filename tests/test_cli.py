@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 from bertpipe.cli import _options_from_args, build_parser, main
@@ -62,6 +63,41 @@ def test_stage_subcommands_mirror_enable_flags(tmp_path, capsys):
 def test_flag_defaults_are_the_option_defaults():
     args = build_parser().parse_args(["run", "--config", "x"])
     assert _options_from_args(args) == PipelineOptions()
+
+
+# Every PipelineOptions flag, a non-default value for it, and what the field should read.
+NON_DEFAULT_FLAGS = [
+    (["--n-workers", "3"], "n_workers", 3),
+    (["--seed", "7"], "seed", 7),
+    (["--num-train-shards", "5"], "num_train_shards", 5),
+    (["--num-test-shards", "4"], "num_test_shards", 4),
+    (["--frac-test", "0.25"], "frac_test", 0.25),
+    (["--dup-factor", "2"], "dup_factor", 2),
+    (["--masked-lm-prob", "0.2"], "masked_lm_prob", 0.2),
+    (["--max-seq-length", "64"], "max_seq_length", 64),
+    (["--max-predictions-per-seq", "9"], "max_predictions_per_seq", 9),
+    (["--schedule", "linear"], "schedule_kind", "linear"),
+    (["--eta0", "0.5"], "eta0", 0.5),
+    (["--tasks", "RTE, MNLI,"], "tasks", ("RTE", "MNLI")),
+    (["--finetune-parallelism", "3"], "finetune_parallelism", 3),
+    (["--remote-base-url", "http://localhost:8000/corpora"], "remote_base_url",
+     "http://localhost:8000/corpora"),
+    (["--force"], "force", True),
+]
+
+
+def test_each_flag_reaches_its_option():
+    defaults = PipelineOptions()
+    argv = ["run", "--config", "x"]
+    for flag_argv, name, value in NON_DEFAULT_FLAGS:
+        assert getattr(defaults, name) != value, name
+        argv += flag_argv
+    args = build_parser().parse_args(argv)
+    expected = replace(defaults, **{name: value for _, name, value in NON_DEFAULT_FLAGS})
+    assert _options_from_args(args) == expected
+    # No flag is left out of the list above.
+    not_options = {"command", "func", "config", "workdir", "trainer", "trainer_cmd"}
+    assert set(vars(args)) - not_options == {name for _, name, _ in NON_DEFAULT_FLAGS}
 
 
 def test_precondition_error_is_reported(tmp_path, capsys):
@@ -138,3 +174,23 @@ def test_bench_trace_sees_every_stage(tmp_path):
                  "schedule.schedule_value", "search.select_best", "collect.summarize_val",
                  "collect.collect_best_val"}
     assert expected <= names
+
+
+def test_bench_trace_installs_against_the_library(tmp_path):
+    # bench/trace.py wraps library names by attribute, so a renamed or deleted
+    # name must fail here rather than only under `bench/run.py --trace 1`. It
+    # is loaded by file path: the standard library has a module called trace.
+    probe = (
+        "import importlib.util, pathlib\n"
+        f"spec = importlib.util.spec_from_file_location('bench_trace', "
+        f"{str(ROOT / 'bench' / 'trace.py')!r})\n"
+        "trace = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(trace)\n"
+        f"trace.install(trace.Tracer(pathlib.Path({str(tmp_path)!r})))\n"
+        "import bertpipe.pipeline, bertpipe.trainer\n"
+        "assert bertpipe.trainer.SimulationTrainer.run.__wrapped__\n"
+        "assert bertpipe.pipeline._stage_digest.__wrapped__\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -90,6 +90,27 @@ class TestParse:
         with pytest.raises(ConfigValidationError, match="ENABLED"):
             parse_config("DATASET:\n  ENABLED: maybe\n")
 
+    @pytest.mark.parametrize("text, key_path", [
+        ("FINETUNE:\n  ENABLED: 1\n", "FINETUNE.ENABLED"),
+        ("SYSTEM:\n  NUM_GPUS: 1.5\n", "SYSTEM.NUM_GPUS"),
+        ("SYSTEM:\n  MAX_MEMORY_IN_GB: true\n", "SYSTEM.MAX_MEMORY_IN_GB"),
+        ("TOKENIZER:\n  NAME_OR_PATH: null\n", "TOKENIZER.NAME_OR_PATH"),
+        ("WANDB:\n  API_KEY: 5\n", "WANDB.API_KEY"),
+        ("DATASET:\n  CUSTOMIZED_DATASETS: [1]\n", "DATASET.CUSTOMIZED_DATASETS"),
+        ("DATASET:\n  HUGGINGFACE_DATASETS: wikipedia\n", "DATASET.HUGGINGFACE_DATASETS"),
+    ])
+    def test_each_field_type_rejects_a_wrong_value(self, text, key_path):
+        with pytest.raises(ConfigValidationError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.key_path == key_path
+
+    def test_null_and_integer_values_by_field_type(self):
+        cfg = parse_config("SYSTEM:\n  MAX_MEMORY_IN_GB: 16\nDATASET:\n  ID: null\n"
+                           "  CUSTOMIZED_DATASETS: null\n  HUGGINGFACE_DATASETS: null\n")
+        assert cfg.system.max_memory_in_gb == 16.0
+        assert isinstance(cfg.system.max_memory_in_gb, float)
+        assert cfg.dataset == get_default_config().dataset
+
     def test_malformed_yaml_reports_line(self):
         bad = "SYSTEM:\n  NUM_GPUS: 8\n   bad_indent: { unclosed\n"
         with pytest.raises(ConfigParseError) as excinfo:

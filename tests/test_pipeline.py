@@ -389,6 +389,29 @@ class TestRerunReactsToChanges:
         argv = jobs[0].argv
         assert argv[argv.index("--seed") + 1] == "7"
 
+    def test_worker_counts_are_not_digest_inputs(self, tmp_path):
+        # Worker and grid parallelism change no output byte, so no stage re-runs.
+        cfg, ws, _ = self._first_run(tmp_path, corpus_config(tmp_path))
+        report = run_pipeline(cfg, ws, options=small_options(n_workers=2,
+                                                            finetune_parallelism=2))
+        assert [s.status for s in report.stages] == [SKIPPED_DONE] * 5
+
+    @pytest.mark.parametrize("stage, budget, options, message", [
+        ("dataset", "0.001", {}, "memory budget 1073741 below the 16777216-byte floor"),
+        ("pretrain", "0.25", {"eta0": 0}, "eta0 must be positive"),
+    ])
+    def test_invalid_option_fails_its_stage(self, tmp_path, stage, budget, options, message):
+        # The digest builds the stage's shard plan or schedule, which reject these values.
+        text = corpus_config(tmp_path).replace("MAX_MEMORY_IN_GB: 0.25",
+                                               f"MAX_MEMORY_IN_GB: {budget}")
+        ws = Workspace(tmp_path / "ws")
+        with pytest.raises(PipelineError, match=f"stage '{stage}' failed: {message}"):
+            run_pipeline(parse_config(text), ws, options=small_options(**options))
+        report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
+        assert report["stages"][-1]["name"] == stage
+        assert report["stages"][-1]["status"] == "failed"
+        assert message in report["stages"][-1]["error"]
+
     def test_instance_format_change_rebuilds_dataset(self, tmp_path, monkeypatch):
         # The reader rejects files of another format version, so a workspace
         # written by an older version must not be reused.
