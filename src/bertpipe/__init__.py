@@ -4,33 +4,41 @@ Stages: environment check, dataset preprocessing (ingest, shuffle/shard under
 a memory budget, pre-masked instance generation), pretraining with a
 warmup + elastic-step-decay learning-rate schedule, finetuning with
 hyperparameter search and STILT chaining, and GLUE-style result collection.
+
+The public names below are imported from their modules on first use (PEP 562),
+so ``import bertpipe.cli`` loads no stage code.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .config import PipelineConfig, get_default_config, load_config, parse_config, validate
-from .pipeline import PipelineOptions, Workspace, run_pipeline
-from .schedule import ScheduleSpec, esd_value, schedule_value
-from .sharding import ShardPlan, shard_corpus
-from .instances import MaskingPolicy, generate_instances
-from .trainer import ExternalCommandTrainer, SimulationTrainer
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "PipelineConfig": "config",
+    "get_default_config": "config",
+    "load_config": "config",
+    "parse_config": "config",
+    "validate": "config",
+    "PipelineOptions": "pipeline",
+    "Workspace": "pipeline",
+    "run_pipeline": "pipeline",
+    "ScheduleSpec": "schedule",
+    "esd_value": "schedule",
+    "schedule_value": "schedule",
+    "ShardPlan": "sharding",
+    "shard_corpus": "sharding",
+    "MaskingPolicy": "instances",
+    "generate_instances": "instances",
+    "ExternalCommandTrainer": "trainer",
+    "SimulationTrainer": "trainer",
+}
+__all__ = list(_EXPORTS)
 
-__all__ = [
-    "PipelineConfig",
-    "get_default_config",
-    "load_config",
-    "parse_config",
-    "validate",
-    "PipelineOptions",
-    "Workspace",
-    "run_pipeline",
-    "ScheduleSpec",
-    "esd_value",
-    "schedule_value",
-    "ShardPlan",
-    "shard_corpus",
-    "MaskingPolicy",
-    "generate_instances",
-    "ExternalCommandTrainer",
-    "SimulationTrainer",
-]
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)

@@ -16,16 +16,10 @@ from pathlib import Path
 
 from . import config as config_mod
 from .pipeline import STAGE_TABLE, PipelineError, PipelineOptions, Workspace, run_pipeline
-from .schedule import (
-    DEFAULT_ELL,
-    DEFAULT_ETA0,
-    DEFAULT_WARMUP_PROPORTION,
-    PRESETS,
-    ScheduleSpec,
-    emit_trace,
-    preset_spec,
+from .records import (
+    DEFAULT_ELL, DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, PRESETS, ScheduleError, ScheduleSpec,
+    warmup_steps,
 )
-from .trainer import ExternalCommandTrainer, SimulationTrainer
 
 
 def _task_list(text: str) -> tuple[str, ...]:
@@ -79,11 +73,14 @@ def _options_from_args(args: argparse.Namespace) -> PipelineOptions:
 
 
 def _trainer_from_args(args: argparse.Namespace):
+    """The external trainer; None leaves the pipeline its built-in simulation."""
     if args.trainer == "external":
         if not args.trainer_cmd:
             raise SystemExit("--trainer external requires --trainer-cmd")
+        from .trainer import ExternalCommandTrainer
+
         return ExternalCommandTrainer(tuple(shlex.split(args.trainer_cmd)))
-    return SimulationTrainer()
+    return None
 
 
 def _run_stages(args: argparse.Namespace, only_stage: str | None) -> int:
@@ -110,6 +107,8 @@ def _run_stages(args: argparse.Namespace, only_stage: str | None) -> int:
 
 
 def _cmd_schedule_trace(args: argparse.Namespace) -> int:
+    from .schedule import emit_trace, preset_spec  # no other command loads the schedule code
+
     if args.preset:
         spec, overall = preset_spec(args.preset, kind=args.kind)
     else:
@@ -117,8 +116,6 @@ def _cmd_schedule_trace(args: argparse.Namespace) -> int:
         if args.decay_ratio is not None:
             kwargs = {"r": args.decay_ratio, "r_squared": Fraction(args.decay_ratio) ** 2}
         overall = args.steps
-        from .schedule import warmup_steps
-
         spec = ScheduleSpec(
             kind=args.kind,
             eta0=args.eta0,
@@ -170,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, config_mod.ConfigParseError, config_mod.ConfigValidationError) as exc:
+    except (PipelineError, ScheduleError, config_mod.ConfigParseError,
+            config_mod.ConfigValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

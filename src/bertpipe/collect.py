@@ -32,11 +32,10 @@ from typing import Iterable, Mapping
 
 from . import glue
 from .atomic import replace_when_done
+from .records import RUNS_INDEX, SUBMISSION_ZIP_NAME
 from .trainer import RunOutcome, TrainerJob
 
-SUBMISSION_ZIP_NAME = "glue_submission.zip"
 RUN_RECORD = "run.json"
-RUNS_INDEX = "RUNS.tsv"
 _RUNS_INDEX_HEADER = "task\trun\twinner\n"
 # Fixed DOS timestamp for zip members (zip epoch): reproducibility over mtimes.
 _ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .records import IngestError, scan_local
+
 # doc_id layout: high 32 bits = global file index, low 32 bits = article ordinal.
 _FILE_INDEX_SHIFT = 32
 
 CACHE_MARKER = ".complete"
 INDEX_FILE = "index.txt"
-
-
-class IngestError(Exception):
-    """A corpus could not be read (missing path, bad encoding, ...)."""
 
 
 class FetchError(Exception):
@@ -77,19 +75,6 @@ class CorpusSource:
             return str(self.locator)
         name, split = self.locator
         return f"{name}/{split}"
-
-
-def scan_local(directory: str | Path) -> list[Path]:
-    """All regular files under ``directory`` (recursive), sorted by relative path."""
-    root = Path(directory)
-    if not root.is_dir():
-        raise IngestError(f"corpus directory does not exist or is not readable: {root}")
-    try:
-        files = [p for p in root.rglob("*") if p.is_file()]
-    except OSError as exc:
-        raise IngestError(f"cannot scan corpus directory {root}: {exc}") from exc
-    files.sort(key=lambda p: p.relative_to(root).as_posix())
-    return files
 
 
 def _is_blank(line: str) -> bool:

@@ -20,14 +20,10 @@ magic "XBINST01", format version u16, max_seq_length u16, id width u16 (2 or
 n_masked u16, input_ids as id-width ints x attention_len, masked_positions
 u16 x n_masked and masked_labels as id-width ints x n_masked. The id width
 is 2 when the vocabulary has at most 65536 entries, else 4.
-
-META.yaml is read with libyaml (``yaml.CSafeLoader``) when PyYAML has it,
-and with the pure-Python ``SafeLoader`` otherwise.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import struct
 from dataclasses import asdict, dataclass
@@ -37,57 +33,18 @@ from typing import Iterable, Iterator
 import yaml
 
 from .atomic import replace_when_done
+from .records import (
+    INSTANCE_FORMAT_VERSION, META_NAME, InstanceFileError, MaskingPolicy, load_meta,
+)
 from .rng import keyed_rng
 from .sharding import Shard, read_shard
 from .tokenization import TokenSequence, Vocabulary, tokenize, vocab_digest
 
 INSTANCE_MAGIC = b"XBINST01"
-INSTANCE_FORMAT_VERSION = 2
 _VERSION = struct.Struct("<8sH")
 _LAYOUT = struct.Struct("<HHI")  # max_seq_length, id width, instance count
 _COUNTS = struct.Struct("<HH")
 _ID_CODES = {2: "H", 4: "I"}
-
-META_NAME = "META.yaml"
-# libyaml parses a large META.yaml several times faster than pure-Python PyYAML.
-_META_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class InstanceFileError(Exception):
-    """An instance file is missing, truncated, or malformed."""
-
-
-@dataclass(frozen=True)
-class MaskingPolicy:
-    """Static-masking parameters (defaults follow the standard BERT recipe)."""
-
-    masked_lm_prob: float = 0.15
-    max_predictions_per_seq: int = 20
-    max_seq_length: int = 128
-    dup_factor: int = 10
-    seed: int = 42
-    mask_token_frac: float = 0.8
-    random_token_frac: float = 0.1
-    keep_token_frac: float = 0.1
-    min_window_tokens: int = 8
-    do_lower_case: bool = True
-
-    def __post_init__(self):
-        if not 0 < self.masked_lm_prob < 1:
-            raise ValueError("masked_lm_prob must lie in (0, 1)")
-        if self.max_predictions_per_seq > self.max_seq_length - 2:
-            raise ValueError("max_predictions_per_seq must be <= max_seq_length - 2")
-        if self.dup_factor < 1:
-            raise ValueError("dup_factor must be >= 1")
-        total = self.mask_token_frac + self.random_token_frac + self.keep_token_frac
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError("mask/random/keep fractions must sum to 1")
-        if self.min_window_tokens < 1:
-            raise ValueError("min_window_tokens must be >= 1")
-
-    @property
-    def window_size(self) -> int:
-        return self.max_seq_length - 2
 
 
 @dataclass(frozen=True)
@@ -332,15 +289,6 @@ def generate_instances(
     with replace_when_done(out_dir / META_NAME) as fh:
         fh.write(yaml.safe_dump(meta, sort_keys=False).encode("utf-8"))
     return InstanceGenerationResult(tuple(files), total)
-
-
-def load_meta(processed_dir: str | Path) -> dict:
-    """Read META.yaml of a processed dataset directory."""
-    meta_path = Path(processed_dir) / META_NAME
-    if not meta_path.is_file():
-        raise InstanceFileError(f"no {META_NAME} under {processed_dir}")
-    with open(meta_path, encoding="utf-8") as fh:
-        return yaml.load(fh, Loader=_META_LOADER)
 
 
 @dataclass(frozen=True)

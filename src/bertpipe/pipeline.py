@@ -18,6 +18,15 @@ read the table:
   run skips it only when the recorded digest equals the new one and the
   stage's output still exists; ``force`` ignores sentinels.
 
+Those rules read only ``records``: the digest-input records, output names and
+format versions. Each stage's own code is listed in ``_STAGE_CODE``, one
+``{name: module}`` table, and imported when the stage runs, so a re-run that
+skips every stage loads none of it. The module ``__getattr__`` (PEP 562)
+serves those names, so ``pipeline.generate_instances`` and the like still
+resolve, and can be wrapped from outside. A stage binds its names into this
+module's globals when it is called and then calls them by bare name, looked
+up at call time: a name already bound, wrapped or not, is what runs.
+
 Directory layout under the workspace root::
 
     data/sharded/               shard files + MANIFEST.tsv
@@ -38,48 +47,50 @@ import json
 import shutil
 import time
 from dataclasses import asdict, dataclass, field
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import glue
 from .atomic import replace_when_done
 from .config import PipelineConfig, serialize_config, validate
-from .ingest import IngestError, enumerate_corpus_files, scan_local, sources_from_config
-from .instances import (
-    INSTANCE_FORMAT_VERSION,
-    META_NAME,
-    MaskingPolicy,
-    generate_instances,
-    load_meta,
+from .records import (
+    DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, INSTANCE_FORMAT_VERSION, META_NAME, RESULT_FILE,
+    RUNS_INDEX, SHARD_FORMAT_VERSION, SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError,
+    MaskingPolicy, ScheduleSpec, SearchSpace, ShardPlan, VocabularyError, load_meta,
+    resolve_vocab, scan_local, warmup_steps,
 )
-from .schedule import DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, ScheduleSpec, warmup_steps
-from .search import GridPoint, SearchSpace, finetune_search, schedule_waves, select_best
-from .sharding import (
-    SHARD_FORMAT_VERSION,
-    ShardPlan,
-    dataset_id as derive_dataset_id,
-    shard_corpus,
-)
-from .tokenization import VocabularyError, load_vocab, resolve_vocab
-from .trainer import (
-    RESULT_FILE,
-    EarlyStopPolicy,
-    RunOutcome,
-    SimulationTrainer,
-    TrainerAdapter,
-    TrainerJob,
-    build_pretrain_job,
-    parse_result_file,
-)
-from .collect import (
-    RUNS_INDEX,
-    SUBMISSION_ZIP_NAME,
-    collect_best_val,
-    summarize_val,
-    translate_test_result,
-    write_run_record,
-    write_runs_index,
-)
+
+# Stage code by the name the stages call it: "module", or "module.attribute" when renamed.
+_STAGE_CODE: dict[str, str] = {
+    "sources_from_config": "ingest", "enumerate_corpus_files": "ingest",
+    "shard_corpus": "sharding", "derive_dataset_id": "sharding.dataset_id",
+    "load_vocab": "tokenization", "generate_instances": "instances",
+    "SimulationTrainer": "trainer", "TrainerAdapter": "trainer", "TrainerJob": "trainer",
+    "RunOutcome": "trainer", "build_pretrain_job": "trainer", "parse_result_file": "trainer",
+    "GridPoint": "search", "finetune_search": "search", "schedule_waves": "search",
+    "select_best": "search", "write_run_record": "collect", "write_runs_index": "collect",
+    "summarize_val": "collect", "collect_best_val": "collect",
+    "translate_test_result": "collect",
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Import the stage code ``name`` on first use and bind it in this module."""
+    try:
+        module, _, attr = _STAGE_CODE[name].partition(".")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), attr or name)
+    return value
+
+
+def _import_stage_code(*modules: str) -> None:
+    """Bind the stage code of ``modules`` here; a name bound already (or wrapped) stays."""
+    for name, where in _STAGE_CODE.items():
+        if name not in globals() and where.partition(".")[0] in modules:
+            __getattr__(name)
+
 
 COMPLETED = "completed"
 SKIPPED_DISABLED = "skipped_disabled"
@@ -426,7 +437,6 @@ def run_pipeline(
     if not isinstance(workspace, Workspace):
         workspace = Workspace(Path(workspace))
     options = options or PipelineOptions()
-    trainer = trainer or SimulationTrainer()
 
     violations = validate(config)
     if violations:
@@ -507,17 +517,22 @@ class _RunState:
     """Mutable cross-stage context of one pipeline invocation."""
 
     def __init__(self, config: PipelineConfig, workspace: Workspace,
-                 options: PipelineOptions, trainer: TrainerAdapter, dataset_id: str | None):
+                 options: PipelineOptions, trainer: TrainerAdapter | None, dataset_id: str | None):
         self.config = config
         self.workspace = workspace
         self.options = options
-        self.trainer = trainer
+        self.trainer = trainer  # None: a SimulationTrainer, built when a stage needs one
         self.dataset_id = dataset_id  # the dataset stage sets the new id
 
     def require_dataset_id(self) -> str:
         if self.dataset_id is None:
             raise PipelineError("no dataset id: run the dataset stage or set DATASET.ID")
         return self.dataset_id
+
+    def require_trainer(self) -> TrainerAdapter:
+        if self.trainer is None:
+            self.trainer = SimulationTrainer()
+        return self.trainer
 
 
 def _stage_env_check(state: _RunState) -> dict[str, Any]:
@@ -544,6 +559,7 @@ def _stage_env_check(state: _RunState) -> dict[str, Any]:
 
 
 def _stage_dataset(state: _RunState) -> dict[str, Any]:
+    _import_stage_code("ingest", "sharding", "tokenization", "instances")
     config, ws, options = state.config, state.workspace, state.options
     # Before any shard is written: an unresolvable vocabulary fails fast.
     vocab = load_vocab(resolve_vocab(config.tokenizer.name_or_path))
@@ -580,6 +596,7 @@ def _stage_dataset(state: _RunState) -> dict[str, Any]:
 
 
 def _stage_pretrain(state: _RunState) -> dict[str, Any]:
+    _import_stage_code("trainer")
     config, ws, options = state.config, state.workspace, state.options
     did = state.require_dataset_id()
     spec = options.schedule_spec(config.pretrain.num_steps)
@@ -593,7 +610,7 @@ def _stage_pretrain(state: _RunState) -> dict[str, Any]:
         early_stop=options.early_stop,
         seed=options.seed,
     )
-    outcome = state.trainer.run(job)
+    outcome = state.require_trainer().run(job)
     return {
         "dataset_id": did,
         "checkpoint": outcome.checkpoint_path,
@@ -603,7 +620,8 @@ def _stage_pretrain(state: _RunState) -> dict[str, Any]:
 
 
 def _stage_finetune(state: _RunState) -> dict[str, Any]:
-    ws, options = state.workspace, state.options
+    _import_stage_code("trainer", "search", "collect")
+    ws, options, trainer = state.workspace, state.options, state.require_trainer()
     did = state.require_dataset_id()
     _, pretrain_checkpoint = parse_result_file(ws.pretrain_model_dir(did))
     if not pretrain_checkpoint.exists():
@@ -618,7 +636,7 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
                       else pretrain_checkpoint)
         job = point.job(str(checkpoint), ws.finetune_output_dir(did, point.task, point.run),
                         ws.finetune_log_dir(did, point.task, point.run))
-        outcome = state.trainer.run(job)
+        outcome = trainer.run(job)
         write_run_record(job, outcome)
         return job, outcome
 
@@ -654,6 +672,7 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
 
 
 def _stage_collect(state: _RunState) -> dict[str, Any]:
+    _import_stage_code("collect")
     ws = state.workspace
     did = state.require_dataset_id()
     summary = summarize_val(ws.log_root, did, output_root=ws.output_root)

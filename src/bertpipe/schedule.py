@@ -25,55 +25,12 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-DEFAULT_ETA0 = 2e-3
-DEFAULT_DECAY_RATIO = 2 ** -0.5
-DEFAULT_DECAY_RATIO_SQUARED = Fraction(1, 2)
-DEFAULT_ELL = 6
-DEFAULT_WARMUP_PROPORTION = 0.06
+from .records import (
+    DEFAULT_DECAY_RATIO, DEFAULT_DECAY_RATIO_SQUARED, DEFAULT_ELL, DEFAULT_ETA0,
+    DEFAULT_WARMUP_PROPORTION, PRESETS, BenchmarkPreset, ScheduleError, ScheduleSpec, warmup_steps,
+)
 
 _MAX_STAGES = 10_000
-
-
-class ScheduleError(ValueError):
-    """Invalid schedule parameters or out-of-range step index."""
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Parameters of one schedule evaluation.
-
-    ``total_steps`` is the post-warmup horizon T. ``r_squared``, when given,
-    is the exact rational square of ``r`` used for boundary arithmetic;
-    otherwise it is derived from the float value of ``r`` (exact in that
-    float). Pass ``Fraction(1, 2)`` with r = 2**-0.5, the default pairing.
-    """
-
-    kind: str = "esd"  # "esd" | "linear"
-    eta0: float = DEFAULT_ETA0
-    r: float = DEFAULT_DECAY_RATIO
-    ell: int = DEFAULT_ELL
-    total_steps: int = 1
-    warmup_proportion: float = DEFAULT_WARMUP_PROPORTION
-    r_squared: Fraction | None = DEFAULT_DECAY_RATIO_SQUARED
-
-    def __post_init__(self):
-        if self.kind not in ("esd", "linear"):
-            raise ScheduleError(f"unknown schedule kind: {self.kind!r}")
-        if self.eta0 <= 0:
-            raise ScheduleError("eta0 must be positive")
-        if self.kind == "esd" and not 0 < self.r < 1:
-            raise ScheduleError("decay ratio r must lie in (0, 1)")
-        if self.ell < 1:
-            raise ScheduleError("ell must be a positive integer")
-        if self.total_steps < 1:
-            raise ScheduleError("total_steps must be positive")
-        if not 0 <= self.warmup_proportion < 1:
-            raise ScheduleError("warmup_proportion must lie in [0, 1)")
-        if self.r_squared is not None and self.r_squared != Fraction(self.r) ** 2:
-            # Allow r_squared to stand in for an irrational r (e.g. 1/2 for
-            # 2^-0.5), but require it to match r to float precision.
-            if not math.isclose(float(self.r_squared) ** 0.5, self.r, rel_tol=1e-12):
-                raise ScheduleError("r_squared does not match r")
 
 
 @dataclass(frozen=True)
@@ -157,11 +114,6 @@ def esd_value(t: int, spec: ScheduleSpec) -> float:
     return rates[bisect_left(last_steps, t)]
 
 
-def warmup_steps(overall_steps: int, warmup_proportion: float) -> int:
-    """Number of linear warmup steps for an overall budget."""
-    return round(warmup_proportion * overall_steps)
-
-
 def schedule_value(global_step: int, overall_steps: int, spec: ScheduleSpec) -> float:
     """Learning rate at ``global_step`` of an overall budget with warmup.
 
@@ -210,23 +162,6 @@ def emit_trace(spec: ScheduleSpec, overall_steps: int, out: str | Path) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
-
-
-@dataclass(frozen=True)
-class BenchmarkPreset:
-    """A named (budget, peak rate) pairing for a standard pretraining run."""
-
-    name: str
-    overall_steps: int
-    eta0: float
-
-
-# 23k-step runs pair with the higher default peak; the longer 57.5k-step runs
-# use the smaller, more stable peak rate.
-PRESETS: dict[str, BenchmarkPreset] = {
-    "bert-base-benchmark": BenchmarkPreset("bert-base-benchmark", 23000, 2e-3),
-    "bert-large-benchmark": BenchmarkPreset("bert-large-benchmark", 57500, 1e-3),
-}
 
 
 def preset_spec(name: str, kind: str = "esd") -> tuple[ScheduleSpec, int]:

@@ -19,25 +19,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from . import glue
+from .records import SearchError, SearchSpace
 from .trainer import FINETUNE, RunOutcome, TrainerJob, build_finetune_argv, winner_key
-
-
-class SearchError(ValueError):
-    """Invalid search configuration (unknown task, empty grid, STILT cycle)."""
-
-
-@dataclass(frozen=True)
-class SearchSpace:
-    learning_rates: tuple[float, ...] = (1e-5, 3e-5, 5e-5, 8e-5)
-    batch_sizes: tuple[int, ...] = (16, 32)
-    epochs: tuple[int, ...] = (3, 5)
-
-    def __post_init__(self):
-        if not self.learning_rates or not self.batch_sizes or not self.epochs:
-            raise SearchError("hyperparameter grid has an empty dimension")
-
-    def __len__(self) -> int:
-        return len(self.learning_rates) * len(self.batch_sizes) * len(self.epochs)
 
 
 # Small high-variance tasks benefit from supplementary training on MNLI first.

@@ -58,49 +58,18 @@ if TYPE_CHECKING:
 
 from .atomic import replace_when_done
 from .ingest import CorpusFile, DocumentRecord, iter_documents
+from .records import MIN_MEMORY_BYTES, SHARD_FORMAT_VERSION, TEST, TRAIN, ShardError, ShardPlan
 from .rng import derive_u64, keyed_uniform
 
 SHARD_MAGIC = b"XBSHARD1"
-SHARD_FORMAT_VERSION = 2
 _HEADER = struct.Struct("<8sHI2x")
 _RECORD = struct.Struct("<QI")  # doc_id, byte length
 _RUN_RECORD = struct.Struct("<QQI")  # order key, doc_id, byte length
 
 RECORD_OVERHEAD_BYTES = 64
-MIN_MEMORY_BYTES = 16 * 2**20
 SPILL_THRESHOLD = 0.8
 
-TRAIN, TEST = "train", "test"
 MANIFEST_NAME = "MANIFEST.tsv"
-
-
-class ShardError(Exception):
-    """Sharding cannot proceed (bad plan, oversized document, I/O failure)."""
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Sharding parameters; memory budget in bytes (gigabytes are 2^30 bytes)."""
-
-    num_train_shards: int = 256
-    num_test_shards: int = 128
-    frac_test: float = 0.005
-    max_memory_bytes: int = 64 * 2**30
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.num_train_shards < 1 or self.num_test_shards < 1:
-            raise ShardError("shard counts must be >= 1")
-        if not 0 <= self.frac_test < 1:
-            raise ShardError("frac_test must lie in [0, 1)")
-        if self.max_memory_bytes < MIN_MEMORY_BYTES:
-            raise ShardError(
-                f"memory budget {self.max_memory_bytes} below the "
-                f"{MIN_MEMORY_BYTES}-byte floor; refusing to start"
-            )
-
-    def shards_for(self, split: str) -> int:
-        return self.num_train_shards if split == TRAIN else self.num_test_shards
 
 
 @dataclass(frozen=True)

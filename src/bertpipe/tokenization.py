@@ -49,15 +49,11 @@ import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from importlib import resources
+from .records import VocabularyError, resolve_vocab
 
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 DEFAULT_MAX_CHARS_PER_WORD = 200
 WORDPIECE_MEMO_SIZE = 4096
-
-
-class VocabularyError(Exception):
-    """Vocabulary file missing, malformed, or lacking a special token."""
 
 
 @dataclass(frozen=True)
@@ -171,27 +167,6 @@ def load_vocab(path: str | Path) -> Vocabulary:
     return make_vocabulary(tokens)
 
 
-def resolve_vocab(name_or_path: str) -> Path:
-    """Resolve TOKENIZER.NAME_OR_PATH to a vocabulary file.
-
-    A filesystem path wins; otherwise the name is looked up among the
-    vocabularies bundled with the package (``<name>.txt``).
-    """
-    p = Path(name_or_path)
-    if p.is_file():
-        return p
-    bundled = resources.files("bertpipe") / "vocabs" / f"{name_or_path}.txt"
-    try:
-        if bundled.is_file():
-            return Path(str(bundled))
-    except OSError:
-        pass
-    raise VocabularyError(
-        f"cannot resolve tokenizer vocabulary {name_or_path!r}: "
-        f"not a file and no bundled vocabulary of that name"
-    )
-
-
 def vocab_digest(vocab: Vocabulary) -> str:
     """Short content digest identifying a vocabulary (provenance metadata)."""
     return hashlib.sha256("\n".join(vocab.tokens).encode("utf-8")).hexdigest()[:16]
@@ -303,8 +278,14 @@ def wordpiece(
 
 
 def tokenize(text: str, vocab: Vocabulary, do_lower_case: bool = True) -> TokenSequence:
-    """basic_tokenize then wordpiece per word, concatenated. No framing tokens."""
+    """basic_tokenize then wordpiece per word, concatenated. No framing tokens.
+
+    A word already in the vocabulary's memo is looked up here; ``wordpiece``
+    is called only on a miss.
+    """
     ids: list[int] = []
+    memo = vocab.wordpiece_memo
     for word in basic_tokenize(text, do_lower_case):
-        ids += wordpiece(word, vocab)
+        pieces = memo.get(word)
+        ids += wordpiece(word, vocab) if pieces is None else pieces
     return TokenSequence(ids=tuple(ids))

@@ -40,26 +40,17 @@ from pathlib import Path
 from typing import Any, Protocol
 
 from . import glue
+from .records import RESULT_FILE, EarlyStopPolicy
 from .rng import derive_u64, keyed_uniform
 from .schedule import ScheduleSpec, schedule_value
 
 PRETRAIN, FINETUNE = "pretrain", "finetune"
 
-RESULT_FILE = "RESULT.tsv"
 METRIC_LINE_PREFIX = "final_val_metric"
 
 
 class TrainerError(Exception):
     """A trainer run failed or violated the adapter contract."""
-
-
-@dataclass(frozen=True)
-class EarlyStopPolicy:
-    """Stop a run that is both old enough and still diverged."""
-
-    enabled: bool = True
-    early_stop_time_minutes: float = 180.0
-    early_stop_eval_loss: float = 6.0
 
 
 def check_early_stop(elapsed_minutes: float, eval_loss: float, policy: EarlyStopPolicy) -> bool:

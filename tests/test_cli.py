@@ -119,6 +119,13 @@ def test_schedule_trace_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_schedule_error_is_reported(tmp_path, capsys):
+    out = tmp_path / "trace.tsv"
+    assert main(["schedule", "trace", "--decay-ratio", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: decay ratio r must lie in (0, 1)\n"
+    assert not out.exists()
+
+
 def _src_env() -> dict:
     src = str(ROOT / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -126,9 +133,12 @@ def _src_env() -> dict:
 
 # Loaded on first use only: an HTTP client for remote corpora, process pools for
 # more than one worker, a thread pool for a parallel grid, subprocess for an
-# external trainer.
+# external trainer, and each stage's own code for a stage that runs.
 LAZY_MODULES = ("requests", "urllib.request", "multiprocessing", "concurrent.futures.process",
-                "concurrent.futures.thread", "subprocess")
+                "concurrent.futures.thread", "subprocess",
+                *(f"bertpipe.{name}" for name in ("sharding", "instances", "rng", "tokenization",
+                                                  "ingest", "schedule", "trainer", "search",
+                                                  "collect")))
 
 
 def _loaded_lazy_modules(statement: str) -> list[str]:
@@ -153,6 +163,21 @@ def test_noop_rerun_loads_no_pool_or_subprocess(tmp_path, capsys):
     assert _loaded_lazy_modules(rerun) == []
     report = json.loads((ws / "log" / "pipeline" / "report.json").read_text())
     assert [stage["status"] for stage in report["stages"]] == ["skipped_done"] * len(STAGES)
+
+
+def test_setup_run_loads_no_stage_code(tmp_path):
+    # Every section disabled: only env_check runs, and it needs no stage module.
+    cfg = write_config(tmp_path)
+    text = cfg.read_text()
+    for section in ("DATASET", "PRETRAIN"):
+        text = text.replace(f"{section}:\n", f"{section}:\n  ENABLED: False\n")
+    cfg.write_text(text + "FINETUNE:\n  ENABLED: False\nRESULT_COLLECTION:\n  ENABLED: False\n")
+    ws = tmp_path / "ws"
+    setup = f"from bertpipe.cli import main\nassert main({['run', *base_args(cfg, ws)]!r}) == 0"
+    assert _loaded_lazy_modules(setup) == []
+    report = json.loads((ws / "log" / "pipeline" / "report.json").read_text())
+    assert [stage["status"] for stage in report["stages"]] == (
+        ["completed"] + ["skipped_disabled"] * (len(STAGES) - 1))
 
 
 def test_bench_trace_sees_every_stage(tmp_path):

@@ -7,6 +7,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from bertpipe import instances as instances_module
+from bertpipe import records
 from bertpipe.ingest import CorpusSource, enumerate_corpus_files
 from bertpipe.instances import (
     InstanceFileError,
@@ -265,7 +266,7 @@ class TestGenerateInstances:
 
     def test_meta_round_trip_without_libyaml(self, tmp_path, mini_vocab, monkeypatch):
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        monkeypatch.setattr(instances_module, "_META_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(records, "_META_LOADER", yaml.SafeLoader)
         self.test_meta_contents(tmp_path, mini_vocab)
 
 

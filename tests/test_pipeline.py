@@ -435,3 +435,23 @@ class TestRerunReactsToChanges:
         ]
         assert shard.stat().st_ino != before
         assert report.dataset_id == first.dataset_id
+
+    def test_stage_digests_are_pinned(self):
+        # Moving a record or constant between modules must leave every digest
+        # alone, or each finished workspace re-runs all its stages. A deliberate
+        # digest change updates these values and README's "Upgrading" note.
+        cfg = parse_config("DATASET:\n  CUSTOMIZED_DATASETS:\n    - no-such-corpus\n"
+                           "TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n")
+        assert pipeline._dataset_inputs(cfg, PipelineOptions())["corpus"] == [
+            ["no-such-corpus", None, None]]
+        digests, upstream = {}, None
+        for stage in pipeline.STAGE_TABLE:
+            digests[stage.name] = upstream = pipeline._stage_digest(
+                stage, cfg, PipelineOptions(), upstream)
+        assert digests == {
+            "env_check": "cf7544db5e3496a4",
+            "dataset": "181bd8dfa55f68dd",
+            "pretrain": "5dc4ff3dcf79e5dc",
+            "finetune": "891732b63643f586",
+            "collect": "8eaa94fc86bbc806",
+        }
