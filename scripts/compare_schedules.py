@@ -15,13 +15,12 @@ import math
 import tempfile
 from pathlib import Path
 
-from bertpipe.schedule import ScheduleSpec, schedule_value, warmup_steps
+from bertpipe.schedule import ScheduleSpec, schedule_value
 from bertpipe.trainer import EarlyStopPolicy, SimulationTrainer, TrainerJob
 
 
 def run_kind(kind: str, steps: int, eta0: float, workdir: Path) -> tuple[float, float]:
-    w = warmup_steps(steps, 0.06)
-    spec = ScheduleSpec(kind=kind, eta0=eta0, total_steps=max(1, steps - w))
+    spec = ScheduleSpec.for_budget(steps, kind=kind, eta0=eta0)
     trainer = SimulationTrainer()
     job = TrainerJob(
         kind="pretrain",

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, TextIO
 
 
 @contextmanager
@@ -20,3 +21,14 @@ def replace_when_done(path: Path) -> Iterator[BinaryIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def replace_text_when_done(path: Path) -> Iterator[TextIO]:
+    """:func:`replace_when_done` for UTF-8 text, which goes to disk as it is written.
+
+    Memory does not grow with the amount written, and ``path`` is replaced
+    whole only on success.
+    """
+    with replace_when_done(path) as fh, io.TextIOWrapper(fh, "utf-8", newline="") as text:
+        yield text

@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import config as config_mod
 from .pipeline import STAGE_TABLE, PipelineError, PipelineOptions, Workspace, run_pipeline
 from .records import (
     DEFAULT_ELL, DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, PRESETS, ScheduleError, ScheduleSpec,
-    warmup_steps,
 )
 
 
@@ -112,18 +110,11 @@ def _cmd_schedule_trace(args: argparse.Namespace) -> int:
     if args.preset:
         spec, overall = preset_spec(args.preset, kind=args.kind)
     else:
-        kwargs = {}
-        if args.decay_ratio is not None:
-            kwargs = {"r": args.decay_ratio, "r_squared": Fraction(args.decay_ratio) ** 2}
+        # A given ratio's exact square is derived from it once the spec has checked it.
+        ratio = {} if args.decay_ratio is None else {"r": args.decay_ratio, "r_squared": None}
         overall = args.steps
-        spec = ScheduleSpec(
-            kind=args.kind,
-            eta0=args.eta0,
-            ell=args.ell,
-            warmup_proportion=args.warmup_proportion,
-            total_steps=max(1, overall - warmup_steps(overall, args.warmup_proportion)),
-            **kwargs,
-        )
+        spec = ScheduleSpec.for_budget(overall, kind=args.kind, eta0=args.eta0, ell=args.ell,
+                                       warmup_proportion=args.warmup_proportion, **ratio)
     path = emit_trace(spec, overall, args.out)
     print(f"wrote {overall + 1} step values to {path}")
     return 0

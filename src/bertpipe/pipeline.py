@@ -49,16 +49,15 @@ import time
 from dataclasses import asdict, dataclass, field
 from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from . import glue
 from .atomic import replace_when_done
 from .config import PipelineConfig, serialize_config, validate
 from .records import (
-    DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, INSTANCE_FORMAT_VERSION, META_NAME, RESULT_FILE,
-    RUNS_INDEX, SHARD_FORMAT_VERSION, SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError,
-    MaskingPolicy, ScheduleSpec, SearchSpace, ShardPlan, VocabularyError, load_meta,
-    resolve_vocab, scan_local, warmup_steps,
+    DEFAULT_ETA0, INSTANCE_FORMAT_VERSION, META_NAME, RESULT_FILE, RUNS_INDEX,
+    SHARD_FORMAT_VERSION, SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError, MaskingPolicy,
+    ScheduleSpec, SearchSpace, ShardPlan, VocabularyError, load_meta, resolve_vocab, scan_local,
 )
 
 # Stage code by the name the stages call it: "module", or "module.attribute" when renamed.
@@ -184,7 +183,9 @@ class PipelineOptions:
     """Pipeline knobs that live outside the YAML schema (CLI/API level).
 
     Defaults mirror the standard preprocessing and pretraining commands; the
-    held-out fraction defaults to 0.5% of the data.
+    held-out fraction defaults to 0.5% of the data. Lower-casing, the warmup
+    share and the STILT sources are not options: they are the masking policy's
+    default, ``DEFAULT_WARMUP_PROPORTION`` and ``search.DEFAULT_STILT_SOURCES``.
     """
 
     seed: int = 42
@@ -196,14 +197,11 @@ class PipelineOptions:
     masked_lm_prob: float = 0.15
     max_seq_length: int = 128
     max_predictions_per_seq: int = 20
-    do_lower_case: bool = True
     schedule_kind: str = "esd"
     eta0: float = DEFAULT_ETA0
-    warmup_proportion: float = DEFAULT_WARMUP_PROPORTION
     early_stop: EarlyStopPolicy = field(default_factory=EarlyStopPolicy)
     tasks: tuple[str, ...] = glue.TASK_NAMES
     search_space: SearchSpace = field(default_factory=SearchSpace)
-    stilt_sources: Mapping[str, str] | None = None
     finetune_parallelism: int = 1
     remote_base_url: str | None = None
     force: bool = False  # ignore stage sentinels and re-run
@@ -224,17 +222,10 @@ class PipelineOptions:
             max_seq_length=self.max_seq_length,
             dup_factor=self.dup_factor,
             seed=self.seed,
-            do_lower_case=self.do_lower_case,
         )
 
     def schedule_spec(self, overall_steps: int) -> ScheduleSpec:
-        horizon = overall_steps - warmup_steps(overall_steps, self.warmup_proportion)
-        return ScheduleSpec(
-            kind=self.schedule_kind,
-            eta0=self.eta0,
-            total_steps=max(1, horizon),
-            warmup_proportion=self.warmup_proportion,
-        )
+        return ScheduleSpec.for_budget(overall_steps, kind=self.schedule_kind, eta0=self.eta0)
 
 
 @dataclass
@@ -320,12 +311,7 @@ def _pretrain_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[s
 
 
 def _finetune_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[str, Any]:
-    return {
-        "options": [
-            sorted(options.tasks), asdict(options.search_space),
-            dict(options.stilt_sources) if options.stilt_sources is not None else None,
-        ],
-    }
+    return {"options": [sorted(options.tasks), asdict(options.search_space)]}
 
 
 @dataclass(frozen=True)
@@ -627,7 +613,7 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
     if not pretrain_checkpoint.exists():
         raise PipelineError(f"pretrained checkpoint missing: {pretrain_checkpoint}")
 
-    points = finetune_search(options.tasks, options.search_space, options.stilt_sources)
+    points = finetune_search(options.tasks, options.search_space)
     best: dict[str, tuple[TrainerJob, RunOutcome]] = {}
 
     def run_point(point: GridPoint) -> tuple[TrainerJob, RunOutcome]:

@@ -16,7 +16,7 @@ and with the pure-Python ``SafeLoader`` otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -146,8 +146,8 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in ("esd", "linear"):
             raise ScheduleError(f"unknown schedule kind: {self.kind!r}")
-        if self.eta0 <= 0:
-            raise ScheduleError("eta0 must be positive")
+        if not (math.isfinite(self.eta0) and self.eta0 > 0):
+            raise ScheduleError(f"eta0 must be positive and finite, not {self.eta0!r}")
         if self.kind == "esd" and not 0 < self.r < 1:
             raise ScheduleError("decay ratio r must lie in (0, 1)")
         if self.ell < 1:
@@ -161,6 +161,19 @@ class ScheduleSpec:
             # 2^-0.5), but require it to match r to float precision.
             if not math.isclose(float(self.r_squared) ** 0.5, self.r, rel_tol=1e-12):
                 raise ScheduleError("r_squared does not match r")
+
+    @classmethod
+    def for_budget(cls, overall_steps: int, **fields) -> ScheduleSpec:
+        """The spec of ``fields`` with its horizon T re-based to an overall step budget.
+
+        T is what the budget leaves after warmup, at least 1. The fields are
+        validated before the warmup split is computed from them.
+        """
+        if overall_steps < 0:
+            raise ScheduleError(f"overall step budget {overall_steps} is negative")
+        spec = cls(**fields)
+        horizon = overall_steps - warmup_steps(overall_steps, spec.warmup_proportion)
+        return replace(spec, total_steps=max(1, horizon))
 
 
 def warmup_steps(overall_steps: int, warmup_proportion: float) -> int:

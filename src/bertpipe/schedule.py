@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from .atomic import replace_text_when_done
 from .records import (
     DEFAULT_DECAY_RATIO, DEFAULT_DECAY_RATIO_SQUARED, DEFAULT_ELL, DEFAULT_ETA0,
     DEFAULT_WARMUP_PROPORTION, PRESETS, BenchmarkPreset, ScheduleError, ScheduleSpec, warmup_steps,
@@ -140,7 +141,8 @@ def emit_trace(spec: ScheduleSpec, overall_steps: int, out: str | Path) -> Path:
     """Write a per-step ``step\\tlr`` trace with a '#' summary header line.
 
     Data lines cover steps 0..overall_steps inclusive. Pure function of its
-    arguments: re-emission writes a byte-identical file.
+    arguments: re-emission writes a byte-identical file. Lines are streamed to
+    disk, and ``out`` is replaced whole once the last one is written.
     """
     out = Path(out)
     w = warmup_steps(overall_steps, spec.warmup_proportion)
@@ -153,14 +155,11 @@ def emit_trace(spec: ScheduleSpec, overall_steps: int, out: str | Path) -> Path:
         )
     else:
         stage_txt = f"(linear:{w}-{overall_steps}@{spec.eta0!r}->0.0)"
-    lines = [
-        f"# kind={spec.kind} eta0={spec.eta0!r} warmup_steps={w} "
-        f"overall_steps={overall_steps} stages={stage_txt}"
-    ]
-    for step in range(overall_steps + 1):
-        lines.append(f"{step}\t{schedule_value(step, overall_steps, spec)!r}")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replace_text_when_done(out) as trace:
+        trace.write(f"# kind={spec.kind} eta0={spec.eta0!r} warmup_steps={w} "
+                    f"overall_steps={overall_steps} stages={stage_txt}\n")
+        for step in range(overall_steps + 1):
+            trace.write(f"{step}\t{schedule_value(step, overall_steps, spec)!r}\n")
     return out
 
 
@@ -169,10 +168,5 @@ def preset_spec(name: str, kind: str = "esd") -> tuple[ScheduleSpec, int]:
     if name not in PRESETS:
         raise ScheduleError(f"unknown schedule preset: {name!r} (have {sorted(PRESETS)})")
     preset = PRESETS[name]
-    w = warmup_steps(preset.overall_steps, DEFAULT_WARMUP_PROPORTION)
-    spec = ScheduleSpec(
-        kind=kind,
-        eta0=preset.eta0,
-        total_steps=preset.overall_steps - w,
-    )
+    spec = ScheduleSpec.for_budget(preset.overall_steps, kind=kind, eta0=preset.eta0)
     return spec, preset.overall_steps

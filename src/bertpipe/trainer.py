@@ -26,7 +26,9 @@ Two adapters ship:
   ``loss(k) = loss_start * exp(-decay_per_lr * sum_{j<=k} lr_j) + loss_floor``
   so schedule quality is reflected in the outcome. It honors the validation
   cadence and early stopping, is fully deterministic, and leaves a per-step
-  TSV under the job's log directory.
+  TSV, ``steps.tsv``, under the job's log directory. Each row is written as
+  its step runs, so memory does not grow with the step count, and the file
+  replaces any earlier one only once the job's last step is logged.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from pathlib import Path
 from typing import Any, Protocol
 
 from . import glue
+from .atomic import replace_text_when_done
 from .records import RESULT_FILE, EarlyStopPolicy
 from .rng import derive_u64, keyed_uniform
 from .schedule import ScheduleSpec, schedule_value
@@ -47,6 +50,7 @@ from .schedule import ScheduleSpec, schedule_value
 PRETRAIN, FINETUNE = "pretrain", "finetune"
 
 METRIC_LINE_PREFIX = "final_val_metric"
+STEP_LOG_HEADER = "step\tlr\tloss\n"  # first line of the simulation's steps.tsv
 
 
 class TrainerError(Exception):
@@ -372,22 +376,22 @@ class SimulationTrainer:
 
         cum = 0.0
         loss = self.loss_start + self.loss_floor
-        rows: list[str] = []
         stopped_at: int | None = None
         steps_done = 0
-        for k in range(steps):
-            lr = schedule_value(k, steps, spec)
-            cum += lr
-            loss = self.loss_start * math.exp(-self.decay_per_lr * cum) + self.loss_floor
-            rows.append(f"{k}\t{lr!r}\t{loss!r}")
-            steps_done = k + 1
-            elapsed = steps_done / self.steps_per_minute
-            if self._is_validation_step(k, steps) and check_early_stop(elapsed, loss, policy):
-                stopped_at = k
-                break
-
         log_path = job.log_dir / "steps.tsv"
-        log_path.write_text("step\tlr\tloss\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with replace_text_when_done(log_path) as log:
+            log.write(STEP_LOG_HEADER)
+            for k in range(steps):
+                lr = schedule_value(k, steps, spec)
+                cum += lr
+                loss = self.loss_start * math.exp(-self.decay_per_lr * cum) + self.loss_floor
+                log.write(f"{k}\t{lr!r}\t{loss!r}\n")
+                steps_done = k + 1
+                elapsed = steps_done / self.steps_per_minute
+                if self._is_validation_step(k, steps) and check_early_stop(elapsed, loss, policy):
+                    stopped_at = k
+                    break
+
         checkpoint = job.output_dir / "checkpoint.json"
         checkpoint.write_text(
             json.dumps(
@@ -433,15 +437,17 @@ class SimulationTrainer:
         steps = epochs * math.ceil(n_train / batch_size)
         cum = 0.0
         loss = self.finetune_loss_start + self.finetune_loss_floor
-        rows = []
-        for k in range(steps):
-            step_lr = lr * (1 - k / steps)
-            cum += step_lr
-            loss = (
-                self.finetune_loss_start * math.exp(-self.finetune_decay_per_lr * cum)
-                + self.finetune_loss_floor
-            )
-            rows.append(f"{k}\t{step_lr!r}\t{loss!r}")
+        log_path = job.log_dir / "steps.tsv"
+        with replace_text_when_done(log_path) as log:
+            log.write(STEP_LOG_HEADER)
+            for k in range(steps):
+                step_lr = lr * (1 - k / steps)
+                cum += step_lr
+                loss = (
+                    self.finetune_loss_start * math.exp(-self.finetune_decay_per_lr * cum)
+                    + self.finetune_loss_floor
+                )
+                log.write(f"{k}\t{step_lr!r}\t{loss!r}\n")
 
         # Deterministic synthetic metric: saturating in upstream checkpoint
         # quality and tuning effort, plus a keyed per-run jitter.
@@ -450,9 +456,6 @@ class SimulationTrainer:
         tune = 0.05 * (1 - math.exp(-self.finetune_decay_per_lr * cum / 10))
         jitter = (keyed_uniform("sim-metric", task.name, hp_key) - 0.5) * 0.04
         metric = round(base + tune + jitter, 6)
-
-        log_path = job.log_dir / "steps.tsv"
-        log_path.write_text("step\tlr\tloss\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
         predictions = job.output_dir / "predictions.tsv"
         with open(predictions, "w", encoding="utf-8") as fh:

@@ -8,6 +8,8 @@ import zipfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from bertpipe.cli import _options_from_args, build_parser, main
 from bertpipe.pipeline import STAGES, PipelineOptions
 from bertpipe.synthdata import generate_corpus
@@ -124,6 +126,20 @@ def test_schedule_error_is_reported(tmp_path, capsys):
     assert main(["schedule", "trace", "--decay-ratio", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: decay ratio r must lie in (0, 1)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--decay-ratio", "nan"], "decay ratio r must lie in (0, 1)"),
+    (["--decay-ratio", "inf"], "decay ratio r must lie in (0, 1)"),
+    (["--warmup-proportion", "nan"], "warmup_proportion must lie in [0, 1)"),
+    (["--steps", "-5"], "overall step budget -5 is negative"),
+    (["--eta0", "nan"], "eta0 must be positive and finite, not nan"),
+])
+def test_schedule_trace_rejects_bad_flags(tmp_path, capsys, flags, message):
+    out = tmp_path / "trace.tsv"
+    assert main(["schedule", "trace", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _src_env() -> dict:

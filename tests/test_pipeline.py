@@ -399,6 +399,7 @@ class TestRerunReactsToChanges:
     @pytest.mark.parametrize("stage, budget, options, message", [
         ("dataset", "0.001", {}, "memory budget 1073741 below the 16777216-byte floor"),
         ("pretrain", "0.25", {"eta0": 0}, "eta0 must be positive"),
+        ("pretrain", "0.25", {"eta0": float("nan")}, "eta0 must be positive and finite, not nan"),
     ])
     def test_invalid_option_fails_its_stage(self, tmp_path, stage, budget, options, message):
         # The digest builds the stage's shard plan or schedule, which reject these values.
@@ -452,6 +453,6 @@ class TestRerunReactsToChanges:
             "env_check": "cf7544db5e3496a4",
             "dataset": "181bd8dfa55f68dd",
             "pretrain": "5dc4ff3dcf79e5dc",
-            "finetune": "891732b63643f586",
-            "collect": "8eaa94fc86bbc806",
+            "finetune": "d8c0b4bad7da8242",
+            "collect": "dd3ccab693df5c75",
         }

@@ -210,6 +210,28 @@ class TestEmitTrace:
         rows = oracle_stage_map(2e-3, 6, 21620)
         assert values[-1] == pytest.approx(rows[-1][2], rel=1e-12)
 
+    @pytest.mark.parametrize("spec, overall", [
+        (ScheduleSpec(total_steps=21620), 23000),
+        (ScheduleSpec(kind="linear", eta0=1.0, total_steps=9), 10),
+        (ScheduleSpec(r=0.9, r_squared=None, ell=3, warmup_proportion=0.0, total_steps=777), 777),
+        (ScheduleSpec(total_steps=1), 0),
+    ])
+    def test_trace_bytes_match_joined_lines(self, tmp_path, spec, overall):
+        # Reference: the whole trace built as a list of lines and joined once.
+        w = warmup_steps(overall, spec.warmup_proportion)
+        if spec.kind == "esd":
+            table = stage_table(replace(spec, total_steps=max(1, overall - w)))
+            stage_txt = " ".join(f"({s.exponent}:{s.first_step + w}-{s.last_step + w}@{s.lr!r})"
+                                 for s in table if s.first_step <= s.last_step)
+        else:
+            stage_txt = f"(linear:{w}-{overall}@{spec.eta0!r}->0.0)"
+        lines = [f"# kind={spec.kind} eta0={spec.eta0!r} warmup_steps={w} "
+                 f"overall_steps={overall} stages={stage_txt}"]
+        lines += [f"{k}\t{schedule_value(k, overall, spec)!r}" for k in range(overall + 1)]
+        path = emit_trace(spec, overall, tmp_path / "trace.tsv")
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_reemission_is_byte_identical(self, tmp_path):
         spec = ScheduleSpec(total_steps=94)
         a = emit_trace(spec, 100, tmp_path / "a.tsv").read_bytes()
@@ -246,3 +268,17 @@ class TestSpecValidation:
     def test_bad_kind(self):
         with pytest.raises(ScheduleError):
             ScheduleSpec(kind="cosine", total_steps=10)
+
+    @pytest.mark.parametrize("eta0", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+    def test_eta0_must_be_positive_and_finite(self, eta0):
+        with pytest.raises(ScheduleError, match="eta0 must be positive and finite"):
+            ScheduleSpec(eta0=eta0, total_steps=10)
+
+    def test_spec_for_budget(self):
+        spec = ScheduleSpec.for_budget(23000, kind="linear", eta0=1e-3)
+        assert spec == ScheduleSpec(kind="linear", eta0=1e-3, total_steps=23000 - 1380)
+        assert ScheduleSpec.for_budget(0).total_steps == 1
+        with pytest.raises(ScheduleError, match="overall step budget -5 is negative"):
+            ScheduleSpec.for_budget(-5)
+        with pytest.raises(ScheduleError, match="warmup_proportion"):
+            ScheduleSpec.for_budget(100, warmup_proportion=float("nan"))

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from bertpipe.search import (
     select_best,
 )
 from bertpipe.trainer import (
+    SIM_TRAIN_EXAMPLES,
     EarlyStopPolicy,
     ExternalCommandTrainer,
     RunOutcome,
@@ -105,21 +108,42 @@ class TestBuildPretrainJob:
             TrainerJob(kind="pretrain", job_id="x", argv=(), stilt_parent="MNLI")
 
 
+def _pretrain_job(tmp_path, tag, steps, kind="esd", eta0=2e-3, early_stop=None):
+    horizon = max(1, steps - warmup_steps(steps, 0.06))
+    return TrainerJob(
+        kind="pretrain",
+        job_id=f"pretrain/{tag}",
+        argv=(),
+        hyperparams={"num_steps": steps,
+                     "schedule": ScheduleSpec(kind=kind, eta0=eta0, total_steps=horizon),
+                     "early_stop": early_stop or EarlyStopPolicy(enabled=False)},
+        output_dir=tmp_path / tag / "model",
+        log_dir=tmp_path / tag / "log",
+    )
+
+
+def _finetune_job(tmp_path, tag="f", task="RTE", lr=3e-5, batch_size=16, epochs=3,
+                  checkpoint_quality=30.0):
+    checkpoint = tmp_path / tag / "ckpt.json"
+    checkpoint.parent.mkdir(parents=True, exist_ok=True)
+    checkpoint.write_text(json.dumps({"quality": checkpoint_quality}))
+    return TrainerJob(
+        kind="finetune",
+        job_id=f"finetune/{task}/{tag}",
+        argv=("--model_name_or_path", str(checkpoint)),
+        task=task,
+        hyperparams={"learning_rate": lr, "batch_size": batch_size, "epochs": epochs},
+        output_dir=tmp_path / tag / "out",
+        log_dir=tmp_path / tag / "log",
+    )
+
+
 class TestSimulationPretrain:
     def _run(self, tmp_path, kind="esd", steps=500, eta0=2e-3, tag="a"):
-        w = warmup_steps(steps, 0.06)
-        spec = ScheduleSpec(kind=kind, eta0=eta0, total_steps=max(1, steps - w))
+        job = _pretrain_job(tmp_path, tag, steps, kind, eta0)
         trainer = SimulationTrainer()
-        job = TrainerJob(
-            kind="pretrain",
-            job_id=f"pretrain/{tag}",
-            argv=(),
-            hyperparams={"num_steps": steps, "schedule": spec,
-                         "early_stop": EarlyStopPolicy(enabled=False)},
-            output_dir=tmp_path / tag / "model",
-            log_dir=tmp_path / tag / "log",
-        )
         outcome = trainer.run(job)
+        spec = job.hyperparams["schedule"]
         total_lr = sum(schedule_value(k, steps, spec) for k in range(steps))
         return outcome, total_lr, trainer
 
@@ -165,23 +189,102 @@ class TestSimulationPretrain:
         assert steps_logged < 200  # stopped before the budget
 
 
-class TestSimulationFinetune:
-    def _job(self, tmp_path, task="RTE", lr=3e-5, checkpoint_quality=30.0, tag="f"):
-        checkpoint = tmp_path / tag / "ckpt.json"
-        checkpoint.parent.mkdir(parents=True, exist_ok=True)
-        checkpoint.write_text(json.dumps({"quality": checkpoint_quality}))
-        return TrainerJob(
-            kind="finetune",
-            job_id=f"finetune/{task}/x",
-            argv=("--model_name_or_path", str(checkpoint)),
-            task=task,
-            hyperparams={"learning_rate": lr, "batch_size": 16, "epochs": 3},
-            output_dir=tmp_path / tag / "out",
-            log_dir=tmp_path / tag / "log",
-        )
+def _joined_pretrain_log(job: TrainerJob, trainer: SimulationTrainer) -> bytes:
+    """Reference steps.tsv of a pretrain job: every row kept in a list, joined once."""
+    steps, spec = job.hyperparams["num_steps"], job.hyperparams["schedule"]
+    rows, cum = [], 0.0
+    for k in range(steps):
+        lr = schedule_value(k, steps, spec)
+        cum += lr
+        loss = trainer.loss_start * math.exp(-trainer.decay_per_lr * cum) + trainer.loss_floor
+        rows.append(f"{k}\t{lr!r}\t{loss!r}")
+        elapsed = (k + 1) / trainer.steps_per_minute
+        if trainer._is_validation_step(k, steps) and check_early_stop(
+                elapsed, loss, job.hyperparams["early_stop"]):
+            break
+    return ("step\tlr\tloss\n" + "\n".join(rows) + "\n").encode()
 
+
+def _joined_finetune_log(job: TrainerJob, trainer: SimulationTrainer) -> bytes:
+    """Reference steps.tsv of a finetune job: every row kept in a list, joined once."""
+    hp = job.hyperparams
+    steps = hp["epochs"] * math.ceil(SIM_TRAIN_EXAMPLES[job.task] / hp["batch_size"])
+    rows, cum = [], 0.0
+    for k in range(steps):
+        step_lr = hp["learning_rate"] * (1 - k / steps)
+        cum += step_lr
+        loss = (trainer.finetune_loss_start * math.exp(-trainer.finetune_decay_per_lr * cum)
+                + trainer.finetune_loss_floor)
+        rows.append(f"{k}\t{step_lr!r}\t{loss!r}")
+    return ("step\tlr\tloss\n" + "\n".join(rows) + "\n").encode()
+
+
+TIGHT_EARLY_STOP = EarlyStopPolicy(early_stop_time_minutes=0.05, early_stop_eval_loss=6.0)
+
+
+class TestStreamedStepLogs:
+    @pytest.mark.parametrize("kind, eta0, early_stop, stops", [
+        ("esd", 2e-3, EarlyStopPolicy(enabled=False), False),
+        ("linear", 2e-3, EarlyStopPolicy(), False),
+        # A vanishing rate keeps the loss above the policy's bar: the run stops.
+        ("esd", 1e-300, TIGHT_EARLY_STOP, True),
+        ("linear", 1e-300, TIGHT_EARLY_STOP, True),
+    ])
+    def test_pretrain_log_bytes_match_joined_rows(self, tmp_path, kind, eta0, early_stop, stops):
+        trainer = SimulationTrainer()
+        job = _pretrain_job(tmp_path, "p", 500, kind, eta0, early_stop)
+        outcome = trainer.run(job)
+        written = outcome.log_path.read_bytes()
+        assert written == _joined_pretrain_log(job, trainer)
+        assert (written.count(b"\n") - 1 < 500) == stops
+        checkpoint = json.loads(outcome.checkpoint_path.read_text())
+        assert checkpoint["steps"] == written.count(b"\n") - 1
+
+    @pytest.mark.parametrize("task, batch_size, epochs", [("RTE", 16, 3), ("MNLI", 32, 5)])
+    def test_finetune_log_bytes_match_joined_rows(self, tmp_path, task, batch_size, epochs):
+        trainer = SimulationTrainer()
+        job = _finetune_job(tmp_path, "f", task, batch_size=batch_size, epochs=epochs)
+        assert trainer.run(job).log_path.read_bytes() == _joined_finetune_log(job, trainer)
+
+    def test_pretrain_memory_does_not_grow_with_steps(self, tmp_path):
+        # The log goes to disk row by row: a 100x longer job peaks no higher.
+        def traced_peak(steps: int) -> int:
+            job = _pretrain_job(tmp_path, f"s{steps}", steps)
+            tracemalloc.start()
+            try:
+                SimulationTrainer().run(job)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(575), traced_peak(57_500)
+        assert large < small + 256 * 1024, (small, large)
+
+    @pytest.mark.parametrize("writer", ["pretrain", "finetune"])
+    def test_failed_write_keeps_the_earlier_log(self, tmp_path, writer):
+        # A file-size limit makes the log write fail partway, as a full disk would.
+        resource = pytest.importorskip("resource")
+        job = (_pretrain_job(tmp_path, "p", 575) if writer == "pretrain"
+               else _finetune_job(tmp_path, "f"))
+        log = job.log_dir / "steps.tsv"
+        log.parent.mkdir(parents=True)
+        log.write_text("step\tlr\tloss\nan earlier run\n")
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, hard))
+        try:
+            with pytest.raises(OSError):
+                SimulationTrainer().run(job)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert log.read_text() == "step\tlr\tloss\nan earlier run\n"
+        assert list(log.parent.iterdir()) == [log]
+
+
+class TestSimulationFinetune:
     def test_outputs_and_metric(self, tmp_path):
-        outcome = SimulationTrainer().run(self._job(tmp_path))
+        outcome = SimulationTrainer().run(_finetune_job(tmp_path))
         assert outcome.val_metric is not None and 0 < outcome.val_metric < 1
         assert outcome.metric_name == "accuracy"
         assert (tmp_path / "f" / "out" / "predictions.tsv").is_file()
@@ -189,12 +292,12 @@ class TestSimulationFinetune:
         assert outcome.log_path == tmp_path / "f" / "log" / "steps.tsv"
 
     def test_better_checkpoint_better_metric(self, tmp_path):
-        low = SimulationTrainer().run(self._job(tmp_path, checkpoint_quality=1.0, tag="lo"))
-        high = SimulationTrainer().run(self._job(tmp_path, checkpoint_quality=40.0, tag="hi"))
+        low = SimulationTrainer().run(_finetune_job(tmp_path, checkpoint_quality=1.0, tag="lo"))
+        high = SimulationTrainer().run(_finetune_job(tmp_path, checkpoint_quality=40.0, tag="hi"))
         assert high.val_metric > low.val_metric
 
     def test_regression_task_predictions(self, tmp_path):
-        outcome = SimulationTrainer().run(self._job(tmp_path, task="STS-B", tag="sts"))
+        outcome = SimulationTrainer().run(_finetune_job(tmp_path, task="STS-B", tag="sts"))
         lines = (tmp_path / "sts" / "out" / "predictions.tsv").read_text().splitlines()
         values = [float(l.split("\t")[1]) for l in lines]
         assert all(0 <= v <= 5 for v in values)
