@@ -14,16 +14,22 @@ never span documents and no next-sentence pairing is performed: one window,
 framed with [CLS]/[SEP], is one training instance; padding to max_seq_length
 is left to the consumer, since attention_len implies it.
 
-Instance file format (version 2), all little-endian: an 18-byte header of
-magic "XBINST01", format version u16, max_seq_length u16, id width u16 (2 or
-4 bytes) and instance count u32; then per instance attention_len u16,
-n_masked u16, input_ids as id-width ints x attention_len, masked_positions
-u16 x n_masked and masked_labels as id-width ints x n_masked. The id width
-is 2 when the vocabulary has at most 65536 entries, else 4.
+Instance file format (version 3), all little-endian. A 34-byte header:
+magic "XBINST01", format version u16, max_seq_length u16, id width u16 (2
+when the vocabulary has at most 65536 entries, else 4), copies per window
+(dup_factor) u32, the [CLS] and [SEP] ids u32, window count u32 and instance
+count u32. Then per window: its length u16, n_masked u16 (one value for all
+copies, since num_masked depends only on the window length) and its ids,
+stored once; then per copy its n_masked positions and the input id at each
+of them. Positions are u8 when max_seq_length <= 256, else u16; ids are
+id-width ints. Labels are not stored: the label at position p is
+window[p - 1], and the copy's input ids are [CLS] window [SEP] with the
+stored ids at its positions.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 from dataclasses import asdict, dataclass
@@ -42,8 +48,9 @@ from .tokenization import TokenSequence, Vocabulary, tokenize, vocab_digest
 
 INSTANCE_MAGIC = b"XBINST01"
 _VERSION = struct.Struct("<8sH")
-_LAYOUT = struct.Struct("<HHI")  # max_seq_length, id width, instance count
-_COUNTS = struct.Struct("<HH")
+# max_seq_length, id width, copies per window, [CLS] id, [SEP] id, windows, instances
+_LAYOUT = struct.Struct("<HHIIIII")
+_SHAPE = struct.Struct("<HH")  # window length, n_masked
 _ID_CODES = {2: "H", 4: "I"}
 
 
@@ -115,50 +122,73 @@ def apply_masking(
     )
 
 
+# One window's ids and its dup_factor masked copies, in copy order.
+MaskedWindow = tuple[list[int], list[MlmInstance]]
+
+
 def iter_document_instances(
     doc_id: int,
     text: str,
     policy: MaskingPolicy,
     vocab: Vocabulary,
-) -> Iterator[MlmInstance]:
+) -> Iterator[MaskedWindow]:
+    """A document's windows, each with its dup_factor masked copies."""
     tokens = tokenize(text, vocab, policy.do_lower_case)
     for window_idx, window in enumerate(segment_document(tokens, policy)):
         rng = keyed_rng(policy.seed, doc_id, window_idx, "mask")
-        for _ in range(policy.dup_factor):
-            yield apply_masking(window, policy, vocab, rng)
+        yield window, [apply_masking(window, policy, vocab, rng)
+                       for _ in range(policy.dup_factor)]
 
 
-def _body_format(attention_len: int, n_masked: int, width: int) -> str:
-    """struct format of one record after its two u16 counts."""
-    code = _ID_CODES[width]
-    return f"{attention_len}{code}{n_masked}H{n_masked}{code}"
+def _formats(length: int, n_masked: int, width: int, max_seq_length: int) -> tuple[str, str]:
+    """struct formats of a window's ids and of one copy's positions and ids."""
+    id_code, pos_code = _ID_CODES[width], "B" if max_seq_length <= 256 else "H"
+    return f"{length}{id_code}", f"{n_masked}{pos_code}{n_masked}{id_code}"
 
 
-def write_instance_file(path: Path, instances: Iterable[MlmInstance],
-                        max_seq_length: int, vocab_size: int) -> int:
-    """Stream instances into one file; returns the instance count.
+def write_instance_file(path: Path, windows: Iterable[MaskedWindow],
+                        policy: MaskingPolicy, vocab: Vocabulary) -> int:
+    """Stream masked windows into one file; returns the instance count.
 
-    The file appears at ``path`` only once every instance is written.
+    Each window comes with its ``policy.dup_factor`` copies, as
+    ``apply_masking`` made them from it: a copy is stored as its positions
+    and the input ids there, which rebuild it exactly. One window's copies
+    are held at a time, and the file appears at ``path`` only once every
+    window is written.
     """
-    width = 2 if vocab_size <= 1 << 16 else 4
-    version = _VERSION.pack(INSTANCE_MAGIC, INSTANCE_FORMAT_VERSION)
-    # One struct per record shape; n_masked follows attention_len, so a file
-    # needs at most max_seq_length of them.
+    width = 2 if len(vocab) <= 1 << 16 else 4
+    copies = policy.dup_factor
+
+    def header(n_windows: int) -> bytes:
+        return _VERSION.pack(INSTANCE_MAGIC, INSTANCE_FORMAT_VERSION) + _LAYOUT.pack(
+            policy.max_seq_length, width, copies, vocab.cls_id, vocab.sep_id, n_windows,
+            n_windows * copies)
+
+    # One struct per window shape; n_masked follows the window length, so a
+    # file needs at most max_seq_length - 2 of them.
     records: dict[tuple[int, int], struct.Struct] = {}
-    count = 0
+    n_windows = 0
     with replace_when_done(path) as fh:
-        fh.write(version + _LAYOUT.pack(max_seq_length, width, 0))
-        for inst in instances:
-            shape = (inst.attention_len, len(inst.masked_positions))
+        fh.write(header(0))
+        for window, masked in windows:
+            if len(masked) != copies:
+                raise ValueError(f"a window has {len(masked)} copies, not {copies}")
+            shape = (len(window), len(masked[0].masked_positions))
             record = records.get(shape)
             if record is None:
-                record = records[shape] = struct.Struct("<HH" + _body_format(*shape, width))
-            fh.write(record.pack(*shape, *inst.input_ids, *inst.masked_positions,
-                                 *inst.masked_labels))
-            count += 1
+                window_format, copy_format = _formats(*shape, width, policy.max_seq_length)
+                record = records[shape] = struct.Struct(
+                    "<HH" + window_format + copy_format * copies)
+            values = [*shape, *window]
+            for inst in masked:
+                ids, positions = inst.input_ids, inst.masked_positions
+                values += positions
+                values += [ids[pos] for pos in positions]
+            fh.write(record.pack(*values))
+            n_windows += 1
         fh.seek(0)
-        fh.write(version + _LAYOUT.pack(max_seq_length, width, count))
-    return count
+        fh.write(header(n_windows))
+    return n_windows * copies
 
 
 def read_instances(path: str | Path) -> Iterator[MlmInstance]:
@@ -169,12 +199,15 @@ def read_instances(path: str | Path) -> Iterator[MlmInstance]:
     except OSError as exc:
         raise InstanceFileError(f"cannot open instance file {path}: {exc}") from exc
     with fh:
+        size = os.fstat(fh.fileno()).st_size
+
         def take(n: int) -> bytes:
-            data = fh.read(n)
+            # Checked against the file size first: a damaged count must not
+            # make a huge read.
+            offset = fh.tell()
+            data = fh.read(n) if offset + n <= size else b""
             if len(data) != n:
-                raise InstanceFileError(
-                    f"truncated instance file {path} at byte offset {fh.tell() - len(data)}"
-                )
+                raise InstanceFileError(f"truncated instance file {path} at byte offset {offset}")
             return data
 
         magic, version = _VERSION.unpack(take(_VERSION.size))
@@ -182,23 +215,41 @@ def read_instances(path: str | Path) -> Iterator[MlmInstance]:
             raise InstanceFileError(f"bad instance magic in {path} at byte offset 0")
         if version != INSTANCE_FORMAT_VERSION:
             raise InstanceFileError(f"unsupported instance format version {version} in {path}")
-        _seq_len, width, count = _LAYOUT.unpack(take(_LAYOUT.size))
+        seq_len, width, copies, cls_id, sep_id, windows, count = _LAYOUT.unpack(
+            take(_LAYOUT.size))
         if width not in _ID_CODES:
             raise InstanceFileError(f"bad id width {width} in {path} at byte offset 12")
-        bodies: dict[tuple[int, int], struct.Struct] = {}
-        for _ in range(count):
-            shape = _COUNTS.unpack(take(_COUNTS.size))
-            body = bodies.get(shape)
-            if body is None:
-                body = bodies[shape] = struct.Struct("<" + _body_format(*shape, width))
-            fields = body.unpack(take(body.size))
-            attention_len, n_masked = shape
-            yield MlmInstance(
-                input_ids=fields[:attention_len],
-                attention_len=attention_len,
-                masked_positions=fields[attention_len : attention_len + n_masked],
-                masked_labels=fields[attention_len + n_masked :],
-            )
+        if count != windows * copies:
+            raise InstanceFileError(f"{count} instances for {windows} windows of {copies} "
+                                    f"copies in {path} at byte offset 26")
+        structs: dict[tuple[int, int], tuple[struct.Struct, struct.Struct]] = {}
+        for _ in range(windows):
+            offset = fh.tell()
+            shape = length, n_masked = _SHAPE.unpack(take(_SHAPE.size))
+            if not 0 < n_masked <= length <= seq_len - 2:
+                raise InstanceFileError(f"bad window shape {shape} in {path} "
+                                        f"at byte offset {offset}")
+            pair = structs.get(shape)
+            if pair is None:
+                pair = structs[shape] = tuple(
+                    struct.Struct("<" + f) for f in _formats(length, n_masked, width, seq_len))
+            window_struct, copy_struct = pair
+            data = take(window_struct.size + copies * copy_struct.size)
+            frame = [cls_id, *window_struct.unpack_from(data), sep_id]
+            for fields in copy_struct.iter_unpack(memoryview(data)[window_struct.size:]):
+                positions = fields[:n_masked]
+                if min(positions) < 1 or max(positions) > length:
+                    raise InstanceFileError(f"masked position out of window in {path} "
+                                            f"at byte offset {offset}")
+                input_ids = frame.copy()
+                for pos, token in zip(positions, fields[n_masked:]):
+                    input_ids[pos] = token
+                yield MlmInstance(
+                    input_ids=tuple(input_ids),
+                    attention_len=length + 2,
+                    masked_positions=positions,
+                    masked_labels=tuple(map(frame.__getitem__, positions)),
+                )
 
 
 def instance_rel_path(split: str, index: int) -> str:
@@ -234,12 +285,11 @@ def _generate_for_shard(shard_path: str, out_path: str, policy: MaskingPolicy,
     if vocab is None:
         vocab = _worker_vocab
 
-    def all_instances() -> Iterator[MlmInstance]:
+    def all_windows() -> Iterator[MaskedWindow]:
         for doc_id, text in read_shard(Path(shard_path)):
             yield from iter_document_instances(doc_id, text, policy, vocab)
 
-    return write_instance_file(Path(out_path), all_instances(), policy.max_seq_length,
-                               len(vocab))
+    return write_instance_file(Path(out_path), all_windows(), policy, vocab)
 
 
 def generate_instances(

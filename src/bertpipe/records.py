@@ -24,7 +24,7 @@ from pathlib import Path
 import yaml
 
 SHARD_FORMAT_VERSION = 2
-INSTANCE_FORMAT_VERSION = 2
+INSTANCE_FORMAT_VERSION = 3
 META_NAME = "META.yaml"
 RESULT_FILE = "RESULT.tsv"
 RUNS_INDEX = "RUNS.tsv"
@@ -148,7 +148,7 @@ class ScheduleSpec:
             raise ScheduleError(f"unknown schedule kind: {self.kind!r}")
         if not (math.isfinite(self.eta0) and self.eta0 > 0):
             raise ScheduleError(f"eta0 must be positive and finite, not {self.eta0!r}")
-        if self.kind == "esd" and not 0 < self.r < 1:
+        if not 0 < self.r < 1:
             raise ScheduleError("decay ratio r must lie in (0, 1)")
         if self.ell < 1:
             raise ScheduleError("ell must be a positive integer")
@@ -216,6 +216,13 @@ class SearchSpace:
     def __post_init__(self):
         if not self.learning_rates or not self.batch_sizes or not self.epochs:
             raise SearchError("hyperparameter grid has an empty dimension")
+        for lr in self.learning_rates:
+            if not (math.isfinite(lr) and lr > 0):
+                raise SearchError(f"learning rate must be positive and finite, not {lr!r}")
+        for name, values in (("batch size", self.batch_sizes), ("epoch count", self.epochs)):
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                    raise SearchError(f"{name} must be a positive integer, not {value!r}")
 
     def __len__(self) -> int:
         return len(self.learning_rates) * len(self.batch_sizes) * len(self.epochs)

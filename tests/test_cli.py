@@ -134,6 +134,7 @@ def test_schedule_error_is_reported(tmp_path, capsys):
     (["--warmup-proportion", "nan"], "warmup_proportion must lie in [0, 1)"),
     (["--steps", "-5"], "overall step budget -5 is negative"),
     (["--eta0", "nan"], "eta0 must be positive and finite, not nan"),
+    (["--kind", "linear", "--decay-ratio", "nan"], "decay ratio r must lie in (0, 1)"),
 ])
 def test_schedule_trace_rejects_bad_flags(tmp_path, capsys, flags, message):
     out = tmp_path / "trace.tsv"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import hashlib
 import struct
 
 import pytest
@@ -15,6 +17,7 @@ from bertpipe.instances import (
     MaskingPolicy,
     apply_masking,
     generate_instances,
+    instance_rel_path,
     iter_document_instances,
     load_meta,
     mask_rate_report,
@@ -26,7 +29,7 @@ from bertpipe.instances import (
 from bertpipe.rng import keyed_rng
 from bertpipe.sharding import ShardPlan, shard_corpus
 from bertpipe.synthdata import generate_corpus
-from bertpipe.tokenization import Vocabulary, vocab_digest
+from bertpipe.tokenization import Vocabulary, make_vocabulary, vocab_digest
 
 
 class TestPolicy:
@@ -165,28 +168,30 @@ class TestGenerateInstances:
 
         text = "the new world of state and work " * 30  # one long document
         policy = MaskingPolicy(dup_factor=10, seed=42)
-        instances = list(iter_document_instances(3, text, policy, mini_vocab))
+        masked = list(iter_document_instances(3, text, policy, mini_vocab))
         windows = segment_document(tokenize(text, mini_vocab), policy)
-        assert len(instances) == len(windows) * 10
-        first_window = instances[:10]
+        assert [window for window, _ in masked] == windows
+        assert [len(copies) for _, copies in masked] == [10] * len(windows)
+        first_window = masked[0][1]
         position_sets = {tuple(i.masked_positions) for i in first_window}
         assert len(position_sets) >= 2  # independent masking per dup at seed 42
-        # Same underlying content: reconstruction equality across dups.
+        # Same underlying content: every copy rebuilds [CLS] window [SEP].
         rebuilt = set()
         for inst in first_window:
             ids = list(inst.input_ids)
             for pos, label in zip(inst.masked_positions, inst.masked_labels):
                 ids[pos] = label
             rebuilt.add(tuple(ids))
-        assert len(rebuilt) == 1
+        assert rebuilt == {(mini_vocab.cls_id, *windows[0], mini_vocab.sep_id)}
 
     def test_dup_factor_one(self, tmp_path, mini_vocab):
         text = "the new world of state and work " * 30
         policy = MaskingPolicy(dup_factor=1, seed=42)
-        instances = list(iter_document_instances(3, text, policy, mini_vocab))
+        masked = list(iter_document_instances(3, text, policy, mini_vocab))
         from bertpipe.tokenization import tokenize
 
-        assert len(instances) == len(segment_document(tokenize(text, mini_vocab), policy))
+        assert len(masked) == len(segment_document(tokenize(text, mini_vocab), policy))
+        assert [len(copies) for _, copies in masked] == [1] * len(masked)
 
     def test_one_keyed_stream_per_window(self, mini_vocab, monkeypatch):
         # The dup_factor copies of a window share one stream; iter_document_instances
@@ -202,10 +207,10 @@ class TestGenerateInstances:
         monkeypatch.setattr(instances_module, "keyed_rng", counting_keyed_rng)
         text = "the new world of state and work " * 60
         policy = MaskingPolicy(dup_factor=10, seed=42)
-        instances = list(iter_document_instances(3, text, policy, mini_vocab))
+        masked = list(iter_document_instances(3, text, policy, mini_vocab))
         windows = segment_document(tokenize(text, mini_vocab), policy)
         assert len(windows) >= 2
-        assert len(instances) == 10 * len(windows)
+        assert sum(len(copies) for _, copies in masked) == 10 * len(windows)
         assert keys == [(42, 3, w, "mask") for w in range(len(windows))]
 
     def test_worker_counts_byte_identical(self, tmp_path, mini_vocab):
@@ -218,6 +223,22 @@ class TestGenerateInstances:
         assert g1.num_instances == g2.num_instances > 0
         for f1, f2 in zip(g1.files, g2.files):
             assert f1.path.read_bytes() == f2.path.read_bytes()
+
+    # sha256 of the instance files below, each preceded by its relative path.
+    PINNED_INSTANCE_BYTES = "7979745029280ad5c748e05d810c683834aa6ec079746fc097af7dcad76225ab"
+
+    def test_instance_bytes_are_pinned(self, tmp_path, mini_vocab):
+        # Format v3 on a fixed synthdata corpus: a change to the layout, the
+        # masking or the keyed draws shows here, at any worker count.
+        sharding = self._shards(tmp_path, size=40_000)
+        policy = MaskingPolicy(dup_factor=3, seed=42)
+        for workers in (1, 2):
+            gen = generate_instances(sharding.shards, policy, mini_vocab,
+                                     tmp_path / f"p{workers}", "did", n_workers=workers)
+            digest = hashlib.sha256()
+            for f in gen.files:
+                digest.update(instance_rel_path(f.split, f.index).encode() + f.path.read_bytes())
+            assert (len(gen.files), digest.hexdigest()) == (3, self.PINNED_INSTANCE_BYTES)
 
     def test_vocabulary_sent_once_per_worker(self, tmp_path, mini_vocab, monkeypatch):
         # Counted in this process: a task's arguments are pickled here, and a
@@ -270,70 +291,124 @@ class TestGenerateInstances:
         self.test_meta_contents(tmp_path, mini_vocab)
 
 
-class TestInstanceFiles:
-    def _round_trip(self, tmp_path, instances, seq_len, vocab_size):
-        path = tmp_path / "x.xbi"
-        count = write_instance_file(path, instances, seq_len, vocab_size)
-        return path, count
+@functools.cache
+def sized_vocab(size: int) -> Vocabulary:
+    """A vocabulary of ``size`` entries: the five specials, then w0, w1, ..."""
+    specials = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
+    return make_vocabulary(specials + [f"w{i}" for i in range(size - len(specials))])
 
-    def _masked(self, mini_vocab, copies):
-        window = [mini_vocab.token_to_id["world"]] * 30
-        rng = keyed_rng(1, 0, "mask")
-        return [apply_masking(window, MaskingPolicy(), mini_vocab, rng) for _ in range(copies)]
+
+def masked_windows(windows, policy, vocab):
+    """Each window with its dup_factor copies, drawn as the pipeline draws them."""
+    out = []
+    for index, window in enumerate(windows):
+        rng = keyed_rng(policy.seed, index, "mask")
+        out.append((window, [apply_masking(window, policy, vocab, rng)
+                             for _ in range(policy.dup_factor)]))
+    return out
+
+
+def v3_file_size(windows, policy, vocab_size):
+    """Header, then per window its shape, its ids and per copy positions + ids."""
+    width = 2 if vocab_size <= 65536 else 4
+    position = 1 if policy.max_seq_length <= 256 else 2
+    return 34 + sum(4 + width * len(w) + policy.dup_factor * num_masked(len(w), policy)
+                    * (position + width) for w in windows)
+
+
+def test_instance_file_round_trip_property(tmp_path):
+    # Reading a file back gives exactly what apply_masking made, at both id
+    # widths and both position widths, and the file has the layout's size.
+    path = tmp_path / "x.xbi"
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), seq_len=st.sampled_from([128, 512]),
+           size=st.sampled_from([65_536, 65_537]), dup=st.integers(1, 10))
+    def inner(data, seq_len, size, dup):
+        vocab = sized_vocab(size)
+        policy = MaskingPolicy(max_seq_length=seq_len, dup_factor=dup, seed=7)
+        lengths = data.draw(st.lists(st.integers(1, seq_len - 2), max_size=3))
+        windows = [data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+                   for n in lengths]
+        masked = masked_windows(windows, policy, vocab)
+        assert write_instance_file(path, masked, policy, vocab) == dup * len(windows)
+        assert list(read_instances(path)) == [inst for _, copies in masked for inst in copies]
+        assert path.stat().st_size == v3_file_size(windows, policy, size)
+
+    inner()
+
+
+class TestInstanceFiles:
+    def _masked(self, mini_vocab, copies, length=30):
+        window = [mini_vocab.token_to_id["world"]] * length
+        return masked_windows([window], MaskingPolicy(dup_factor=copies), mini_vocab)[0]
 
     def test_round_trip(self, tmp_path, mini_vocab):
-        original = self._masked(mini_vocab, 3)
-        path, count = self._round_trip(tmp_path, original, 128, len(mini_vocab))
+        window, original = self._masked(mini_vocab, 3)
+        path = tmp_path / "x.xbi"
+        count = write_instance_file(path, [(window, original)], MaskingPolicy(dup_factor=3),
+                                    mini_vocab)
         loaded = list(read_instances(path))
         assert count == len(loaded) == 3
-        for a, b in zip(original, loaded):
-            assert tuple(a.input_ids) == tuple(b.input_ids)
-            assert a.attention_len == b.attention_len
-            assert tuple(a.masked_positions) == tuple(b.masked_positions)
-            assert tuple(a.masked_labels) == tuple(b.masked_labels)
+        assert loaded == original
+        assert len({inst.masked_positions for inst in loaded}) > 1
 
-    def test_header_magic(self, tmp_path):
-        path, _ = self._round_trip(tmp_path, [], 128, 30522)
+    def test_header_magic(self, tmp_path, mini_vocab):
+        path = tmp_path / "x.xbi"
+        assert write_instance_file(path, [], MaskingPolicy(), mini_vocab) == 0
         raw = path.read_bytes()
         assert raw[:8] == b"XBINST01"
-        assert struct.unpack("<HHHI", raw[8:]) == (2, 128, 2, 0)
+        # version, max_seq_length, id width, copies, [CLS], [SEP], windows, instances
+        assert struct.unpack("<HHHIIIII", raw[8:]) == (
+            3, 128, 2, 10, mini_vocab.cls_id, mini_vocab.sep_id, 0, 0)
 
     def test_truncated_file_reports_offset(self, tmp_path, mini_vocab):
-        inst = self._masked(mini_vocab, 1)[0]
-        path, _ = self._round_trip(tmp_path, [inst, inst], 128, len(mini_vocab))
+        path = tmp_path / "x.xbi"
+        write_instance_file(path, [self._masked(mini_vocab, 1)] * 2, MaskingPolicy(dup_factor=1),
+                            mini_vocab)
         clipped = tmp_path / "clipped.xbi"
         clipped.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(InstanceFileError, match="byte offset"):
             list(read_instances(clipped))
 
     def test_truncated_record_offset_is_exact(self, tmp_path, mini_vocab):
-        # Header 18 B; a record is 2 counts + ids + positions + labels, all u16.
-        inst = self._masked(mini_vocab, 1)[0]
-        record = 2 * (2 + inst.attention_len + 2 * len(inst.masked_positions))
-        path, _ = self._round_trip(tmp_path, [inst, inst], 128, len(mini_vocab))
-        assert path.stat().st_size == 18 + 2 * record
+        # Header 34 B; a window record is its two u16 counts and 30 u16 ids,
+        # then per copy n_masked u8 positions and n_masked u16 ids.
+        policy = MaskingPolicy(dup_factor=2)
+        masked = self._masked(mini_vocab, 2)
+        n_masked = num_masked(30, policy)
+        assert n_masked == 4
+        record = 2 * (2 + 30) + 2 * n_masked * (1 + 2)
+        path = tmp_path / "x.xbi"
+        assert write_instance_file(path, [masked, masked], policy, mini_vocab) == 4
+        assert path.stat().st_size == 34 + 2 * record
         clipped = tmp_path / "clipped.xbi"
         clipped.write_bytes(path.read_bytes()[:-1])
-        second_body = 18 + record + 4
+        second_body = 34 + record + 4
         with pytest.raises(InstanceFileError, match=f"at byte offset {second_body}$"):
             list(read_instances(clipped))
 
     def test_wide_ids_round_trip(self, tmp_path):
-        ids = (1, 65535, 65536, 70_000, 2)
-        inst = MlmInstance(input_ids=ids, attention_len=5, masked_positions=(2, 3),
-                           masked_labels=(65536, 69_999))
-        path, _ = self._round_trip(tmp_path, [inst], 128, 70_001)
-        assert struct.unpack("<H", path.read_bytes()[12:14]) == (4,)
-        assert list(read_instances(path)) == [inst]
+        vocab = sized_vocab(70_001)
+        policy = MaskingPolicy(dup_factor=2)
+        masked = masked_windows([[65535, 65536, 70_000, 5, 69_999, 6, 7, 8]], policy, vocab)
+        path = tmp_path / "x.xbi"
+        write_instance_file(path, masked, policy, vocab)
+        raw = path.read_bytes()
+        assert struct.unpack("<H", raw[12:14]) == (4,)
+        assert len(raw) == 34 + 4 + 4 * 8 + 2 * 1 * (1 + 4)
+        assert list(read_instances(path)) == masked[0][1]
 
     def test_u16_width_up_to_65536_entries(self, tmp_path):
-        inst = MlmInstance(input_ids=(1, 65535, 2), attention_len=3, masked_positions=(1,),
-                           masked_labels=(65535,))
-        path, _ = self._round_trip(tmp_path, [inst], 128, 65536)
+        vocab = sized_vocab(65536)
+        policy = MaskingPolicy(dup_factor=1)
+        masked = masked_windows([[65535, 5, 65534]], policy, vocab)
+        path = tmp_path / "x.xbi"
+        write_instance_file(path, masked, policy, vocab)
         raw = path.read_bytes()
         assert struct.unpack("<H", raw[12:14]) == (2,)
-        assert len(raw) == 18 + 2 * (2 + 3 + 1 + 1)
-        assert list(read_instances(path)) == [inst]
+        assert len(raw) == 34 + 4 + 2 * 3 + 1 * (1 + 2)
+        assert list(read_instances(path)) == masked[0][1]
 
     def test_version_1_file_rejected(self, tmp_path):
         # A version 1 header followed by one padded record, as older builds wrote it.
@@ -343,18 +418,60 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFileError, match="unsupported instance format version 1 "):
             list(read_instances(v1))
 
+    def test_version_2_file_rejected(self, tmp_path):
+        # A version 2 header and one record (ids, positions and labels, all
+        # u16), as the previous format stored every copy whole.
+        v2 = tmp_path / "v2.xbi"
+        v2.write_bytes(struct.pack("<8sHHHI", b"XBINST01", 2, 128, 2, 1)
+                       + struct.pack("<HH3HHH", 3, 1, 2, 4, 3, 1, 7))
+        with pytest.raises(InstanceFileError,
+                           match=f"^unsupported instance format version 2 in {v2}$"):
+            list(read_instances(v2))
+
+    def test_wrong_copy_count_rejected(self, tmp_path, mini_vocab):
+        path = tmp_path / "x.xbi"
+        with pytest.raises(ValueError, match="a window has 2 copies, not 3"):
+            write_instance_file(path, [self._masked(mini_vocab, 2)], MaskingPolicy(dup_factor=3),
+                                mini_vocab)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_position_outside_window_rejected(self, tmp_path, mini_vocab):
+        # A position past the window would overwrite [SEP]; the reader names the window.
+        path = tmp_path / "x.xbi"
+        write_instance_file(path, [self._masked(mini_vocab, 1, length=8)],
+                            MaskingPolicy(dup_factor=1), mini_vocab)
+        raw = bytearray(path.read_bytes())
+        assert len(raw) == 34 + 4 + 2 * 8 + 1 + 2
+        raw[34 + 4 + 2 * 8] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InstanceFileError, match="position out of window .* byte offset 34$"):
+            list(read_instances(path))
+
+    def test_damaged_counts_fail_before_a_huge_read(self, tmp_path, mini_vocab):
+        # Copy and instance counts that agree but are far too large end in a
+        # truncation error at the window's body, not in a read of that size.
+        path = tmp_path / "x.xbi"
+        write_instance_file(path, [self._masked(mini_vocab, 1, length=8)],
+                            MaskingPolicy(dup_factor=1), mini_vocab)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 14, 2**32 - 1)  # copies per window
+        struct.pack_into("<I", raw, 30, 2**32 - 1)  # instances, for its one window
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InstanceFileError, match="truncated instance file .* byte offset 38$"):
+            list(read_instances(path))
+
     def test_failed_write_leaves_no_file(self, tmp_path, mini_vocab):
         path = tmp_path / "x.xbi"
         seen_mid_file = []
 
         def failing():
-            yield from self._masked(mini_vocab, 2)
+            yield self._masked(mini_vocab, 2)
             # What a killed process would leave behind at this point.
             seen_mid_file.append(path.exists())
             raise RuntimeError("tokenizer crashed")
 
         with pytest.raises(RuntimeError, match="tokenizer crashed"):
-            write_instance_file(path, failing(), 128, len(mini_vocab))
+            write_instance_file(path, failing(), MaskingPolicy(dup_factor=2), mini_vocab)
         assert seen_mid_file == [False]
         assert list(tmp_path.iterdir()) == []
 

@@ -451,8 +451,8 @@ class TestRerunReactsToChanges:
                 stage, cfg, PipelineOptions(), upstream)
         assert digests == {
             "env_check": "cf7544db5e3496a4",
-            "dataset": "181bd8dfa55f68dd",
-            "pretrain": "5dc4ff3dcf79e5dc",
-            "finetune": "d8c0b4bad7da8242",
-            "collect": "dd3ccab693df5c75",
+            "dataset": "f1303fa9939a3420",
+            "pretrain": "4faaf1e80a1772d1",
+            "finetune": "9a41a62b21545e86",
+            "collect": "26f21e49440de643",
         }

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import signal
 import sys
 import tracemalloc
@@ -380,6 +381,23 @@ class TestFinetuneSearch:
     def test_empty_grid(self):
         with pytest.raises(SearchError, match="empty"):
             SearchSpace(learning_rates=())
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"batch_sizes": (16, 0)}, "batch size must be a positive integer, not 0"),
+        ({"batch_sizes": (-16,)}, "batch size must be a positive integer, not -16"),
+        ({"batch_sizes": (2.5,)}, "batch size must be a positive integer, not 2.5"),
+        ({"epochs": (0,)}, "epoch count must be a positive integer, not 0"),
+        ({"epochs": (True,)}, "epoch count must be a positive integer, not True"),
+        ({"learning_rates": (1e-5, 0.0)}, "learning rate must be positive and finite, not 0.0"),
+        ({"learning_rates": (-3e-5,)}, "learning rate must be positive and finite, not -3e-05"),
+        ({"learning_rates": (float("nan"),)}, "learning rate must be positive and finite, not nan"),
+        ({"learning_rates": (float("inf"),)}, "learning rate must be positive and finite, not inf"),
+    ])
+    def test_grid_values_validated(self, fields, message):
+        # Before, batch size 0 died in the simulated trainer with a bare
+        # ZeroDivisionError, and 0 epochs reported a metric for zero steps.
+        with pytest.raises(SearchError, match=f"^{re.escape(message)}$"):
+            SearchSpace(**fields)
 
     def test_stilt_cycle_rejected(self):
         with pytest.raises(SearchError, match="cycle"):
