@@ -29,12 +29,14 @@ stored ids at its positions.
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
 import struct
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import yaml
 
@@ -54,9 +56,12 @@ _SHAPE = struct.Struct("<HH")  # window length, n_masked
 _ID_CODES = {2: "H", 4: "I"}
 
 
-@dataclass(frozen=True)
-class MlmInstance:
-    """One pre-masked training example, [CLS] ... [SEP] without padding."""
+class MlmInstance(NamedTuple):
+    """One pre-masked training example, [CLS] ... [SEP] without padding.
+
+    A named tuple: ``read_instances`` builds one per instance, and a tuple is
+    several times cheaper to build than a frozen dataclass.
+    """
 
     input_ids: tuple[int, ...]
     attention_len: int
@@ -140,10 +145,10 @@ def iter_document_instances(
                        for _ in range(policy.dup_factor)]
 
 
-def _formats(length: int, n_masked: int, width: int, max_seq_length: int) -> tuple[str, str]:
-    """struct formats of a window's ids and of one copy's positions and ids."""
+def _formats(length: int, n_masked: int, width: int, max_seq_length: int) -> tuple[str, str, str]:
+    """struct formats of a window's ids, one copy's positions and that copy's ids there."""
     id_code, pos_code = _ID_CODES[width], "B" if max_seq_length <= 256 else "H"
-    return f"{length}{id_code}", f"{n_masked}{pos_code}{n_masked}{id_code}"
+    return f"{length}{id_code}", f"{n_masked}{pos_code}", f"{n_masked}{id_code}"
 
 
 def write_instance_file(path: Path, windows: Iterable[MaskedWindow],
@@ -176,9 +181,10 @@ def write_instance_file(path: Path, windows: Iterable[MaskedWindow],
             shape = (len(window), len(masked[0].masked_positions))
             record = records.get(shape)
             if record is None:
-                window_format, copy_format = _formats(*shape, width, policy.max_seq_length)
+                ids_format, positions_format, copy_ids_format = _formats(
+                    *shape, width, policy.max_seq_length)
                 record = records[shape] = struct.Struct(
-                    "<HH" + window_format + copy_format * copies)
+                    "<HH" + ids_format + (positions_format + copy_ids_format) * copies)
             values = [*shape, *window]
             for inst in masked:
                 ids, positions = inst.input_ids, inst.masked_positions
@@ -192,64 +198,91 @@ def write_instance_file(path: Path, windows: Iterable[MaskedWindow],
 
 
 def read_instances(path: str | Path) -> Iterator[MlmInstance]:
-    """Iterate the instances of one file; malformed data raises with the offset."""
+    """Iterate the instances of one file; malformed data raises with the offset.
+
+    Windows are decoded from a read-only memory map of the file: no read
+    call per window, and no copy of the file in memory.
+    """
     path = Path(path)
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise InstanceFileError(f"cannot open instance file {path}: {exc}") from exc
     with fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def take(n: int) -> bytes:
-            # Checked against the file size first: a damaged count must not
-            # make a huge read.
-            offset = fh.tell()
-            data = fh.read(n) if offset + n <= size else b""
-            if len(data) != n:
-                raise InstanceFileError(f"truncated instance file {path} at byte offset {offset}")
-            return data
-
-        magic, version = _VERSION.unpack(take(_VERSION.size))
+        head = fh.read(_VERSION.size + _LAYOUT.size)
+        if len(head) < _VERSION.size:
+            raise InstanceFileError(f"truncated instance file {path} at byte offset 0")
+        magic, version = _VERSION.unpack_from(head)
         if magic != INSTANCE_MAGIC:
             raise InstanceFileError(f"bad instance magic in {path} at byte offset 0")
         if version != INSTANCE_FORMAT_VERSION:
             raise InstanceFileError(f"unsupported instance format version {version} in {path}")
-        seq_len, width, copies, cls_id, sep_id, windows, count = _LAYOUT.unpack(
-            take(_LAYOUT.size))
+        if len(head) < _VERSION.size + _LAYOUT.size:
+            raise InstanceFileError(f"truncated instance file {path} at byte offset "
+                                    f"{_VERSION.size}")
+        seq_len, width, copies, cls_id, sep_id, windows, count = _LAYOUT.unpack_from(
+            head, _VERSION.size)
         if width not in _ID_CODES:
             raise InstanceFileError(f"bad id width {width} in {path} at byte offset 12")
         if count != windows * copies:
             raise InstanceFileError(f"{count} instances for {windows} windows of {copies} "
                                     f"copies in {path} at byte offset 26")
-        structs: dict[tuple[int, int], tuple[struct.Struct, struct.Struct]] = {}
+        size = os.fstat(fh.fileno()).st_size
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    with buf:
+        # Per window shape, once it has passed the shape check: the unpack of
+        # its ids, of a copy's positions and of a copy's ids, their sizes, and
+        # the size of the whole window record.
+        shapes: dict[tuple[int, int], tuple] = {}
+        # Hot-loop names bound once; tuple.__new__ builds an MlmInstance
+        # without its keyword-checking __new__.
+        new, instance, getter = tuple.__new__, MlmInstance, itemgetter
+        read_shape, shape_size = _SHAPE.unpack_from, _SHAPE.size
+        offset = _VERSION.size + _LAYOUT.size
         for _ in range(windows):
-            offset = fh.tell()
-            shape = length, n_masked = _SHAPE.unpack(take(_SHAPE.size))
-            if not 0 < n_masked <= length <= seq_len - 2:
-                raise InstanceFileError(f"bad window shape {shape} in {path} "
-                                        f"at byte offset {offset}")
-            pair = structs.get(shape)
-            if pair is None:
-                pair = structs[shape] = tuple(
-                    struct.Struct("<" + f) for f in _formats(length, n_masked, width, seq_len))
-            window_struct, copy_struct = pair
-            data = take(window_struct.size + copies * copy_struct.size)
-            frame = [cls_id, *window_struct.unpack_from(data), sep_id]
-            for fields in copy_struct.iter_unpack(memoryview(data)[window_struct.size:]):
-                positions = fields[:n_masked]
-                if min(positions) < 1 or max(positions) > length:
-                    raise InstanceFileError(f"masked position out of window in {path} "
+            # Bounds are checked before each unpack: damaged counts must not
+            # read past the end.
+            if offset + shape_size > size:
+                raise InstanceFileError(f"truncated instance file {path} at byte offset {offset}")
+            shape = length, n_masked = read_shape(buf, offset)
+            known = shapes.get(shape)
+            if known is None:
+                if not 0 < n_masked <= length <= seq_len - 2:
+                    raise InstanceFileError(f"bad window shape {shape} in {path} "
                                             f"at byte offset {offset}")
-                input_ids = frame.copy()
-                for pos, token in zip(positions, fields[n_masked:]):
+                ids_struct, positions_struct, copy_ids_struct = (
+                    struct.Struct("<" + f) for f in _formats(length, n_masked, width, seq_len))
+                copy_size = positions_struct.size + copy_ids_struct.size
+                known = shapes[shape] = (
+                    ids_struct.unpack_from, ids_struct.size, positions_struct.unpack_from,
+                    positions_struct.size, copy_ids_struct.unpack_from, copy_size,
+                    ids_struct.size + copies * copy_size)
+            read_ids, ids_size, read_positions, positions_size, read_copy_ids, copy_size, \
+                record_size = known
+            start, body = offset, offset + shape_size
+            offset = body + record_size
+            if offset > size:
+                raise InstanceFileError(f"truncated instance file {path} at byte offset {body}")
+            # [CLS] and the window, without [SEP]: a label lookup past the
+            # window raises IndexError, and position 0 is caught by name.
+            frame = [cls_id, *read_ids(buf, body)]
+            last_copy = offset - copy_size
+            for at in range(body + ids_size, offset, copy_size):
+                positions = read_positions(buf, at)
+                try:
+                    labels = getter(*positions)(frame)
+                except IndexError:
+                    labels = None
+                if labels is None or 0 in positions:
+                    raise InstanceFileError(f"masked position out of window in {path} "
+                                            f"at byte offset {start}")
+                # The last copy may write over the frame: no later copy reads it.
+                input_ids = frame if at == last_copy else frame.copy()
+                for pos, token in zip(positions, read_copy_ids(buf, at + positions_size)):
                     input_ids[pos] = token
-                yield MlmInstance(
-                    input_ids=tuple(input_ids),
-                    attention_len=length + 2,
-                    masked_positions=positions,
-                    masked_labels=tuple(map(frame.__getitem__, positions)),
-                )
+                input_ids.append(sep_id)
+                yield new(instance, (tuple(input_ids), length + 2, positions,
+                                     (labels,) if n_masked == 1 else labels))
 
 
 def instance_rel_path(split: str, index: int) -> str:

@@ -574,6 +574,7 @@ def _stage_dataset(state: _RunState) -> dict[str, Any]:
         "documents": sharding.num_documents,
         "instances": generation.num_instances,
         "peak_accounted_bytes": sharding.peak_accounted_bytes,
+        "spill_runs": sharding.spill_runs,
         "manifest": sharding.manifest_path,
         "processed_dir": ws.processed_dir,
         # Provenance: sources are concatenated in config order.

@@ -25,6 +25,8 @@ import yaml
 
 SHARD_FORMAT_VERSION = 2
 INSTANCE_FORMAT_VERSION = 3
+# Instance files store max_seq_length and each window length as u16.
+MAX_SEQ_LENGTH_LIMIT = 0xFFFF
 META_NAME = "META.yaml"
 RESULT_FILE = "RESULT.tsv"
 RUNS_INDEX = "RUNS.tsv"
@@ -110,10 +112,20 @@ class MaskingPolicy:
     def __post_init__(self):
         if not 0 < self.masked_lm_prob < 1:
             raise ValueError("masked_lm_prob must lie in (0, 1)")
+        if self.max_seq_length > MAX_SEQ_LENGTH_LIMIT:
+            raise ValueError(
+                f"max_seq_length {self.max_seq_length} exceeds {MAX_SEQ_LENGTH_LIMIT}, the "
+                f"largest instance file format version {INSTANCE_FORMAT_VERSION} can store")
+        if self.max_predictions_per_seq < 1:
+            raise ValueError(
+                f"max_predictions_per_seq must be >= 1, not {self.max_predictions_per_seq}")
         if self.max_predictions_per_seq > self.max_seq_length - 2:
             raise ValueError("max_predictions_per_seq must be <= max_seq_length - 2")
         if self.dup_factor < 1:
             raise ValueError("dup_factor must be >= 1")
+        for name in ("mask_token_frac", "random_token_frac", "keep_token_frac"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)!r}")
         total = self.mask_token_frac + self.random_token_frac + self.keep_token_frac
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError("mask/random/keep fractions must sum to 1")

@@ -6,11 +6,18 @@ that share one process pool (or run in this process with one worker):
 
 * Spill: workers own disjoint subsets of the corpus files and share the
   budget equally. Each buffers documents per destination shard, computing a
-  document's order key once, on arrival. Once the byte-accounting counter
-  would cross 80% of the worker's share, the largest buffers are spilled:
-  each is sorted in place by (order key, doc_id) and written to a file of
-  its own as one sorted run. The remaining 20% headroom absorbs bookkeeping
-  overhead.
+  document's order key once, on arrival. A destination holds its UTF-8
+  texts back to back in 1 MiB anonymous memory maps and, per document, its
+  order key, doc_id, map index and end offset in four ``array`` columns:
+  28 bytes beside the text, inside the 64 the budget counts. Maps take no
+  memory from the allocator's heap, so a buffer grows without copying and a
+  spilled one returns its pages at once: a worker's resident memory grows
+  with its accounted bytes, not by a share on top of them. Once the
+  byte-accounting counter would cross 80% of the worker's share, the
+  largest buffers are spilled: each is sorted by (order key, doc_id) and
+  written to a file of its own as one sorted run. The remaining 20% is
+  headroom for a spill's sort index and the last, partly written page of
+  each map.
 * Merge: one task per destination shard streams ``heapq.merge`` over that
   shard's runs, from every worker, into the shard file. The file is written
   through ``atomic.replace_when_done``, header first (the record count is
@@ -46,8 +53,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import mmap
 import os
 import struct
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +76,7 @@ _RECORD = struct.Struct("<QI")  # doc_id, byte length
 _RUN_RECORD = struct.Struct("<QQI")  # order key, doc_id, byte length
 
 RECORD_OVERHEAD_BYTES = 64
+_CHUNK_BYTES = 1 << 20
 SPILL_THRESHOLD = 0.8
 
 MANIFEST_NAME = "MANIFEST.tsv"
@@ -89,6 +99,7 @@ class ShardingResult:
     num_documents: int
     peak_accounted_bytes: int
     manifest_path: Path
+    spill_runs: int  # sorted runs the spill phase wrote, over all workers
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ class _SpillWriter:
         self.spill_dir = spill_dir
         self.budget = budget_bytes
         self.threshold = int(budget_bytes * SPILL_THRESHOLD)
-        self.buffers: dict[tuple[str, int], list[tuple[int, int, bytes]]] = {}
+        self.buffers: dict[tuple[str, int], _Buffer] = {}
         self.sizes: dict[tuple[str, int], int] = {}
         self.runs: dict[tuple[str, int], list[Run]] = {}
         self.total = 0
@@ -150,29 +161,27 @@ class _SpillWriter:
             self._spill_until(self.threshold - cost)
         split = assign_split(doc.doc_id, self.plan)
         dest = (split, assign_shard_index(doc.doc_id, split, self.plan))
-        record = (_order_key(doc.doc_id, self.plan.seed), doc.doc_id, data)
-        self.buffers.setdefault(dest, []).append(record)
+        buffer = self.buffers.get(dest)
+        if buffer is None:
+            buffer = self.buffers[dest] = _Buffer()
+        buffer.add(_order_key(doc.doc_id, self.plan.seed), doc.doc_id, data)
         self.sizes[dest] = self.sizes.get(dest, 0) + cost
         self.total += cost
         self.peak = max(self.peak, self.total)
         self.num_documents += 1
 
     def _spill_dest(self, dest: tuple[str, int]) -> None:
-        records = self.buffers.pop(dest)
-        records.sort()  # (order key, doc_id) is unique, so texts are never compared
+        buffer = self.buffers.pop(dest)
         runs = self.runs.setdefault(dest, [])
         path = self.spill_dir / f"{dest[0]}-{dest[1]:05d}-{len(runs):06d}.run"
         try:
             with open(path, "wb") as fh:
-                for key, doc_id, data in records:
-                    fh.write(_RUN_RECORD.pack(key, doc_id, len(data)))
-                    fh.write(data)
+                largest = buffer.write_sorted(fh)
         except OSError as exc:
             raise ShardError(
                 f"spill write failed for {dest} (needed {self.sizes[dest]} bytes): {exc}"
             ) from exc
-        largest = max(record_cost(data) for _, _, data in records)
-        runs.append(Run(str(path), len(records), largest))
+        runs.append(Run(str(path), len(buffer.keys), largest + RECORD_OVERHEAD_BYTES))
         self.total -= self.sizes.pop(dest)
 
     def _spill_until(self, target_total: int) -> None:
@@ -183,6 +192,58 @@ class _SpillWriter:
     def flush_all(self) -> None:
         for dest in list(self.buffers):
             self._spill_dest(dest)
+
+
+class _Buffer:
+    """One destination's unsorted records: texts in mapped chunks, the rest in columns.
+
+    Texts are copied back to back into 1 MiB anonymous memory maps (a text
+    longer than that gets a map of its own size), and no text spans two
+    maps. Mapped memory does not come from the allocator's heap: a buffer
+    grows without reallocating or copying, only the pages written are
+    resident, and closing the maps returns them at once.
+    """
+
+    __slots__ = ("chunks", "keys", "doc_ids", "chunk_of", "ends")
+
+    def __init__(self):
+        self.chunks: list[mmap.mmap] = []
+        self.keys = array("Q")
+        self.doc_ids = array("Q")
+        self.chunk_of = array("I")
+        self.ends = array("Q")  # end offset of each text in its chunk
+
+    def add(self, key: int, doc_id: int, data: bytes) -> None:
+        start = self.ends[-1] if self.ends else 0  # the last text is in the last chunk
+        if not self.chunks or start + len(data) > len(self.chunks[-1]):
+            self.chunks.append(mmap.mmap(-1, max(_CHUNK_BYTES, len(data))))
+            start = 0
+        self.chunks[-1][start : start + len(data)] = data
+        self.keys.append(key)
+        self.doc_ids.append(doc_id)
+        self.chunk_of.append(len(self.chunks) - 1)
+        self.ends.append(start + len(data))
+
+    def write_sorted(self, fh) -> int:
+        """Write the records as run records by (order key, doc_id), then unmap the texts.
+
+        Returns the longest text's length.
+        """
+        keys, doc_ids, chunk_of, ends = self.keys, self.doc_ids, self.chunk_of, self.ends
+        # (order key, doc_id) is unique, so the order never depends on arrival.
+        order = sorted(range(len(keys)), key=lambda i: (keys[i], doc_ids[i]))
+        largest = 0
+        try:
+            for i in order:
+                # A text starts where the one before it ends, if that is in the same chunk.
+                start = ends[i - 1] if i and chunk_of[i - 1] == chunk_of[i] else 0
+                fh.write(_RUN_RECORD.pack(keys[i], doc_ids[i], ends[i] - start))
+                fh.write(self.chunks[chunk_of[i]][start : ends[i]])
+                largest = max(largest, ends[i] - start)
+        finally:
+            for chunk in self.chunks:
+                chunk.close()
+        return largest
 
 
 def _spill_worker(files: list[CorpusFile], plan: ShardPlan, spill_dir: str,
@@ -341,7 +402,8 @@ def shard_corpus(
     total = sum(shard.num_records for shard in shards)
     if total != ndocs:
         raise ShardError(f"document count mismatch: spilled {ndocs}, finalized {total}")
-    return ShardingResult(shards, total, peak, out_dir / MANIFEST_NAME)
+    spill_runs = sum(len(dest_runs) for dest_runs in runs.values())
+    return ShardingResult(shards, total, peak, out_dir / MANIFEST_NAME, spill_runs)
 
 
 def dataset_id(shards: Iterable[Shard], override: str | None = None) -> str:

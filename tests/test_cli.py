@@ -110,6 +110,22 @@ def test_precondition_error_is_reported(tmp_path, capsys):
     assert "dataset" in err and "pretrain" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-seq-length", "70000"], "max_seq_length 70000 exceeds 65535, the largest "
+                                    "instance file format version 3 can store"),
+    (["--max-predictions-per-seq", "0"], "max_predictions_per_seq must be >= 1, not 0"),
+])
+def test_unstorable_masking_option_fails_the_dataset_stage(tmp_path, capsys, flags, message):
+    cfg = write_config(tmp_path)
+    ws = tmp_path / "ws"
+    assert main(["dataset", *base_args(cfg, ws), *flags]) == 1
+    assert capsys.readouterr().err == f"error: stage 'dataset' failed: {message}\n"
+    report = json.loads((ws / "log" / "pipeline" / "report.json").read_text())
+    dataset = report["stages"][-1]
+    assert (dataset["name"], dataset["status"], dataset["error"]) == ("dataset", "failed", message)
+    assert not (ws / "data" / "processed").exists()
+
+
 def test_schedule_trace_command(tmp_path, capsys):
     out = tmp_path / "trace.tsv"
     assert main(["schedule", "trace", "--kind", "esd", "--eta0", "2e-3",

@@ -47,6 +47,23 @@ class TestPolicy:
         with pytest.raises(ValueError, match="max_predictions_per_seq"):
             MaskingPolicy(max_predictions_per_seq=127, max_seq_length=128)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"max_predictions_per_seq": 0}, "max_predictions_per_seq must be >= 1, not 0"),
+        ({"max_predictions_per_seq": -1}, "max_predictions_per_seq must be >= 1, not -1"),
+        ({"mask_token_frac": 1.5, "random_token_frac": -0.5, "keep_token_frac": 0.0},
+         "mask_token_frac must lie in [0, 1], not 1.5"),
+        ({"mask_token_frac": -0.5, "random_token_frac": 0.0, "keep_token_frac": 1.5},
+         "mask_token_frac must lie in [0, 1], not -0.5"),
+        ({"mask_token_frac": 0.0, "random_token_frac": 1.5, "keep_token_frac": -0.5},
+         "random_token_frac must lie in [0, 1], not 1.5"),
+        ({"max_seq_length": 65536},
+         "max_seq_length 65536 exceeds 65535, the largest instance file format version 3"),
+    ])
+    def test_out_of_range_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            MaskingPolicy(**fields)
+        assert str(info.value).startswith(message)
+
 
 class TestSegmentDocument:
     def test_window_arithmetic(self):
@@ -446,6 +463,13 @@ class TestInstanceFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(InstanceFileError, match="position out of window .* byte offset 34$"):
             list(read_instances(path))
+        # Over [CLS], and far past the window's end.
+        for position in (0, 200):
+            raw[34 + 4 + 2 * 8] = position
+            path.write_bytes(bytes(raw))
+            with pytest.raises(InstanceFileError,
+                               match="position out of window .* byte offset 34$"):
+                list(read_instances(path))
 
     def test_damaged_counts_fail_before_a_huge_read(self, tmp_path, mini_vocab):
         # Copy and instance counts that agree but are far too large end in a

@@ -260,6 +260,21 @@ class TestFullRun:
         assert not (ws.translated_dir(did) / "glue_submission.zip").exists()
 
 
+    def test_dataset_report_counts_spill_runs(self, tmp_path):
+        # The 256 MiB budget never fills, so the one worker spills once at the
+        # end: one sorted run per shard that received a document.
+        cfg = with_stage_flags(parse_config(corpus_config(tmp_path)),
+                               pretrain=False, finetune=False, result_collection=False)
+        ws = Workspace(tmp_path / "ws")
+        run_pipeline(cfg, ws, options=small_options())
+        manifest = (ws.sharded_dir / "MANIFEST.tsv").read_text().splitlines()
+        filled = sum(int(line.split("\t")[1]) > 0 for line in manifest)
+        assert filled == len(manifest) == 3
+        report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
+        dataset = next(s for s in report["stages"] if s["name"] == "dataset")
+        assert dataset["artifacts"]["spill_runs"] == str(filled)
+
+
 class TestExternalTrainerEndToEnd:
     def test_five_stages_through_stub_trainer(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"

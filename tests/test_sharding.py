@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
+import random
 import struct
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -156,6 +161,22 @@ class TestShuffleAndShard:
         out = doc_digests(t for s in result.shards for _, t in read_shard(s.path))
         assert out == doc_digests(d.text for d in docs)
 
+    def test_spill_runs_counted(self, tmp_path):
+        # One destination: a sorted run each time the next document would
+        # cross the spill threshold, and one more for what is left at the end.
+        docs = [DocumentRecord(doc_id=i, source="t", text=f"{i}:" + "y" * 50_000)
+                for i in range(1000)]
+        threshold = int(MIN_MEMORY_BYTES * sharding.SPILL_THRESHOLD)
+        runs, held = 1, 0
+        for doc in docs:
+            cost = len(doc.text) + RECORD_OVERHEAD_BYTES
+            if held + cost > threshold:
+                runs, held = runs + 1, 0
+            held += cost
+        assert runs == 4
+        result = shard_docs(docs, plan(num_train_shards=1), tmp_path / "spill", tmp_path / "out")
+        assert result.spill_runs == runs
+
     def test_one_shard_larger_than_budget(self, tmp_path):
         # The same ~48 MB into a single train shard: the shard is three times
         # the budget, yet no phase may account more than the budget.
@@ -300,6 +321,62 @@ class TestShardCorpus:
         _spill_worker(files, p, str(tmp_path / "spill" / "w0"), p.max_memory_bytes)
         retry = shard_corpus(files, p, tmp_path / "spill", tmp_path / "out")
         assert retry.manifest_path.read_text() == clean.manifest_path.read_text()
+
+
+# Runs ``_spill_worker`` over one corpus file and prints its accounted peak and
+# the growth of its resident high-water mark, in bytes. The spill runs in a
+# process forked here: a process started by exec keeps its launcher's
+# high-water mark as its own ``ru_maxrss``, a forked one starts from its size.
+_SPILL_RSS_PROBE = """
+import json, os, resource, sys
+from pathlib import Path
+from bertpipe.ingest import CorpusFile
+from bertpipe.sharding import ShardPlan, _spill_worker
+
+corpus, spill_dir, budget = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+train, test, frac_test = json.loads(sys.argv[4])
+plan = ShardPlan(num_train_shards=train, num_test_shards=test, frac_test=frac_test, seed=42)
+read_end, write_end = os.pipe()
+if os.fork() == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak, _, _ = _spill_worker([CorpusFile(0, corpus, "t")], plan, spill_dir, budget)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    os.write(write_end, json.dumps({"peak": peak, "growth": (after - before) * 1024}).encode())
+    os._exit(0)
+os.close(write_end)
+with os.fdopen(read_end) as fh:
+    print(fh.read())
+_, status = os.wait()
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+# (train shards, test shards, frac_test): a unicode-spill-2workers bench
+# worker's layout, and one that spreads the budget over many destinations.
+@pytest.mark.parametrize("layout", [(2, 128, 0.005), (64, 64, 0.05)])
+def test_spill_worker_resident_memory_tracks_accounted_bytes(tmp_path, layout):
+    # What a spill worker holds beyond the budget's count of text plus 64 B
+    # per record must stay small: its resident growth is within 1.1 times
+    # its accounted peak. ~14 MiB of 1-2 KiB non-ASCII articles against the
+    # 16 MiB floor budget reach the 12.8 MiB spill threshold.
+    rng = random.Random(3)
+    words = ["".join(rng.choice("aeioubcdfgàéîõüçñß") for _ in range(rng.randint(2, 9)))
+             for _ in range(3000)]
+    corpus = tmp_path / "corpus.txt"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        written = 0
+        while written < 14 * 2**20:
+            article = " ".join(rng.choices(words, k=rng.randint(150, 300)))
+            written += fh.write(article + "\n\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(sharding.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPILL_RSS_PROBE, str(corpus), str(tmp_path / "spill"),
+         str(MIN_MEMORY_BYTES), json.dumps(layout)],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    probe = json.loads(out.stdout)
+    assert probe["peak"] > 0.79 * MIN_MEMORY_BYTES  # the spill threshold was reached
+    assert probe["growth"] <= 1.1 * probe["peak"], probe
 
 
 class TestDatasetId:
