@@ -52,7 +52,6 @@ class DocumentRecord:
     """
 
     doc_id: int
-    source: str
     text: str
 
 
@@ -102,15 +101,7 @@ def iter_articles(lines: Iterable[str]) -> Iterator[str]:
         yield "\n".join(buf)
 
 
-def split_articles(file_text: str, source: str, first_doc_id: int = 0) -> list[DocumentRecord]:
-    """Split one file's text into DocumentRecords (doc_ids assigned sequentially)."""
-    return [
-        DocumentRecord(doc_id=first_doc_id + k, source=source, text=text)
-        for k, text in enumerate(iter_articles(file_text.splitlines()))
-    ]
-
-
-def iter_file_documents(path: Path, file_index: int, source: str) -> Iterator[DocumentRecord]:
+def iter_file_documents(path: Path, file_index: int) -> Iterator[DocumentRecord]:
     """Stream the articles of one file as DocumentRecords.
 
     ``doc_id = file_index << 32 | ordinal``: unique, order-independent, and
@@ -120,7 +111,7 @@ def iter_file_documents(path: Path, file_index: int, source: str) -> Iterator[Do
     try:
         with open(path, encoding="utf-8") as fh:
             for k, text in enumerate(iter_articles(fh)):
-                yield DocumentRecord(doc_id=base + k, source=source, text=text)
+                yield DocumentRecord(doc_id=base + k, text=text)
     except UnicodeDecodeError as exc:
         raise IngestError(
             f"invalid UTF-8 in {path} at byte offset {exc.start}"
@@ -135,7 +126,6 @@ class CorpusFile:
 
     file_index: int
     path: Path
-    source: str
 
 
 def enumerate_corpus_files(sources: Iterable[CorpusSource], cache_dir: Path | None = None,
@@ -158,7 +148,7 @@ def enumerate_corpus_files(sources: Iterable[CorpusSource], cache_dir: Path | No
         for path in scan_local(directory):
             if path.name == CACHE_MARKER:
                 continue
-            out.append(CorpusFile(file_index=index, path=path, source=source.label))
+            out.append(CorpusFile(file_index=index, path=path))
             index += 1
     return out
 
@@ -166,7 +156,7 @@ def enumerate_corpus_files(sources: Iterable[CorpusSource], cache_dir: Path | No
 def iter_documents(files: Iterable[CorpusFile]) -> Iterator[DocumentRecord]:
     """Stream documents over an already-enumerated file list."""
     for f in files:
-        yield from iter_file_documents(f.path, f.file_index, f.source)
+        yield from iter_file_documents(f.path, f.file_index)
 
 
 def _http_get(url: str, timeout: float) -> tuple[int, bytes]:

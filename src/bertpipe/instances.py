@@ -3,9 +3,12 @@
 Each document is tokenized, cut into consecutive windows of at most
 max_seq_length - 2 ids (leaving room for [CLS]/[SEP]), and every window is
 masked ``dup_factor`` times, compensating for the diversity lost by masking
-at preprocessing time instead of per epoch. Masking follows the 80/10/10
-convention: a chosen position becomes [MASK], a random non-special token, or
-stays unchanged.
+at preprocessing time instead of per epoch. The recipe is fixed: a chosen
+position becomes [MASK] with probability ``MASK_TOKEN_SHARE`` (0.8), a random
+non-special token with ``RANDOM_TOKEN_SHARE`` (0.1), and stays unchanged
+otherwise (the remaining 0.1); a document's final window is kept only if it
+holds at least ``MIN_WINDOW_TOKENS`` (8) ids. The masking policy sets only
+the masking rate, the window and prediction caps, ``dup_factor`` and the seed.
 
 All randomness is keyed by (seed, doc_id, window_idx): one keyed stream per
 window, from which copies 0..dup_factor-1 are drawn in order. Instance files
@@ -34,7 +37,7 @@ import os
 import random
 import struct
 from dataclasses import asdict, dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -55,6 +58,11 @@ _LAYOUT = struct.Struct("<HHIIIII")
 _SHAPE = struct.Struct("<HH")  # window length, n_masked
 _ID_CODES = {2: "H", 4: "I"}
 
+# The standard BERT replacement split (Devlin et al., 2019); keep is the rest.
+MASK_TOKEN_SHARE = 0.8
+RANDOM_TOKEN_SHARE = 0.1
+MIN_WINDOW_TOKENS = 8
+
 
 class MlmInstance(NamedTuple):
     """One pre-masked training example, [CLS] ... [SEP] without padding.
@@ -73,12 +81,12 @@ def segment_document(tokens: TokenSequence | Iterable[int], policy: MaskingPolic
     """Cut a document's token ids into consecutive windows.
 
     Windows hold at most max_seq_length - 2 ids; a final short window is kept
-    only if it has at least min_window_tokens ids.
+    only if it has at least ``MIN_WINDOW_TOKENS`` ids.
     """
     ids = list(tokens.ids) if isinstance(tokens, TokenSequence) else list(tokens)
     size = policy.window_size
     windows = [ids[start : start + size] for start in range(0, len(ids), size)]
-    if windows and len(windows[-1]) < policy.min_window_tokens:
+    if windows and len(windows[-1]) < MIN_WINDOW_TOKENS:
         windows.pop()
     return windows
 
@@ -97,10 +105,10 @@ def apply_masking(
     """Mask one window with draws taken from ``rng``.
 
     Position choice is uniform without replacement; each chosen position is
-    replaced by [MASK] with mask_token_frac probability, by a uniformly random
-    non-special vocab id with random_token_frac, and kept otherwise. Labels
-    always record the original ids. Successive calls on one rng give
-    independent copies of the window.
+    replaced by [MASK] with ``MASK_TOKEN_SHARE`` probability, by a uniformly
+    random non-special vocab id with ``RANDOM_TOKEN_SHARE``, and kept
+    otherwise. Labels always record the original ids. Successive calls on one
+    rng give independent copies of the window.
     """
     if not window:
         raise ValueError("cannot mask an empty window")
@@ -110,8 +118,7 @@ def apply_masking(
     positions = sorted(rng.sample(range(1, len(window) + 1), num_masked(len(window), policy)))
     labels = [input_ids[pos] for pos in positions]
 
-    mask_below = policy.mask_token_frac
-    random_below = mask_below + policy.random_token_frac
+    mask_below, random_below = MASK_TOKEN_SHARE, MASK_TOKEN_SHARE + RANDOM_TOKEN_SHARE
     for pos in positions:
         roll = rng.random()
         if roll < mask_below:
@@ -138,7 +145,7 @@ def iter_document_instances(
     vocab: Vocabulary,
 ) -> Iterator[MaskedWindow]:
     """A document's windows, each with its dup_factor masked copies."""
-    tokens = tokenize(text, vocab, policy.do_lower_case)
+    tokens = tokenize(text, vocab)
     for window_idx, window in enumerate(segment_document(tokens, policy)):
         rng = keyed_rng(policy.seed, doc_id, window_idx, "mask")
         yield window, [apply_masking(window, policy, vocab, rng)
@@ -393,33 +400,33 @@ def mask_rate_report(paths: Iterable[str | Path], vocab: Vocabulary) -> MaskRate
     A random replacement that happens to draw the original token is counted
     as kept; with a realistically sized vocabulary the bias is negligible.
     """
-    instances = 0
-    masked = 0
-    non_special_positions = 0
-    actions = {"mask": 0, "random": 0, "keep": 0}
-    max_masked = 0
+    instances = masked = non_special_positions = max_masked = 0
+    mask_count = keep_count = 0
+    mask_id = vocab.mask_id
     for path in paths:
-        for inst in read_instances(path):
+        for input_ids, attention_len, positions, labels in read_instances(path):
+            n_masked = len(positions)
+            got = (itemgetter(*positions)(input_ids) if n_masked > 1
+                   else (input_ids[positions[0]],))
             instances += 1
-            masked += len(inst.masked_positions)
-            non_special_positions += inst.attention_len - 2
-            max_masked = max(max_masked, len(inst.masked_positions))
-            for pos, label in zip(inst.masked_positions, inst.masked_labels):
-                got = inst.input_ids[pos]
-                if got == vocab.mask_id:
-                    actions["mask"] += 1
-                elif got == label:
-                    actions["keep"] += 1
-                else:
-                    actions["random"] += 1
+            masked += n_masked
+            non_special_positions += attention_len - 2
+            if n_masked > max_masked:
+                max_masked = n_masked
+            # Counted per instance in C: a position reading [MASK] is a mask,
+            # else one reading its label is kept, else it was replaced.
+            mask_count += got.count(mask_id)
+            keep_count += sum(map(eq, got, labels))
+            if mask_id in labels:
+                keep_count -= sum(g == label == mask_id for g, label in zip(got, labels))
     if instances == 0:
         return MaskRateReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0)
     return MaskRateReport(
         instance_count=instances,
         masked_position_count=masked,
         mask_fraction=masked / non_special_positions,
-        action_mask_fraction=actions["mask"] / masked,
-        action_random_fraction=actions["random"] / masked,
-        action_keep_fraction=actions["keep"] / masked,
+        action_mask_fraction=mask_count / masked,
+        action_random_fraction=(masked - mask_count - keep_count) / masked,
+        action_keep_fraction=keep_count / masked,
         max_masked_in_instance=max_masked,
     )

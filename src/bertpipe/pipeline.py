@@ -16,7 +16,8 @@ read the table:
   dataset shows up downstream as a missing output, not as a digest change.
 * Sentinels: a completed stage records its digest under ``.stages/``. A later
   run skips it only when the recorded digest equals the new one and the
-  stage's output still exists; ``force`` ignores sentinels.
+  stage's output still exists; ``force`` ignores sentinels. A stage that is
+  about to run deletes its sentinel first, so a stage that fails leaves none.
 
 Those rules read only ``records``: the digest-input records, output names and
 format versions. Each stage's own code is listed in ``_STAGE_CODE``, one
@@ -182,22 +183,23 @@ class Workspace:
 class PipelineOptions:
     """Pipeline knobs that live outside the YAML schema (CLI/API level).
 
-    Defaults mirror the standard preprocessing and pretraining commands; the
-    held-out fraction defaults to 0.5% of the data. Lower-casing, the warmup
-    share and the STILT sources are not options: they are the masking policy's
-    default, ``DEFAULT_WARMUP_PROPORTION`` and ``search.DEFAULT_STILT_SOURCES``.
+    The defaults are those of the records the options build (``ShardPlan``,
+    ``MaskingPolicy``, ``ScheduleSpec``), declared there once. Lower-casing,
+    the 80/10/10 split, the warmup share and the STILT sources are not
+    options: they are fixed by ``tokenization`` and ``instances``,
+    ``DEFAULT_WARMUP_PROPORTION`` and ``search.DEFAULT_STILT_SOURCES``.
     """
 
-    seed: int = 42
+    seed: int = ShardPlan.seed
     n_workers: int = 1
-    num_train_shards: int = 256
-    num_test_shards: int = 128
-    frac_test: float = 0.005
-    dup_factor: int = 10
-    masked_lm_prob: float = 0.15
-    max_seq_length: int = 128
-    max_predictions_per_seq: int = 20
-    schedule_kind: str = "esd"
+    num_train_shards: int = ShardPlan.num_train_shards
+    num_test_shards: int = ShardPlan.num_test_shards
+    frac_test: float = ShardPlan.frac_test
+    dup_factor: int = MaskingPolicy.dup_factor
+    masked_lm_prob: float = MaskingPolicy.masked_lm_prob
+    max_seq_length: int = MaskingPolicy.max_seq_length
+    max_predictions_per_seq: int = MaskingPolicy.max_predictions_per_seq
+    schedule_kind: str = ScheduleSpec.kind
     eta0: float = DEFAULT_ETA0
     early_stop: EarlyStopPolicy = field(default_factory=EarlyStopPolicy)
     tasks: tuple[str, ...] = glue.TASK_NAMES
@@ -466,6 +468,10 @@ def run_pipeline(
                 report.stages.append(
                     StageReport(stage.name, SKIPPED_DONE, artifacts={"digest": digest}))
                 continue
+            # The stage rewrites its outputs in place: until it completes, no
+            # sentinel may vouch for them, or a run that crashes mid-stage
+            # leaves a later run skipping it beside half-written outputs.
+            workspace.sentinel_path(stage.name).unlink(missing_ok=True)
             # Looked up at call time, so a wrapped module attribute is what runs.
             artifacts = globals()[f"_stage_{stage.name}"](state)
         except Exception as exc:

@@ -96,18 +96,17 @@ class ShardPlan:
 
 @dataclass(frozen=True)
 class MaskingPolicy:
-    """Static-masking parameters (defaults follow the standard BERT recipe)."""
+    """The settable static-masking parameters (defaults follow the standard BERT recipe).
+
+    The 80/10/10 replacement split and the shortest window kept are fixed:
+    they are constants of ``instances``.
+    """
 
     masked_lm_prob: float = 0.15
     max_predictions_per_seq: int = 20
     max_seq_length: int = 128
     dup_factor: int = 10
     seed: int = 42
-    mask_token_frac: float = 0.8
-    random_token_frac: float = 0.1
-    keep_token_frac: float = 0.1
-    min_window_tokens: int = 8
-    do_lower_case: bool = True
 
     def __post_init__(self):
         if not 0 < self.masked_lm_prob < 1:
@@ -123,14 +122,6 @@ class MaskingPolicy:
             raise ValueError("max_predictions_per_seq must be <= max_seq_length - 2")
         if self.dup_factor < 1:
             raise ValueError("dup_factor must be >= 1")
-        for name in ("mask_token_frac", "random_token_frac", "keep_token_frac"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)!r}")
-        total = self.mask_token_frac + self.random_token_frac + self.keep_token_frac
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError("mask/random/keep fractions must sum to 1")
-        if self.min_window_tokens < 1:
-            raise ValueError("min_window_tokens must be >= 1")
 
     @property
     def window_size(self) -> int:

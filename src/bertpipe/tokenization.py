@@ -1,24 +1,24 @@
 """Basic normalization plus greedy WordPiece against a fixed vocabulary.
 
-Follows the uncased-BERT conventions: lower-case, strip combining accents,
-split each punctuation character into its own word, then greedy
+Follows the uncased-BERT conventions, always: lower-case, strip combining
+accents, split each punctuation character into its own word, then greedy
 longest-prefix WordPiece with "##" continuation pieces and whole-word [UNK]
-fallback. No [CLS]/[SEP] framing happens here; that is the instance
-generator's job.
+fallback for a word that does not match or is longer than
+``MAX_CHARS_PER_WORD`` characters. Nothing here is configurable. No
+[CLS]/[SEP] framing happens here; that is the instance generator's job.
 
 ``basic_tokenize`` works in this order:
 
-1. With ``do_lower_case``, lower-case and NFD-normalise the whole text; both
-   run in C.
+1. Lower-case and NFD-normalise the whole text; both run in C.
 2. ``str.split()`` cuts on exactly the characters ``str.isspace`` accepts,
    so whitespace never reaches Python-level code.
 3. A chunk for which ``str.isalnum`` holds is a word as it stands. Letters
    and digits are never ASCII or Unicode punctuation, never combining marks
    (Mn) and never whitespace, so such a chunk has nothing to split or drop.
 4. Every other chunk goes through ``str.translate`` and is split again. The
-   translation table pads each punctuation character with spaces and, when
-   lower-casing, drops Mn marks. It is filled lazily, one code point the
-   first time it is seen, so it holds at most the code points met so far.
+   translation table pads each punctuation character with spaces and drops
+   Mn marks. It is filled lazily, one code point the first time it is seen,
+   so it holds at most the code points met so far.
 
 ``wordpiece`` finds the greedy longest match by walking a path-compressed
 trie of the vocabulary's pieces (Song et al., "Fast WordPiece Tokenization",
@@ -35,7 +35,9 @@ per :class:`Vocabulary`; a worker pool receives the vocabulary once per
 worker, not once per task.
 
 A word-to-ids memo of ``WORDPIECE_MEMO_SIZE`` entries sits in front of the
-scan and is cleared whenever it fills. Natural text repeats its frequent
+scan and is cleared whenever it fills. A word's ids depend only on the word
+and the vocabulary, since the cap is a constant, so a memoized result is
+always the one a fresh scan would give. Natural text repeats its frequent
 words, so a small memo catches most of them; the bound keeps its memory at
 well under a MiB per process however long the corpus's tail of distinct
 words is. On a corpus where a third of the words are distinct, a memo four
@@ -52,7 +54,7 @@ from pathlib import Path
 from .records import VocabularyError, resolve_vocab
 
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
-DEFAULT_MAX_CHARS_PER_WORD = 200
+MAX_CHARS_PER_WORD = 200
 WORDPIECE_MEMO_SIZE = 4096
 
 
@@ -182,17 +184,13 @@ def _is_punctuation(char: str) -> bool:
 
 
 class _SplitTable(dict):
-    """``str.translate`` table: punctuation -> " c ", Mn -> dropped if asked."""
-
-    def __init__(self, drop_marks: bool):
-        super().__init__()
-        self.drop_marks = drop_marks
+    """``str.translate`` table: punctuation -> " c ", Mn -> dropped."""
 
     def __missing__(self, cp: int) -> str | int | None:
         char = chr(cp)
         if _is_punctuation(char):
             value: str | int | None = f" {char} "
-        elif self.drop_marks and unicodedata.category(char) == "Mn":
+        elif unicodedata.category(char) == "Mn":
             value = None
         else:
             value = cp
@@ -200,27 +198,21 @@ class _SplitTable(dict):
         return value
 
 
-_LOWER_CASE_TABLE = _SplitTable(drop_marks=True)
-_CASED_TABLE = _SplitTable(drop_marks=False)
+_SPLIT_TABLE = _SplitTable()
 
 
-def basic_tokenize(text: str, do_lower_case: bool = True) -> list[str]:
+def basic_tokenize(text: str) -> list[str]:
     """Split on Unicode whitespace and isolate punctuation characters.
 
-    With ``do_lower_case`` the text is lower-cased and combining accent marks
-    are stripped (canonical decomposition) before splitting.
+    The text is lower-cased and combining accent marks are stripped
+    (canonical decomposition) before splitting.
     """
-    if do_lower_case:
-        text = unicodedata.normalize("NFD", text.lower())
-        table = _LOWER_CASE_TABLE
-    else:
-        table = _CASED_TABLE
     words: list[str] = []
-    for chunk in text.split():
+    for chunk in unicodedata.normalize("NFD", text.lower()).split():
         if chunk.isalnum():
             words.append(chunk)
         else:
-            words += chunk.translate(table).split()
+            words += chunk.translate(_SPLIT_TABLE).split()
     return words
 
 
@@ -252,20 +244,16 @@ def _longest_match_pieces(word: str, vocab: Vocabulary) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def wordpiece(
-    word: str,
-    vocab: Vocabulary,
-    max_chars_per_word: int = DEFAULT_MAX_CHARS_PER_WORD,
-) -> list[int]:
+def wordpiece(word: str, vocab: Vocabulary) -> list[int]:
     """Greedy longest-prefix WordPiece of a single word.
 
     Non-initial pieces are matched with a "##" prefix. If any position fails
-    to match, or the word is longer than ``max_chars_per_word``, the whole
+    to match, or the word is longer than ``MAX_CHARS_PER_WORD``, the whole
     word maps to the single [UNK] id.
     """
     if not word:
         raise ValueError("wordpiece expects a non-empty word")
-    if len(word) > max_chars_per_word:
+    if len(word) > MAX_CHARS_PER_WORD:
         return [vocab.unk_id]
     memo = vocab.wordpiece_memo
     ids = memo.get(word)
@@ -277,7 +265,7 @@ def wordpiece(
     return list(ids)
 
 
-def tokenize(text: str, vocab: Vocabulary, do_lower_case: bool = True) -> TokenSequence:
+def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
     """basic_tokenize then wordpiece per word, concatenated. No framing tokens.
 
     A word already in the vocabulary's memo is looked up here; ``wordpiece``
@@ -285,7 +273,7 @@ def tokenize(text: str, vocab: Vocabulary, do_lower_case: bool = True) -> TokenS
     """
     ids: list[int] = []
     memo = vocab.wordpiece_memo
-    for word in basic_tokenize(text, do_lower_case):
+    for word in basic_tokenize(text):
         pieces = memo.get(word)
         ids += wordpiece(word, vocab) if pieces is None else pieces
     return TokenSequence(ids=tuple(ids))

@@ -9,11 +9,15 @@ from bertpipe.ingest import (
     PermanentFetchError,
     enumerate_corpus_files,
     fetch_remote,
+    iter_articles,
     iter_documents,
     iter_file_documents,
     scan_local,
-    split_articles,
 )
+
+
+def _articles(text: str) -> list[str]:
+    return list(iter_articles(text.splitlines()))
 
 
 class TestScanLocal:
@@ -39,31 +43,31 @@ class TestScanLocal:
 
 class TestSplitArticles:
     def test_two_articles(self):
-        records = split_articles("A1 line1\nA1 line2\n\nA2 line1\n", source="s")
-        assert [r.text for r in records] == ["A1 line1\nA1 line2", "A2 line1"]
+        assert _articles("A1 line1\nA1 line2\n\nA2 line1\n") == ["A1 line1\nA1 line2", "A2 line1"]
 
     def test_only_blank_lines(self):
-        assert split_articles("\n\n\n", source="s") == []
+        assert _articles("\n\n\n") == []
 
     def test_whitespace_only_line_is_blank(self):
         # Hand oracle for the split rule: a line matching only whitespace
         # separates articles, so "X\n \nY" must give exactly ["X", "Y"].
-        records = split_articles("X\n \nY", source="s")
-        assert [r.text for r in records] == ["X", "Y"]
+        assert _articles("X\n \nY") == ["X", "Y"]
 
     def test_no_leading_trailing_blank_lines(self):
-        records = split_articles("\n\n  \nbody line\n\n", source="s")
-        assert [r.text for r in records] == ["body line"]
+        assert _articles("\n\n  \nbody line\n\n") == ["body line"]
 
-    def test_doc_ids_sequential(self):
-        records = split_articles("a\n\nb\n\nc", source="s", first_doc_id=7)
-        assert [r.doc_id for r in records] == [7, 8, 9]
+    def test_doc_ids_sequential(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("a\n\nb\n\nc")
+        records = list(iter_file_documents(path, 7))
+        assert [r.doc_id for r in records] == [(7 << 32) + k for k in range(3)]
+        assert [r.text for r in records] == ["a", "b", "c"]
 
     def test_invalid_utf8_reports_offset(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"good text\n\xff\xfe more")
         with pytest.raises(IngestError, match="byte offset 10"):
-            list(iter_file_documents(bad, 0, "s"))
+            list(iter_file_documents(bad, 0))
 
 
 # The split rule guarantees records contain no blank lines, so joining with
@@ -76,15 +80,15 @@ _texts = st.text(
 
 @given(_texts)
 def test_split_is_idempotent(text: str):
-    once = [r.text for r in split_articles(text, source="s")]
+    once = _articles(text)
     joined = "\n\n".join(once)
-    again = [r.text for r in split_articles(joined, source="s")]
+    again = _articles(joined)
     assert once == again
 
 
 @given(_texts)
 def test_ingested_characters_bounded(text: str):
-    total = sum(len(r.text) for r in split_articles(text, source="s"))
+    total = sum(len(article) for article in _articles(text))
     assert total <= len(text)
 
 
@@ -148,6 +152,6 @@ class TestFetchRemote:
         files = enumerate_corpus_files(
             sources, cache_dir=tmp_path / "cache", base_url=corpus_server.base_url
         )
-        labels = [f.source for f in files]
-        assert labels == [str(local), f"{name}/{split}", f"{name}/{split}"]
+        remote = tmp_path / "cache" / name / split
+        assert [f.path for f in files] == [local / "z.txt", remote / "f1.txt", remote / "f2.txt"]
         assert [f.file_index for f in files] == [0, 1, 2]

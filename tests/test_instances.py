@@ -37,11 +37,10 @@ class TestPolicy:
         p = MaskingPolicy()
         assert (p.masked_lm_prob, p.max_predictions_per_seq) == (0.15, 20)
         assert (p.max_seq_length, p.dup_factor) == (128, 10)
-        assert (p.mask_token_frac, p.random_token_frac, p.keep_token_frac) == (0.8, 0.1, 0.1)
-
-    def test_fraction_sum_validated(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            MaskingPolicy(mask_token_frac=0.8, random_token_frac=0.3, keep_token_frac=0.1)
+        # The fixed recipe: 80/10/10 replacement (keep is the rest), 8-id minimum window.
+        shares = (instances_module.MASK_TOKEN_SHARE, instances_module.RANDOM_TOKEN_SHARE)
+        assert shares == (0.8, 0.1)
+        assert instances_module.MIN_WINDOW_TOKENS == 8
 
     def test_cap_vs_seq_length(self):
         with pytest.raises(ValueError, match="max_predictions_per_seq"):
@@ -50,12 +49,6 @@ class TestPolicy:
     @pytest.mark.parametrize("fields, message", [
         ({"max_predictions_per_seq": 0}, "max_predictions_per_seq must be >= 1, not 0"),
         ({"max_predictions_per_seq": -1}, "max_predictions_per_seq must be >= 1, not -1"),
-        ({"mask_token_frac": 1.5, "random_token_frac": -0.5, "keep_token_frac": 0.0},
-         "mask_token_frac must lie in [0, 1], not 1.5"),
-        ({"mask_token_frac": -0.5, "random_token_frac": 0.0, "keep_token_frac": 1.5},
-         "mask_token_frac must lie in [0, 1], not -0.5"),
-        ({"mask_token_frac": 0.0, "random_token_frac": 1.5, "keep_token_frac": -0.5},
-         "random_token_frac must lie in [0, 1], not 1.5"),
         ({"max_seq_length": 65536},
          "max_seq_length 65536 exceeds 65535, the largest instance file format version 3"),
     ])
@@ -138,10 +131,12 @@ class TestApplyMasking:
 
         monkeypatch.setattr(Vocabulary, "__hash__", no_hash)
         window = list(range(20, 120))
-        inst = apply_masking(window, MaskingPolicy(random_token_frac=0.5, keep_token_frac=0.0,
-                                                   mask_token_frac=0.5), mini_vocab,
-                             keyed_rng(9, 1, "mask"))
+        inst = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(9, 1, "mask"))
         assert len(inst.masked_positions) == 15
+        # This key reaches the random-replacement branch, which draws a vocabulary id.
+        replaced = [pos for pos, label in zip(inst.masked_positions, inst.masked_labels)
+                    if inst.input_ids[pos] not in (mini_vocab.mask_id, label)]
+        assert replaced
 
 
 def test_masking_invariants_property(mini_vocab):
@@ -532,3 +527,18 @@ class TestMaskRateReport:
         bad.write_bytes(b"XBINST01" + b"\x01\x00" + b"\x80\x00" + b"\x05\x00\x00\x00")
         with pytest.raises(InstanceFileError):
             mask_rate_report([bad], mini_vocab)
+
+
+def test_mask_rate_report_sorts_each_position_once(tmp_path, mini_vocab):
+    # A [MASK] label that reads [MASK] counts as a mask, not a keep; a position
+    # reading its label is a keep, and one reading any other id a replacement.
+    mask, cls, sep = mini_vocab.mask_id, mini_vocab.cls_id, mini_vocab.sep_id
+    window = [mask, 20, 21, 22, 23, 24, 25, 26, 27, 28]
+    copies = [MlmInstance((cls, mask, 20, *window[2:], sep), 12, (1, 2), (mask, 20)),
+              MlmInstance((cls, mask, 30, *window[2:], sep), 12, (1, 2), (mask, 20))]
+    path = tmp_path / "x.xbi"
+    write_instance_file(path, [(window, copies)], MaskingPolicy(dup_factor=2), mini_vocab)
+    report = mask_rate_report([path], mini_vocab)
+    assert (report.instance_count, report.masked_position_count) == (2, 4)
+    assert (report.action_mask_fraction, report.action_keep_fraction,
+            report.action_random_fraction) == (0.5, 0.25, 0.25)

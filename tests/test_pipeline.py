@@ -340,6 +340,22 @@ class TestRerunReactsToChanges:
         assert [s.status for s in report.stages] == [SKIPPED_DONE] * 4 + [COMPLETED]
         assert (ws.translated_dir(first.dataset_id) / "glue_submission.zip").is_file()
 
+    def test_stage_that_fails_leaves_no_sentinel(self, tmp_path, monkeypatch):
+        # A forced re-run rewrites each stage's outputs in place; a stage that
+        # fails part-way must not be skipped later on the strength of the old run.
+        cfg, ws, _ = self._first_run(tmp_path, corpus_config(tmp_path))
+
+        def crash(state):
+            raise RuntimeError("collect crashed mid-stage")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_stage_collect", crash)
+            with pytest.raises(PipelineError, match="stage 'collect' failed"):
+                run_pipeline(cfg, ws, options=small_options(force=True))
+        assert not ws.sentinel_path("collect").exists()
+        report = run_pipeline(cfg, ws, options=small_options())
+        assert [s.status for s in report.stages] == [SKIPPED_DONE] * 4 + [COMPLETED]
+
     def test_deleted_processed_data_is_rebuilt(self, tmp_path):
         cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
         shutil.rmtree(ws.processed_dir)
@@ -466,8 +482,8 @@ class TestRerunReactsToChanges:
                 stage, cfg, PipelineOptions(), upstream)
         assert digests == {
             "env_check": "cf7544db5e3496a4",
-            "dataset": "f1303fa9939a3420",
-            "pretrain": "4faaf1e80a1772d1",
-            "finetune": "9a41a62b21545e86",
-            "collect": "26f21e49440de643",
+            "dataset": "4a39d5840ac0d94e",
+            "pretrain": "5be917ddcece3c9d",
+            "finetune": "abbf8a9f4bebda7b",
+            "collect": "6322751aaea3f62a",
         }

@@ -40,7 +40,7 @@ from bertpipe.synthdata import generate_corpus
 
 def make_docs(n: int, size: int = 40) -> list[DocumentRecord]:
     return [
-        DocumentRecord(doc_id=i, source="t", text=f"document {i} " + "x" * size)
+        DocumentRecord(doc_id=i, text=f"document {i} " + "x" * size)
         for i in range(n)
     ]
 
@@ -64,7 +64,7 @@ def shard_docs(docs, p: ShardPlan, spill_dir, out_dir):
     out_dir = Path(out_dir)
     corpus = out_dir.with_name(out_dir.name + "-corpus.txt")
     corpus.write_text("\n\n".join(d.text for d in docs) + "\n", encoding="utf-8")
-    return shard_corpus([CorpusFile(0, corpus, "t")], p, spill_dir, out_dir)
+    return shard_corpus([CorpusFile(0, corpus)], p, spill_dir, out_dir)
 
 
 def doc_digests(texts) -> Counter:
@@ -150,7 +150,7 @@ class TestShuffleAndShard:
         # ~48 MB of documents against the 16 MiB floor budget: must spill,
         # must stay under budget, must conserve content.
         docs = [
-            DocumentRecord(doc_id=i, source="t", text=f"{i}:" + "y" * 50_000)
+            DocumentRecord(doc_id=i, text=f"{i}:" + "y" * 50_000)
             for i in range(1000)
         ]
         p = plan(num_train_shards=4)
@@ -164,7 +164,7 @@ class TestShuffleAndShard:
     def test_spill_runs_counted(self, tmp_path):
         # One destination: a sorted run each time the next document would
         # cross the spill threshold, and one more for what is left at the end.
-        docs = [DocumentRecord(doc_id=i, source="t", text=f"{i}:" + "y" * 50_000)
+        docs = [DocumentRecord(doc_id=i, text=f"{i}:" + "y" * 50_000)
                 for i in range(1000)]
         threshold = int(MIN_MEMORY_BYTES * sharding.SPILL_THRESHOLD)
         runs, held = 1, 0
@@ -181,7 +181,7 @@ class TestShuffleAndShard:
         # The same ~48 MB into a single train shard: the shard is three times
         # the budget, yet no phase may account more than the budget.
         docs = [
-            DocumentRecord(doc_id=i, source="t", text=f"{i}:" + "y" * 50_000)
+            DocumentRecord(doc_id=i, text=f"{i}:" + "y" * 50_000)
             for i in range(1000)
         ]
         p = plan(num_train_shards=1)
@@ -198,7 +198,7 @@ class TestShuffleAndShard:
     def test_unavoidable_merge_breach_fatal(self, tmp_path):
         # Each document fits the budget, but they reach one shard in two runs,
         # and merging them holds one record of each: 2 x 9 MiB over 16 MiB.
-        docs = [DocumentRecord(doc_id=i, source="t", text=c * (9 * 2**20)) for i, c in
+        docs = [DocumentRecord(doc_id=i, text=c * (9 * 2**20)) for i, c in
                 enumerate("ab")]
         peak = 2 * (9 * 2**20 + RECORD_OVERHEAD_BYTES)
         with pytest.raises(ShardError, match=f"accounted peak of {peak} bytes exceeds the memory "
@@ -209,7 +209,7 @@ class TestShuffleAndShard:
 
     def test_oversized_document_fatal(self, tmp_path):
         docs = make_docs(7) + [
-            DocumentRecord(doc_id=7, source="t", text="z" * (MIN_MEMORY_BYTES + 1))]
+            DocumentRecord(doc_id=7, text="z" * (MIN_MEMORY_BYTES + 1))]
         with pytest.raises(ShardError, match="document 7"):
             shard_docs(docs, plan(), tmp_path / "spill", tmp_path / "out")
 
@@ -223,7 +223,7 @@ class TestShuffleAndShard:
 class TestFileFormat:
     def test_header_bytes_exact(self, tmp_path):
         result = shard_docs(
-            [DocumentRecord(doc_id=0, source="t", text="ab")],
+            [DocumentRecord(doc_id=0, text="ab")],
             plan(num_train_shards=1),
             tmp_path / "spill",
             tmp_path / "out",
@@ -339,7 +339,7 @@ plan = ShardPlan(num_train_shards=train, num_test_shards=test, frac_test=frac_te
 read_end, write_end = os.pipe()
 if os.fork() == 0:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    peak, _, _ = _spill_worker([CorpusFile(0, corpus, "t")], plan, spill_dir, budget)
+    peak, _, _ = _spill_worker([CorpusFile(0, corpus)], plan, spill_dir, budget)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     os.write(write_end, json.dumps({"peak": peak, "growth": (after - before) * 1024}).encode())
     os._exit(0)
@@ -381,7 +381,7 @@ def test_spill_worker_resident_memory_tracks_accounted_bytes(tmp_path, layout):
 
 class TestDatasetId:
     def _shards(self, tmp_path, texts, tag):
-        docs = [DocumentRecord(doc_id=i, source="t", text=t) for i, t in enumerate(texts)]
+        docs = [DocumentRecord(doc_id=i, text=t) for i, t in enumerate(texts)]
         result = shard_docs(docs, plan(), tmp_path / f"sp{tag}", tmp_path / f"o{tag}")
         return result.shards
 

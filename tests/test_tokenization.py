@@ -55,10 +55,10 @@ class TestLoadVocab:
 
 class TestBasicTokenize:
     def test_punctuation_splits(self):
-        assert basic_tokenize("Hello, world!", True) == ["hello", ",", "world", "!"]
+        assert basic_tokenize("Hello, world!") == ["hello", ",", "world", "!"]
 
     def test_empty(self):
-        assert basic_tokenize("", True) == []
+        assert basic_tokenize("") == []
 
     def test_accent_stripping(self):
         # Character-level oracle: NFD-decompose, drop combining marks, lower.
@@ -67,13 +67,10 @@ class TestBasicTokenize:
             c for c in unicodedata.normalize("NFD", word.lower())
             if unicodedata.category(c) != "Mn"
         )
-        assert basic_tokenize(word, True) == [expected] == ["hello"]
-
-    def test_cased_mode_keeps_case_and_accents(self):
-        assert basic_tokenize("Héllo", False) == ["Héllo"]
+        assert basic_tokenize(word) == [expected] == ["hello"]
 
     def test_whitespace_forms(self):
-        assert basic_tokenize("a\tb\nc d", True) == list("abcd")
+        assert basic_tokenize("a\tb\nc d") == list("abcd")
 
 
 class TestWordpiece:
@@ -91,10 +88,7 @@ class TestWordpiece:
     def test_too_long_word(self, tiny_vocab):
         word = "a" + "c" * 299  # covered by {a, ##c} but over the 200-char cap
         assert wordpiece(word, tiny_vocab) == [tiny_vocab.unk_id]
-        # The configured cap is what matters, not an implicit constant.
-        assert wordpiece(word, tiny_vocab, max_chars_per_word=1000) != [tiny_vocab.unk_id]
-        # Nor does a memoized result from a call with a larger cap.
-        assert wordpiece(word, tiny_vocab) == [tiny_vocab.unk_id]
+        assert list(tokenize(word, tiny_vocab).ids) == [tiny_vocab.unk_id]
 
     def test_memo_is_bounded(self, tiny_vocab):
         # "a" + "c" * k is a | ##c * k; more distinct words than the memo holds.
@@ -233,8 +227,11 @@ def test_trie_is_smaller_than_a_prefix_table(synthetic_vocab):
     assert trie_bytes <= table_bytes
 
 
-def _reference_wordpiece(word: str, vocab, max_chars_per_word: int = 200) -> list[int]:
-    """Recursive longest-match WordPiece that builds every "##" piece."""
+def _reference_wordpiece(word: str, vocab) -> list[int]:
+    """Recursive longest-match WordPiece that builds every "##" piece.
+
+    A word longer than 200 characters maps to [UNK].
+    """
 
     def match(rest: str, first: bool) -> list[int] | None:
         if not rest:
@@ -248,19 +245,18 @@ def _reference_wordpiece(word: str, vocab, max_chars_per_word: int = 200) -> lis
                 break  # greedy: do not backtrack to shorter prefixes
         return None
 
-    pieces = match(word, True) if len(word) <= max_chars_per_word else None
+    pieces = match(word, True) if len(word) <= 200 else None
     return pieces if pieces is not None else [vocab.unk_id]
 
 
-def _reference_tokenize(text: str, vocab, do_lower_case: bool = True) -> list[int]:
+def _reference_tokenize(text: str, vocab) -> list[int]:
     """Independent re-implementation of the tokenization rules.
 
     Regex-based word splitting and a recursive longest-match WordPiece,
     structurally different from the production code.
     """
-    if do_lower_case:
-        text = unicodedata.normalize("NFD", text.lower())
-        text = "".join(c for c in text if unicodedata.category(c) != "Mn")
+    text = unicodedata.normalize("NFD", text.lower())
+    text = "".join(c for c in text if unicodedata.category(c) != "Mn")
 
     def is_punct(c):
         cp = ord(c)
@@ -363,9 +359,7 @@ _unicode_text = st.lists(
 @given(_unicode_text)
 def test_agrees_with_reference_on_unicode(tiny_vocab, mini_vocab, text: str):
     for vocab in (tiny_vocab, mini_vocab):
-        for do_lower_case in (True, False):
-            expected = _reference_tokenize(text, vocab, do_lower_case)
-            assert list(tokenize(text, vocab, do_lower_case).ids) == expected
+        assert list(tokenize(text, vocab).ids) == _reference_tokenize(text, vocab)
 
 _word = st.text(alphabet=st.sampled_from("abcdehlnostuw"), min_size=1, max_size=8)
 
