@@ -20,7 +20,6 @@ _EXPORTS = {
     "load_config": "config",
     "parse_config": "config",
     "validate": "config",
-    "PipelineOptions": "pipeline",
     "Workspace": "pipeline",
     "run_pipeline": "pipeline",
     "ScheduleSpec": "schedule",

@@ -3,7 +3,9 @@
 ``bertpipe run --config pipeline.yaml`` executes the whole pipeline; the
 ``dataset`` / ``pretrain`` / ``finetune`` / ``collect`` subcommands run a
 single stage (equivalent to disabling the others in the config), and
-``schedule trace`` dumps a per-step learning-rate trace.
+``schedule trace`` dumps a per-step learning-rate trace. A flag that names a
+YAML key overrides that key's value; a flag that is not given leaves the
+YAML in force.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import config as config_mod
-from .pipeline import STAGE_TABLE, PipelineError, PipelineOptions, Workspace, run_pipeline
+from .pipeline import STAGE_TABLE, PipelineError, Workspace, run_pipeline
 from .records import (
     DEFAULT_ELL, DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, PRESETS, ScheduleError, ScheduleSpec,
 )
@@ -24,23 +26,23 @@ def _task_list(text: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
-# Each PipelineOptions field the CLI sets, with its ``add_argument`` keywords.
-# The flag is the field name with dashes unless "flag" names it; the default
-# is always the field's default.
+# Each flag: the YAML key it overrides ("SECTION.KEY") or the run_pipeline
+# argument it sets, with its ``add_argument`` keywords. The flag is the key's
+# last part, lower case with dashes. A flag that is not given sets nothing.
 _OPTION_FLAGS: dict[str, dict] = {
     "n_workers": {"type": int, "help": "preprocessing worker processes"},
-    "seed": {"type": int},
-    "num_train_shards": {"type": int},
-    "num_test_shards": {"type": int},
-    "frac_test": {"type": float, "help": "held-out fraction of the data (default %(default)s)"},
-    "dup_factor": {"type": int},
-    "masked_lm_prob": {"type": float},
-    "max_seq_length": {"type": int},
-    "max_predictions_per_seq": {"type": int},
-    "schedule_kind": {"flag": "--schedule", "choices": ("esd", "linear"),
-                      "help": "pretraining LR schedule kind"},
-    "eta0": {"type": float, "help": "peak learning rate"},
-    "tasks": {"type": _task_list, "help": "comma-separated GLUE task list"},
+    "DATASET.SEED": {"type": int},
+    "DATASET.NUM_TRAIN_SHARDS": {"type": int},
+    "DATASET.NUM_TEST_SHARDS": {"type": int},
+    "DATASET.FRAC_TEST": {"type": float, "help": "held-out fraction of the data "
+                                                 f"(default {config_mod.DatasetConfig.frac_test})"},
+    "DATASET.DUP_FACTOR": {"type": int},
+    "DATASET.MASKED_LM_PROB": {"type": float},
+    "DATASET.MAX_SEQ_LENGTH": {"type": int},
+    "DATASET.MAX_PREDICTIONS_PER_SEQ": {"type": int},
+    "PRETRAIN.SCHEDULE": {"choices": ("esd", "linear"), "help": "pretraining LR schedule kind"},
+    "PRETRAIN.ETA0": {"type": float, "help": "peak learning rate"},
+    "FINETUNE.TASKS": {"type": _task_list, "help": "comma-separated GLUE task list"},
     "finetune_parallelism": {"type": int},
     "remote_base_url": {"help": "base URL serving remote corpora (<base>/<name>/<split>/...)"},
     "force": {"action": "store_true",
@@ -48,8 +50,12 @@ _OPTION_FLAGS: dict[str, dict] = {
 }
 
 
+def _dest(name: str) -> str:
+    """The argparse attribute of a flag table row: its key's last part, lower case."""
+    return name.rpartition(".")[2].lower()
+
+
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    defaults = PipelineOptions()
     parser.add_argument("--config", required=True, help="YAML pipeline configuration file")
     parser.add_argument("--workdir", default=".", help="workspace root (default: cwd)")
     parser.add_argument(
@@ -61,13 +67,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         help="command prefix for the external trainer, e.g. 'deepspeed run_pretraining.py'",
     )
     for name, keywords in _OPTION_FLAGS.items():
-        keywords = dict(keywords)
-        flag = keywords.pop("flag", "--" + name.replace("_", "-"))
-        parser.add_argument(flag, dest=name, default=getattr(defaults, name), **keywords)
-
-
-def _options_from_args(args: argparse.Namespace) -> PipelineOptions:
-    return PipelineOptions(**{name: getattr(args, name) for name in _OPTION_FLAGS})
+        parser.add_argument("--" + _dest(name).replace("_", "-"), default=None, **keywords)
 
 
 def _trainer_from_args(args: argparse.Namespace):
@@ -82,17 +82,15 @@ def _trainer_from_args(args: argparse.Namespace):
 
 
 def _run_stages(args: argparse.Namespace, only_stage: str | None) -> int:
-    cfg = config_mod.load_config(args.config)
-    if only_stage is not None:
-        cfg = config_mod.with_stage_flags(cfg, **{
-            stage.section: stage.name == only_stage for stage in STAGE_TABLE if stage.section
-        })
-    report = run_pipeline(
-        cfg,
-        Workspace(Path(args.workdir)),
-        trainer=_trainer_from_args(args),
-        options=_options_from_args(args),
-    )
+    given = {name: getattr(args, _dest(name)) for name in _OPTION_FLAGS}
+    given = {name: value for name, value in given.items() if value is not None}
+    if only_stage is not None:  # a stage subcommand disables every other stage
+        given.update({f"{stage.section.upper()}.ENABLED": stage.name == only_stage
+                      for stage in STAGE_TABLE if stage.section})
+    cfg = config_mod.with_overrides(config_mod.load_config(args.config),
+                                    {name: value for name, value in given.items() if "." in name})
+    report = run_pipeline(cfg, Workspace(Path(args.workdir)), trainer=_trainer_from_args(args),
+                          **{name: value for name, value in given.items() if "." not in name})
     for stage in report.stages:
         line = f"[{stage.status:>16}] {stage.name}"
         if stage.duration_seconds:

@@ -8,16 +8,22 @@ Section and key names are matched case-insensitively (configs conventionally
 use upper case, e.g. ``PRETRAIN.NUM_STEPS``). Each value is coerced by the
 type its section dataclass declares for the field, so a new field needs only
 its declaration. Values absent from the file always take the documented
-defaults, so an empty document parses to exactly ``get_default_config()``.
+defaults, so an empty document parses to exactly ``get_default_config()``. A
+key that a stage record also declares (``ShardPlan``, ``MaskingPolicy``,
+``ScheduleSpec``, ``SearchSpace``) takes that record's default; the record,
+built from the config by the stage, checks the value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
+
+from . import glue
+from .records import DEFAULT_SEED, MaskingPolicy, ScheduleSpec, SearchSpace, ShardPlan
 
 
 class ConfigParseError(ValueError):
@@ -64,17 +70,32 @@ class DatasetConfig:
     id: str | None = None
     customized_datasets: tuple[str, ...] = ()
     huggingface_datasets: tuple[tuple[str, str], ...] = ()
+    seed: int = DEFAULT_SEED  # also the pretraining job's --seed
+    num_train_shards: int = ShardPlan.num_train_shards
+    num_test_shards: int = ShardPlan.num_test_shards
+    frac_test: float = ShardPlan.frac_test
+    dup_factor: int = MaskingPolicy.dup_factor
+    masked_lm_prob: float = MaskingPolicy.masked_lm_prob
+    max_seq_length: int = MaskingPolicy.max_seq_length
+    max_predictions_per_seq: int = MaskingPolicy.max_predictions_per_seq
 
 
 @dataclass(frozen=True)
 class PretrainConfig:
     enabled: bool = True
     num_steps: int = 23000
+    schedule: str = ScheduleSpec.kind  # "esd" | "linear"
+    eta0: float = ScheduleSpec.eta0
 
 
 @dataclass(frozen=True)
 class FinetuneConfig:
     enabled: bool = True
+    tasks: tuple[str, ...] = glue.TASK_NAMES
+    # The search grid: every (learning rate, batch size, epochs) point per task.
+    learning_rates: tuple[float, ...] = SearchSpace.learning_rates
+    batch_sizes: tuple[int, ...] = SearchSpace.batch_sizes
+    epochs: tuple[int, ...] = SearchSpace.epochs
 
 
 @dataclass(frozen=True)
@@ -123,26 +144,26 @@ def _checked(path: str, value: Any, ok: bool, expected: str) -> Any:
     return value
 
 
-def _coerce_strings(path: str, value: Any) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    return tuple(_checked(path, value, ok, "a list of strings"))
-
-
-def _coerce_string_pairs(path: str, value: Any) -> tuple[tuple[str, str], ...]:
-    if value is None:
-        return ()
-    _checked(path, value, isinstance(value, list), "a list of [name, split] pairs")
-    for item in value:
-        ok = (isinstance(item, (list, tuple)) and len(item) == 2
-              and all(isinstance(x, str) for x in item))
-        _checked(path, item, ok, "a [name, split] pair of strings")
-    return tuple((item[0], item[1]) for item in value)
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _list_of(is_item: Callable[[Any], bool], expected: str, convert: Callable = lambda v: v):
+    """Coercion of a YAML list (or a tuple, from a flag) whose items pass ``is_item``."""
+    def coerce(path: str, value: Any) -> tuple:
+        if value is None:
+            return ()
+        ok = isinstance(value, (list, tuple)) and all(is_item(v) for v in value)
+        return tuple(convert(v) for v in _checked(path, value, ok, expected))
+    return coerce
 
 
 # A section field's declared type, as written (a string: annotations are
@@ -150,13 +171,15 @@ def _is_int(value: Any) -> bool:
 _COERCE_BY_TYPE: dict[str, Callable[[str, Any], Any]] = {
     "bool": lambda path, v: _checked(path, v, isinstance(v, bool), "a boolean"),
     "int": lambda path, v: _checked(path, v, _is_int(v), "an integer"),
-    "float": lambda path, v: float(
-        _checked(path, v, _is_int(v) or isinstance(v, float), "a number")),
-    "str": lambda path, v: _checked(path, v, isinstance(v, str), "a string"),
-    "str | None": lambda path, v: (
-        None if v is None else _checked(path, v, isinstance(v, str), "a string")),
-    "tuple[str, ...]": _coerce_strings,
-    "tuple[tuple[str, str], ...]": _coerce_string_pairs,
+    "float": lambda path, v: float(_checked(path, v, _is_number(v), "a number")),
+    "str": lambda path, v: _checked(path, v, _is_str(v), "a string"),
+    "str | None": lambda path, v: None if v is None else _checked(path, v, _is_str(v), "a string"),
+    "tuple[str, ...]": _list_of(_is_str, "a list of strings"),
+    "tuple[int, ...]": _list_of(_is_int, "a list of integers"),
+    "tuple[float, ...]": _list_of(_is_number, "a list of numbers", float),
+    "tuple[tuple[str, str], ...]": _list_of(
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_str, v)),
+        "a list of [name, split] pairs of strings", tuple),
 }
 
 
@@ -263,14 +286,26 @@ def serialize_config(config: PipelineConfig) -> str:
 
 
 def with_stage_flags(config: PipelineConfig, **enabled: bool | None) -> PipelineConfig:
-    """Copy of the config with some stage-enable flags overridden (CLI single-stage runs).
+    """Copy of the config with some stage-enable flags overridden.
 
     Each keyword names a section that has an ``enabled`` flag; None leaves it as is.
     """
-    for section, flag in enabled.items():
-        current = getattr(config, section, None)
-        if not hasattr(current, "enabled"):
+    for section in enabled:
+        if not hasattr(getattr(config, section, None), "enabled"):
             raise TypeError(f"not a stage section: {section!r}")
-        if flag is not None:
-            config = replace(config, **{section: replace(current, enabled=flag)})
+    return with_overrides(config, {f"{section.upper()}.ENABLED": flag
+                                   for section, flag in enabled.items() if flag is not None})
+
+
+def with_overrides(config: PipelineConfig, values: Mapping[str, Any]) -> PipelineConfig:
+    """Copy of the config with some keys replaced (CLI flags), each coerced as the YAML is.
+
+    Each key is a path as the YAML spells it, ``"SECTION.KEY"``.
+    """
+    for key_path, value in values.items():
+        section_name, _, key = key_path.partition(".")
+        attr, cls = _SECTIONS[section_name]
+        f = next(f for f in fields(cls) if f.name.upper() == key)
+        value = _COERCE_BY_TYPE[f.type](key_path, value)
+        config = replace(config, **{attr: replace(getattr(config, attr), **{f.name: value})})
     return config

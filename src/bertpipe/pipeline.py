@@ -2,9 +2,11 @@
 
 ``STAGE_TABLE`` is the one description of the stages. A row names a stage,
 the config section whose ``ENABLED`` flag switches it (env_check is always
-on), the config and option values its work depends on, and the output it
-leaves; the stage's work is the module function ``_stage_<name>``. Three rules
-read the table:
+on), the config values its work depends on, and the output it leaves; the
+stage's work is the module function ``_stage_<name>``. The config is the one
+settings object: every value that steers an output is a YAML key, and the
+run-control arguments of :func:`run_pipeline` (worker counts, the remote
+corpus URL, ``force``) change no output byte. Three rules read the table:
 
 * Preconditions: an enabled stage that follows a disabled one needs the
   disabled stage's output on disk already. This is checked before anything
@@ -47,18 +49,17 @@ import hashlib
 import json
 import shutil
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable
 
-from . import glue
 from .atomic import replace_when_done
 from .config import PipelineConfig, serialize_config, validate
 from .records import (
-    DEFAULT_ETA0, INSTANCE_FORMAT_VERSION, META_NAME, RESULT_FILE, RUNS_INDEX,
-    SHARD_FORMAT_VERSION, SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError, MaskingPolicy,
-    ScheduleSpec, SearchSpace, ShardPlan, VocabularyError, load_meta, resolve_vocab, scan_local,
+    INSTANCE_FORMAT_VERSION, META_NAME, RESULT_FILE, RUNS_INDEX, SHARD_FORMAT_VERSION,
+    SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError, MaskingPolicy, ScheduleSpec, SearchSpace,
+    ShardPlan, VocabularyError, load_meta, resolve_vocab, scan_local,
 )
 
 # Stage code by the name the stages call it: "module", or "module.attribute" when renamed.
@@ -98,6 +99,7 @@ SKIPPED_DONE = "skipped_done"
 FAILED = "failed"
 
 MIN_FREE_BYTES = 256 * 2**20  # env_check refuses a workspace with less free disk
+REDACTED = "<redacted>"  # stands in for WANDB.API_KEY in the config echo
 
 
 class PipelineError(Exception):
@@ -180,57 +182,6 @@ class Workspace:
 
 
 @dataclass
-class PipelineOptions:
-    """Pipeline knobs that live outside the YAML schema (CLI/API level).
-
-    The defaults are those of the records the options build (``ShardPlan``,
-    ``MaskingPolicy``, ``ScheduleSpec``), declared there once. Lower-casing,
-    the 80/10/10 split, the warmup share and the STILT sources are not
-    options: they are fixed by ``tokenization`` and ``instances``,
-    ``DEFAULT_WARMUP_PROPORTION`` and ``search.DEFAULT_STILT_SOURCES``.
-    """
-
-    seed: int = ShardPlan.seed
-    n_workers: int = 1
-    num_train_shards: int = ShardPlan.num_train_shards
-    num_test_shards: int = ShardPlan.num_test_shards
-    frac_test: float = ShardPlan.frac_test
-    dup_factor: int = MaskingPolicy.dup_factor
-    masked_lm_prob: float = MaskingPolicy.masked_lm_prob
-    max_seq_length: int = MaskingPolicy.max_seq_length
-    max_predictions_per_seq: int = MaskingPolicy.max_predictions_per_seq
-    schedule_kind: str = ScheduleSpec.kind
-    eta0: float = DEFAULT_ETA0
-    early_stop: EarlyStopPolicy = field(default_factory=EarlyStopPolicy)
-    tasks: tuple[str, ...] = glue.TASK_NAMES
-    search_space: SearchSpace = field(default_factory=SearchSpace)
-    finetune_parallelism: int = 1
-    remote_base_url: str | None = None
-    force: bool = False  # ignore stage sentinels and re-run
-
-    def shard_plan(self, config: PipelineConfig) -> ShardPlan:
-        return ShardPlan(
-            num_train_shards=self.num_train_shards,
-            num_test_shards=self.num_test_shards,
-            frac_test=self.frac_test,
-            max_memory_bytes=int(config.system.max_memory_in_gb * 2**30),
-            seed=self.seed,
-        )
-
-    def masking_policy(self) -> MaskingPolicy:
-        return MaskingPolicy(
-            masked_lm_prob=self.masked_lm_prob,
-            max_predictions_per_seq=self.max_predictions_per_seq,
-            max_seq_length=self.max_seq_length,
-            dup_factor=self.dup_factor,
-            seed=self.seed,
-        )
-
-    def schedule_spec(self, overall_steps: int) -> ScheduleSpec:
-        return ScheduleSpec.for_budget(overall_steps, kind=self.schedule_kind, eta0=self.eta0)
-
-
-@dataclass
 class StageReport:
     name: str
     status: str
@@ -254,16 +205,8 @@ class PipelineReport:
     def to_json(self) -> dict[str, Any]:
         return {
             "dataset_id": self.dataset_id,
-            "stages": [
-                {
-                    "name": s.name,
-                    "status": s.status,
-                    "duration_seconds": s.duration_seconds,
-                    "artifacts": {k: str(v) for k, v in s.artifacts.items()},
-                    "error": s.error,
-                }
-                for s in self.stages
-            ],
+            "stages": [{**asdict(s), "artifacts": {k: str(v) for k, v in s.artifacts.items()}}
+                       for s in self.stages],
         }
 
 
@@ -288,32 +231,49 @@ def _vocab_sha256(name_or_path: str) -> str | None:
         return None
 
 
-def _dataset_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[str, Any]:
+def _record(cls: type, section: Any, **more: Any) -> Any:
+    """A stage record from the config section's keys of the same names, and ``more``."""
+    return cls(**{f.name: getattr(section, f.name) for f in fields(cls)
+                  if hasattr(section, f.name)}, **more)
+
+
+def _shard_plan(config: PipelineConfig) -> ShardPlan:
+    memory = int(config.system.max_memory_in_gb * 2**30)
+    return _record(ShardPlan, config.dataset, max_memory_bytes=memory)
+
+
+def _schedule_spec(config: PipelineConfig) -> ScheduleSpec:
+    pretrain = config.pretrain
+    return ScheduleSpec.for_budget(pretrain.num_steps, kind=pretrain.schedule, eta0=pretrain.eta0)
+
+
+def _dataset_inputs(config: PipelineConfig) -> dict[str, Any]:
     # A remote corpus is keyed by (name, split) alone: a completed cache never changes.
     return {
         "dataset": asdict(config.dataset),
         "tokenizer": asdict(config.tokenizer),
         "vocab": _vocab_sha256(config.tokenizer.name_or_path),
-        "shard_plan": asdict(options.shard_plan(config)),
-        "masking_policy": asdict(options.masking_policy()),
+        "shard_plan": asdict(_shard_plan(config)),
+        "masking_policy": asdict(_record(MaskingPolicy, config.dataset)),
         "corpus": _corpus_fingerprint(config.dataset.customized_datasets),
         "instance_format": INSTANCE_FORMAT_VERSION,
         "shard_format": SHARD_FORMAT_VERSION,
     }
 
 
-def _pretrain_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[str, Any]:
+def _pretrain_inputs(config: PipelineConfig) -> dict[str, Any]:
     return {
         "pretrain": asdict(config.pretrain),
         "tokenizer": asdict(config.tokenizer),
-        "schedule": asdict(options.schedule_spec(config.pretrain.num_steps)),
-        "early_stop": asdict(options.early_stop),
-        "seed": options.seed,
+        "schedule": asdict(_schedule_spec(config)),
+        "early_stop": asdict(EarlyStopPolicy()),  # build_pretrain_job's default
+        "seed": config.dataset.seed,
     }
 
 
-def _finetune_inputs(config: PipelineConfig, options: PipelineOptions) -> dict[str, Any]:
-    return {"options": [sorted(options.tasks), asdict(options.search_space)]}
+def _finetune_inputs(config: PipelineConfig) -> dict[str, Any]:
+    grid = _record(SearchSpace, config.finetune)
+    return {"tasks": sorted(config.finetune.tasks), "grid": asdict(grid)}
 
 
 @dataclass(frozen=True)
@@ -322,7 +282,9 @@ class StageSpec:
 
     name: str
     section: str | None  # PipelineConfig attribute holding ENABLED; None: always on
-    inputs: Callable[[PipelineConfig, PipelineOptions], Any]
+    # The config values the stage's outputs depend on, as JSON. Building a stage
+    # record here (shard plan, masking policy, schedule, grid) checks its values.
+    inputs: Callable[[PipelineConfig], Any]
     # Output path for a dataset id, None while the id is unknown; no callable: no output.
     output: Callable[[Workspace, str | None], Path | None] | None = None
 
@@ -337,7 +299,7 @@ class StageSpec:
 
 
 STAGE_TABLE: tuple[StageSpec, ...] = (
-    StageSpec("env_check", None, lambda config, options: None),
+    StageSpec("env_check", None, lambda config: None),
     StageSpec("dataset", "dataset", _dataset_inputs,
               lambda ws, did: ws.processed_dir / META_NAME),
     StageSpec("pretrain", "pretrain", _pretrain_inputs,
@@ -345,7 +307,7 @@ STAGE_TABLE: tuple[StageSpec, ...] = (
     StageSpec("finetune", "finetune", _finetune_inputs,
               lambda ws, did: ws.log_root / "finetune" / did / RUNS_INDEX if did else None),
     StageSpec("collect", "result_collection",
-              lambda config, options: {"options": [sorted(options.tasks)]},
+              lambda config: {"tasks": sorted(config.finetune.tasks)},
               lambda ws, did: ws.translated_dir(did) / SUBMISSION_ZIP_NAME if did else None),
 )
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
@@ -387,11 +349,9 @@ def check_preconditions(config: PipelineConfig, workspace: Workspace,
             _require_output(producer, consumer, workspace, dataset_id)
 
 
-def _stage_digest(stage: StageSpec, config: PipelineConfig, options: PipelineOptions,
-                  upstream: str | None) -> str:
+def _stage_digest(stage: StageSpec, config: PipelineConfig, upstream: str | None) -> str:
     """Digest of a stage's inputs chained to the digest of the stage before it."""
-    relevant = {"stage": stage.name, "inputs": stage.inputs(config, options),
-                "upstream": upstream}
+    relevant = {"stage": stage.name, "inputs": stage.inputs(config), "upstream": upstream}
     blob = json.dumps(relevant, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -415,16 +375,24 @@ def run_pipeline(
     config: PipelineConfig,
     workspace: Workspace | str | Path,
     trainer: TrainerAdapter | None = None,
-    options: PipelineOptions | None = None,
+    *,
+    n_workers: int = 1,
+    finetune_parallelism: int = 1,
+    remote_base_url: str | None = None,
+    force: bool = False,
 ) -> PipelineReport:
     """Run every enabled stage in order and write a machine-readable report.
+
+    The keyword arguments control the run and change no output byte, so no
+    digest hashes them: preprocessing worker processes, finetune jobs run at
+    once, the base URL serving remote corpora, and ``force``, which re-runs
+    stages their sentinels say are done.
 
     Raises PipelineError naming the failing stage; the report (including the
     failure) is still written to ``log/pipeline/report.json``.
     """
     if not isinstance(workspace, Workspace):
         workspace = Workspace(Path(workspace))
-    options = options or PipelineOptions()
 
     violations = validate(config)
     if violations:
@@ -437,10 +405,15 @@ def run_pipeline(
     workspace.root.mkdir(parents=True, exist_ok=True)
     pipeline_log = workspace.pipeline_log_dir()
     pipeline_log.mkdir(parents=True, exist_ok=True)
-    # Provenance: the exact config this run saw, in canonical form.
-    (pipeline_log / "config.yaml").write_text(serialize_config(config), encoding="utf-8")
+    # Provenance: the exact config this run used, flag overrides included, in
+    # canonical form; a tracking API key is a secret and stays out of the log.
+    provenance = config
+    if config.wandb.api_key is not None:
+        provenance = replace(config, wandb=replace(config.wandb, api_key=REDACTED))
+    (pipeline_log / "config.yaml").write_text(serialize_config(provenance), encoding="utf-8")
 
-    state = _RunState(config, workspace, options, trainer, dataset_id)
+    state = _RunState(config, workspace, trainer, dataset_id, n_workers, finetune_parallelism,
+                      remote_base_url)
     report = PipelineReport(stages=[], dataset_id=None)
 
     failure: PipelineError | None = None
@@ -461,9 +434,9 @@ def run_pipeline(
         started = time.perf_counter()
         try:
             # Inside the stage's failure handling: the digest builds the stage's
-            # validated plan, policy or schedule, which rejects bad options.
-            digest = upstream = _stage_digest(stage, config, options, upstream)
-            if (not options.force and _sentinel_digest(workspace, stage.name) == digest
+            # validated plan, policy, schedule or grid, which rejects bad values.
+            digest = upstream = _stage_digest(stage, config, upstream)
+            if (not force and _sentinel_digest(workspace, stage.name) == digest
                     and stage.output_exists(workspace, state.dataset_id)):
                 report.stages.append(
                     StageReport(stage.name, SKIPPED_DONE, artifacts={"digest": digest}))
@@ -474,27 +447,16 @@ def run_pipeline(
             workspace.sentinel_path(stage.name).unlink(missing_ok=True)
             # Looked up at call time, so a wrapped module attribute is what runs.
             artifacts = globals()[f"_stage_{stage.name}"](state)
+            # Part of the stage: a sentinel that cannot be written fails it.
+            _mark_done(workspace, stage.name, digest)
         except Exception as exc:
-            report.stages.append(
-                StageReport(
-                    stage.name,
-                    FAILED,
-                    duration_seconds=time.perf_counter() - started,
-                    error=str(exc),
-                )
-            )
+            elapsed = time.perf_counter() - started
+            report.stages.append(StageReport(stage.name, FAILED, elapsed, error=str(exc)))
             failure = PipelineError(f"stage '{stage.name}' failed: {exc}")
             failure.__cause__ = exc
             break
-        _mark_done(workspace, stage.name, digest)
-        report.stages.append(
-            StageReport(
-                stage.name,
-                COMPLETED,
-                duration_seconds=time.perf_counter() - started,
-                artifacts={**artifacts, "digest": digest},
-            )
-        )
+        report.stages.append(StageReport(stage.name, COMPLETED, time.perf_counter() - started,
+                                         {**artifacts, "digest": digest}))
 
     report.dataset_id = state.dataset_id
     report_path = pipeline_log / "report.json"
@@ -509,12 +471,15 @@ class _RunState:
     """Mutable cross-stage context of one pipeline invocation."""
 
     def __init__(self, config: PipelineConfig, workspace: Workspace,
-                 options: PipelineOptions, trainer: TrainerAdapter | None, dataset_id: str | None):
+                 trainer: TrainerAdapter | None, dataset_id: str | None, n_workers: int,
+                 finetune_parallelism: int, remote_base_url: str | None):
         self.config = config
         self.workspace = workspace
-        self.options = options
         self.trainer = trainer  # None: a SimulationTrainer, built when a stage needs one
         self.dataset_id = dataset_id  # the dataset stage sets the new id
+        self.n_workers = n_workers
+        self.finetune_parallelism = finetune_parallelism
+        self.remote_base_url = remote_base_url
 
     def require_dataset_id(self) -> str:
         if self.dataset_id is None:
@@ -552,27 +517,27 @@ def _stage_env_check(state: _RunState) -> dict[str, Any]:
 
 def _stage_dataset(state: _RunState) -> dict[str, Any]:
     _import_stage_code("ingest", "sharding", "tokenization", "instances")
-    config, ws, options = state.config, state.workspace, state.options
+    config, ws = state.config, state.workspace
     # Before any shard is written: an unresolvable vocabulary fails fast.
     vocab = load_vocab(resolve_vocab(config.tokenizer.name_or_path))
     sources = sources_from_config(
         config.dataset.customized_datasets, config.dataset.huggingface_datasets
     )
     files = enumerate_corpus_files(
-        sources, cache_dir=ws.remote_cache_dir, base_url=options.remote_base_url
+        sources, cache_dir=ws.remote_cache_dir, base_url=state.remote_base_url
     )
     if not files:
         raise PipelineError("configured corpora contain no files")
-    plan = options.shard_plan(config)
-    sharding = shard_corpus(files, plan, ws.spill_dir, ws.sharded_dir, options.n_workers)
+    sharding = shard_corpus(files, _shard_plan(config), ws.spill_dir, ws.sharded_dir,
+                            state.n_workers)
     did = derive_dataset_id(sharding.shards, config.dataset.id or None)
     generation = generate_instances(
         sharding.shards,
-        options.masking_policy(),
+        _record(MaskingPolicy, config.dataset),
         vocab,
         ws.processed_dir,
         dataset_id=did,
-        n_workers=options.n_workers,
+        n_workers=state.n_workers,
     )
     state.dataset_id = did
     return {
@@ -590,18 +555,16 @@ def _stage_dataset(state: _RunState) -> dict[str, Any]:
 
 def _stage_pretrain(state: _RunState) -> dict[str, Any]:
     _import_stage_code("trainer")
-    config, ws, options = state.config, state.workspace, state.options
+    config, ws = state.config, state.workspace
     did = state.require_dataset_id()
-    spec = options.schedule_spec(config.pretrain.num_steps)
     job = build_pretrain_job(
         config,
-        spec,
+        _schedule_spec(config),
         did,
         dataset_path=ws.processed_dir,
         output_dir=ws.pretrain_model_dir(did),
         log_dir=ws.pretrain_log_dir(did),
-        early_stop=options.early_stop,
-        seed=options.seed,
+        seed=config.dataset.seed,
     )
     outcome = state.require_trainer().run(job)
     return {
@@ -614,13 +577,13 @@ def _stage_pretrain(state: _RunState) -> dict[str, Any]:
 
 def _stage_finetune(state: _RunState) -> dict[str, Any]:
     _import_stage_code("trainer", "search", "collect")
-    ws, options, trainer = state.workspace, state.options, state.require_trainer()
+    config, ws, trainer = state.config, state.workspace, state.require_trainer()
     did = state.require_dataset_id()
     _, pretrain_checkpoint = parse_result_file(ws.pretrain_model_dir(did))
     if not pretrain_checkpoint.exists():
         raise PipelineError(f"pretrained checkpoint missing: {pretrain_checkpoint}")
 
-    points = finetune_search(options.tasks, options.search_space)
+    points = finetune_search(config.finetune.tasks, _record(SearchSpace, config.finetune))
     best: dict[str, tuple[TrainerJob, RunOutcome]] = {}
 
     def run_point(point: GridPoint) -> tuple[TrainerJob, RunOutcome]:
@@ -634,10 +597,10 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
         return job, outcome
 
     for wave in schedule_waves(points):
-        if options.finetune_parallelism > 1:
+        if state.finetune_parallelism > 1:
             from concurrent.futures import ThreadPoolExecutor  # a serial grid never loads it
 
-            with ThreadPoolExecutor(max_workers=options.finetune_parallelism) as pool:
+            with ThreadPoolExecutor(max_workers=state.finetune_parallelism) as pool:
                 wave_outcomes = list(pool.map(run_point, wave))
         else:
             wave_outcomes = [run_point(point) for point in wave]

@@ -35,6 +35,7 @@ SUBMISSION_ZIP_NAME = "glue_submission.zip"
 MIN_MEMORY_BYTES = 16 * 2**20
 TRAIN, TEST = "train", "test"
 
+DEFAULT_SEED = 42  # keys every random draw: split, shard order, masks, pretraining
 DEFAULT_ETA0 = 2e-3
 DEFAULT_DECAY_RATIO = 2 ** -0.5
 DEFAULT_DECAY_RATIO_SQUARED = Fraction(1, 2)
@@ -77,7 +78,7 @@ class ShardPlan:
     num_test_shards: int = 128
     frac_test: float = 0.005
     max_memory_bytes: int = 64 * 2**30
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.num_train_shards < 1 or self.num_test_shards < 1:
@@ -106,7 +107,7 @@ class MaskingPolicy:
     max_predictions_per_seq: int = 20
     max_seq_length: int = 128
     dup_factor: int = 10
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not 0 < self.masked_lm_prob < 1:

@@ -43,7 +43,7 @@ from typing import Any, Protocol
 
 from . import glue
 from .atomic import replace_text_when_done
-from .records import RESULT_FILE, EarlyStopPolicy
+from .records import DEFAULT_SEED, RESULT_FILE, EarlyStopPolicy
 from .rng import derive_u64, keyed_uniform
 from .schedule import ScheduleSpec, schedule_value
 
@@ -125,8 +125,8 @@ def winner_key(val_metric: float, hyperparams: dict[str, Any]) -> tuple:
 VALIDATION_BEGIN_PROPORTION = 0.05
 VALIDATION_END_PROPORTION = 0.01
 
-# Argument list of the standard pretraining command; config-, schedule- and
-# option-driven values are added by build_pretrain_job.
+# Argument list of the standard pretraining command; the values the config,
+# schedule, early-stop policy and seed drive are added by build_pretrain_job.
 PRETRAIN_STATIC_ARGS: tuple[tuple[str, str | None], ...] = (
     ("--model_type", "bert-mlm"),
     ("--hidden_act", "gelu"),
@@ -172,9 +172,9 @@ def build_pretrain_job(
     output_dir: Path,
     log_dir: Path | None = None,
     early_stop: EarlyStopPolicy = EarlyStopPolicy(),
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
 ) -> TrainerJob:
-    """Assemble the pretraining job argv from the config, schedule and options."""
+    """Assemble the pretraining job argv from the config, schedule, early stop and seed."""
     num_steps = config.pretrain.num_steps
     argv: list[str] = [
         "--dataset_path", str(dataset_path),

@@ -24,12 +24,10 @@ from bertpipe.pipeline import (
     COMPLETED,
     SKIPPED_DISABLED,
     SKIPPED_DONE,
-    PipelineOptions,
     Workspace,
     run_pipeline,
 )
 from bertpipe.schedule import ScheduleSpec, esd_value, schedule_value, stage_table, warmup_steps
-from bertpipe.search import SearchSpace
 from bertpipe.sharding import ShardPlan, dataset_id, read_shard, shard_corpus
 from bertpipe.synthdata import generate_corpus
 from bertpipe.tokenization import load_vocab, resolve_vocab
@@ -311,16 +309,11 @@ def test_criterion_7_end_to_end(tmp_path_factory, vocab):
         base_yaml = (
             f"SYSTEM:\n  MAX_MEMORY_IN_GB: 0.5\n"
             f"DATASET:\n  CUSTOMIZED_DATASETS:\n    - {tmp / 'corpus'}\n"
+            f"  NUM_TRAIN_SHARDS: 4\n  NUM_TEST_SHARDS: 2\n  FRAC_TEST: 0.05\n  DUP_FACTOR: 3\n"
             f"PRETRAIN:\n  NUM_STEPS: 300\n"
+            f"FINETUNE:\n  LEARNING_RATES: [1.0e-5, 3.0e-5]\n  BATCH_SIZES: [16]\n"
+            f"  EPOCHS: [3]\n"
             f"TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n"
-        )
-        options = PipelineOptions(
-            n_workers=2,
-            num_train_shards=4,
-            num_test_shards=2,
-            frac_test=0.05,
-            dup_factor=3,
-            search_space=SearchSpace(learning_rates=(1e-5, 3e-5), batch_sizes=(16,), epochs=(3,)),
         )
         ws = Workspace(tmp / "ws")
 
@@ -328,14 +321,14 @@ def test_criterion_7_end_to_end(tmp_path_factory, vocab):
         preprocess_cfg = with_stage_flags(
             parse_config(base_yaml), pretrain=False, finetune=False, result_collection=False
         )
-        report_a = run_pipeline(preprocess_cfg, ws, options=options)
+        report_a = run_pipeline(preprocess_cfg, ws, n_workers=2)
         assert [s.status for s in report_a.stages] == [
             COMPLETED, COMPLETED, SKIPPED_DISABLED, SKIPPED_DISABLED, SKIPPED_DISABLED,
         ]
 
         # Train shape: dataset disabled, preprocessed data picked up.
         train_cfg = with_stage_flags(parse_config(base_yaml), dataset=False)
-        report_b = run_pipeline(train_cfg, ws, options=options)
+        report_b = run_pipeline(train_cfg, ws, n_workers=2)
         statuses = {s.name: s.status for s in report_b.stages}
         assert statuses["dataset"] == SKIPPED_DISABLED
         assert statuses["pretrain"] == statuses["finetune"] == statuses["collect"] == COMPLETED
@@ -353,7 +346,7 @@ def test_criterion_7_end_to_end(tmp_path_factory, vocab):
         assert again.read_bytes() == zip_path.read_bytes()
 
         # Resume: a second identical invocation performs no work.
-        report_c = run_pipeline(train_cfg, ws, options=options)
+        report_c = run_pipeline(train_cfg, ws, n_workers=2)
         assert all(
             s.status in (SKIPPED_DISABLED, SKIPPED_DONE) for s in report_c.stages
         )
@@ -402,3 +395,48 @@ def test_criterion_9_schedule_effect_directional(tmp_path_factory):
         (esd_mass, esd_loss), (lin_mass, lin_loss) = outcomes["esd"], outcomes["linear"]
         assert (esd_mass > lin_mass) == (esd_loss < lin_loss)
         assert esd_mass != lin_mass
+
+
+def test_criterion_10_flags_and_yaml_agree(tmp_path):
+    with criterion(10, "a flag and its YAML key give the same bytes"):
+        from bertpipe.cli import main
+
+        generate_corpus(tmp_path / "corpus", 150_000, seed=5, n_files=2)
+        base = (f"SYSTEM:\n  MAX_MEMORY_IN_GB: 0.25\n"
+                f"DATASET:\n  CUSTOMIZED_DATASETS:\n    - {tmp_path / 'corpus'}\n"
+                f"PRETRAIN:\n  NUM_STEPS: 50\n"
+                f"FINETUNE:\n  LEARNING_RATES: [2.0e-5]\n  BATCH_SIZES: [8]\n  EPOCHS: [2]\n"
+                f"TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n")
+        # Each settable value a flag can give, none at its default.
+        settings = [("SEED", "7"), ("NUM_TRAIN_SHARDS", "3"), ("NUM_TEST_SHARDS", "2"),
+                    ("FRAC_TEST", "0.1"), ("DUP_FACTOR", "2"), ("MASKED_LM_PROB", "0.2"),
+                    ("MAX_SEQ_LENGTH", "64"), ("MAX_PREDICTIONS_PER_SEQ", "10"),
+                    ("SCHEDULE", "linear"), ("ETA0", "0.001"), ("TASKS", "MNLI,RTE")]
+        flags = [arg for key, value in settings
+                 for arg in ("--" + key.lower().replace("_", "-"), value)]
+        in_yaml = base
+        for key, value in settings:
+            section = {"SCHEDULE": "PRETRAIN", "ETA0": "PRETRAIN",
+                       "TASKS": "FINETUNE"}.get(key, "DATASET")
+            value = f"[{value}]" if key == "TASKS" else value
+            in_yaml = in_yaml.replace(f"{section}:\n", f"{section}:\n  {key}: {value}\n")
+        (tmp_path / "base.yaml").write_text(base)
+        (tmp_path / "full.yaml").write_text(in_yaml)
+
+        by_flags, by_yaml = tmp_path / "flags", tmp_path / "yaml"
+        assert main(["run", "--config", str(tmp_path / "base.yaml"), "--workdir", str(by_flags),
+                     *flags]) == 0
+        assert main(["run", "--config", str(tmp_path / "full.yaml"),
+                     "--workdir", str(by_yaml)]) == 0
+
+        def output_bytes(ws: Path) -> dict[str, bytes]:
+            roots = ("data/sharded", "data/processed", "output_test_translated")
+            return {str(p.relative_to(ws)): p.read_bytes()
+                    for root in roots for p in sorted((ws / root).rglob("*")) if p.is_file()}
+
+        flag_outputs = output_bytes(by_flags)
+        assert any(name.endswith("META.yaml") for name in flag_outputs)
+        assert any(name.endswith(".zip") for name in flag_outputs)
+        assert flag_outputs == output_bytes(by_yaml)
+        echo = "log/pipeline/config.yaml"
+        assert (by_flags / echo).read_bytes() == (by_yaml / echo).read_bytes()

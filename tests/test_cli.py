@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import zipfile
-from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from bertpipe.cli import _options_from_args, build_parser, main
-from bertpipe.pipeline import STAGES, PipelineOptions
+from bertpipe import cli
+from bertpipe.cli import build_parser, main
+from bertpipe.config import load_config, parse_config
+from bertpipe.pipeline import REDACTED, STAGES
 from bertpipe.synthdata import generate_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +49,21 @@ def test_run_command(tmp_path, capsys):
     assert zipfile.ZipFile(zips[0]).namelist() == ["MNLI-m.tsv", "RTE.tsv"]
 
 
+def test_config_echo_is_the_config_the_run_used(tmp_path, capsys):
+    # Flag values are part of the run's settings; the tracking API key is a secret.
+    cfg = write_config(tmp_path)
+    api_key = "0123456789abcdef" * 2
+    cfg.write_text(cfg.read_text() + f"WANDB:\n  API_KEY: {api_key}\n")
+    ws = tmp_path / "ws"
+    assert main(["run", *base_args(cfg, ws)]) == 0
+    echo = (ws / "log" / "pipeline" / "config.yaml").read_text()
+    assert api_key not in echo
+    used = parse_config(echo)
+    assert used.dataset.num_train_shards == 2 and used.finetune.tasks == ("MNLI", "RTE")
+    assert used.wandb.api_key == REDACTED
+    capsys.readouterr()
+
+
 def test_stage_subcommands_mirror_enable_flags(tmp_path, capsys):
     cfg = write_config(tmp_path)
     ws = tmp_path / "ws"
@@ -62,44 +79,79 @@ def test_stage_subcommands_mirror_enable_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_flag_defaults_are_the_option_defaults():
-    args = build_parser().parse_args(["run", "--config", "x"])
-    assert _options_from_args(args) == PipelineOptions()
-
-
-# Every PipelineOptions flag, a non-default value for it, and what the field should read.
-NON_DEFAULT_FLAGS = [
+# Every flag, a value for it, and the YAML key or run_pipeline argument it sets.
+FLAG_VALUES = [
     (["--n-workers", "3"], "n_workers", 3),
-    (["--seed", "7"], "seed", 7),
-    (["--num-train-shards", "5"], "num_train_shards", 5),
-    (["--num-test-shards", "4"], "num_test_shards", 4),
-    (["--frac-test", "0.25"], "frac_test", 0.25),
-    (["--dup-factor", "2"], "dup_factor", 2),
-    (["--masked-lm-prob", "0.2"], "masked_lm_prob", 0.2),
-    (["--max-seq-length", "64"], "max_seq_length", 64),
-    (["--max-predictions-per-seq", "9"], "max_predictions_per_seq", 9),
-    (["--schedule", "linear"], "schedule_kind", "linear"),
-    (["--eta0", "0.5"], "eta0", 0.5),
-    (["--tasks", "RTE, MNLI,"], "tasks", ("RTE", "MNLI")),
+    (["--seed", "7"], "DATASET.SEED", 7),
+    (["--num-train-shards", "5"], "DATASET.NUM_TRAIN_SHARDS", 5),
+    (["--num-test-shards", "4"], "DATASET.NUM_TEST_SHARDS", 4),
+    (["--frac-test", "0.25"], "DATASET.FRAC_TEST", 0.25),
+    (["--dup-factor", "2"], "DATASET.DUP_FACTOR", 2),
+    (["--masked-lm-prob", "0.2"], "DATASET.MASKED_LM_PROB", 0.2),
+    (["--max-seq-length", "64"], "DATASET.MAX_SEQ_LENGTH", 64),
+    (["--max-predictions-per-seq", "9"], "DATASET.MAX_PREDICTIONS_PER_SEQ", 9),
+    (["--schedule", "linear"], "PRETRAIN.SCHEDULE", "linear"),
+    (["--eta0", "0.5"], "PRETRAIN.ETA0", 0.5),
+    (["--tasks", "RTE, MNLI,"], "FINETUNE.TASKS", ["RTE", "MNLI"]),
     (["--finetune-parallelism", "3"], "finetune_parallelism", 3),
     (["--remote-base-url", "http://localhost:8000/corpora"], "remote_base_url",
      "http://localhost:8000/corpora"),
     (["--force"], "force", True),
 ]
+# Another value for each YAML key a flag sets.
+YAML_VALUES = {
+    "DATASET.SEED": 1, "DATASET.NUM_TRAIN_SHARDS": 8, "DATASET.NUM_TEST_SHARDS": 8,
+    "DATASET.FRAC_TEST": 0.5, "DATASET.DUP_FACTOR": 4, "DATASET.MASKED_LM_PROB": 0.3,
+    "DATASET.MAX_SEQ_LENGTH": 32, "DATASET.MAX_PREDICTIONS_PER_SEQ": 3,
+    "PRETRAIN.SCHEDULE": "esd", "PRETRAIN.ETA0": 0.25, "FINETUNE.TASKS": ["CoLA"],
+}
 
 
-def test_each_flag_reaches_its_option():
-    defaults = PipelineOptions()
-    argv = ["run", "--config", "x"]
-    for flag_argv, name, value in NON_DEFAULT_FLAGS:
-        assert getattr(defaults, name) != value, name
-        argv += flag_argv
-    args = build_parser().parse_args(argv)
-    expected = replace(defaults, **{name: value for _, name, value in NON_DEFAULT_FLAGS})
-    assert _options_from_args(args) == expected
+def yaml_of(values: dict) -> str:
+    """YAML text setting each "SECTION.KEY" of ``values`` (JSON is YAML)."""
+    sections: dict[str, str] = {}
+    for name, value in values.items():
+        section, key = name.split(".")
+        line = f"  {key}: {json.dumps(value)}\n"
+        sections[section] = sections.get(section, f"{section}:\n") + line
+    return "".join(sections.values())
+
+
+def run_arguments(tmp_path, monkeypatch, yaml_text: str, flags: list[str]):
+    """The config and keyword arguments ``bertpipe run`` passes to run_pipeline."""
+    cfg = tmp_path / "pipeline.yaml"
+    cfg.write_text(yaml_text)
+    calls = []
+
+    def fake_run_pipeline(config, workspace, **kwargs):
+        calls.append((config, kwargs))
+        return SimpleNamespace(stages=[], dataset_id=None, report_path=None)
+
+    monkeypatch.setattr(cli, "run_pipeline", fake_run_pipeline)
+    assert main(["run", "--config", str(cfg), "--workdir", str(tmp_path / "ws"), *flags]) == 0
+    (config, kwargs), = calls
+    return config, kwargs
+
+
+def test_each_flag_reaches_its_key_or_argument(tmp_path, monkeypatch, capsys):
+    flagged = {name: value for _, name, value in FLAG_VALUES if "." in name}
+    assert flagged.keys() == YAML_VALUES.keys()
+    assert all(YAML_VALUES[name] != value for name, value in flagged.items())
+    config, kwargs = run_arguments(tmp_path, monkeypatch, yaml_of(YAML_VALUES),
+                                   [arg for flag_argv, _, _ in FLAG_VALUES for arg in flag_argv])
+    assert config == parse_config(yaml_of(flagged))
+    assert kwargs == {"trainer": None, **{name: value for _, name, value in FLAG_VALUES
+                                          if "." not in name}}
     # No flag is left out of the list above.
-    not_options = {"command", "func", "config", "workdir", "trainer", "trainer_cmd"}
-    assert set(vars(args)) - not_options == {name for _, name, _ in NON_DEFAULT_FLAGS}
+    args = build_parser().parse_args(["run", "--config", "x"])
+    not_in_table = {"command", "func", "config", "workdir", "trainer", "trainer_cmd"}
+    assert set(vars(args)) - not_in_table == {cli._dest(name) for _, name, _ in FLAG_VALUES}
+
+
+def test_no_flags_leave_the_config_unchanged(tmp_path, monkeypatch, capsys):
+    config, kwargs = run_arguments(tmp_path, monkeypatch, yaml_of(YAML_VALUES), [])
+    assert config == load_config(tmp_path / "pipeline.yaml") == parse_config(yaml_of(YAML_VALUES))
+    assert kwargs == {"trainer": None}
 
 
 def test_precondition_error_is_reported(tmp_path, capsys):

@@ -11,8 +11,10 @@ from bertpipe.config import (
     parse_config,
     serialize_config,
     validate,
+    with_overrides,
     with_stage_flags,
 )
+from bertpipe.records import DEFAULT_SEED, MaskingPolicy, ScheduleSpec, SearchSpace, ShardPlan
 
 from pathlib import Path
 
@@ -32,6 +34,22 @@ class TestDefaults:
 
     def test_max_memory(self):
         assert get_default_config().system.max_memory_in_gb == 64
+
+    def test_record_keys_take_the_record_defaults(self):
+        cfg = get_default_config()
+        plan, policy, grid = ShardPlan(), MaskingPolicy(), SearchSpace()
+        assert cfg.dataset.seed == plan.seed == policy.seed == DEFAULT_SEED
+        assert (cfg.dataset.num_train_shards, cfg.dataset.num_test_shards,
+                cfg.dataset.frac_test) == (plan.num_train_shards, plan.num_test_shards,
+                                           plan.frac_test)
+        assert (cfg.dataset.dup_factor, cfg.dataset.masked_lm_prob, cfg.dataset.max_seq_length,
+                cfg.dataset.max_predictions_per_seq) == (
+            policy.dup_factor, policy.masked_lm_prob, policy.max_seq_length,
+            policy.max_predictions_per_seq)
+        assert (cfg.pretrain.schedule, cfg.pretrain.eta0) == (ScheduleSpec.kind, ScheduleSpec.eta0)
+        assert (cfg.finetune.learning_rates, cfg.finetune.batch_sizes, cfg.finetune.epochs) == (
+            grid.learning_rates, grid.batch_sizes, grid.epochs)
+        assert len(cfg.finetune.tasks) == 9
 
     def test_tokenizer_and_datasets(self):
         cfg = get_default_config()
@@ -98,11 +116,25 @@ class TestParse:
         ("WANDB:\n  API_KEY: 5\n", "WANDB.API_KEY"),
         ("DATASET:\n  CUSTOMIZED_DATASETS: [1]\n", "DATASET.CUSTOMIZED_DATASETS"),
         ("DATASET:\n  HUGGINGFACE_DATASETS: wikipedia\n", "DATASET.HUGGINGFACE_DATASETS"),
+        ("DATASET:\n  SEED: 1.5\n", "DATASET.SEED"),
+        ("FINETUNE:\n  TASKS: MNLI\n", "FINETUNE.TASKS"),
+        ("FINETUNE:\n  LEARNING_RATES: [fast]\n", "FINETUNE.LEARNING_RATES"),
+        ("FINETUNE:\n  BATCH_SIZES: [16.0]\n", "FINETUNE.BATCH_SIZES"),
+        ("FINETUNE:\n  EPOCHS: [true]\n", "FINETUNE.EPOCHS"),
+        # YAML 1.1 reads an exponent without a dot as text: 1.0e-3 is the number.
+        ("PRETRAIN:\n  ETA0: 1e-3\n", "PRETRAIN.ETA0"),
     ])
     def test_each_field_type_rejects_a_wrong_value(self, text, key_path):
         with pytest.raises(ConfigValidationError) as excinfo:
             parse_config(text)
         assert excinfo.value.key_path == key_path
+
+    def test_number_lists_by_field_type(self):
+        cfg = parse_config("FINETUNE:\n  LEARNING_RATES: [1, 2.5e-5]\n  BATCH_SIZES: [8]\n"
+                           "  EPOCHS: null\n")
+        assert cfg.finetune.learning_rates == (1.0, 2.5e-5)
+        assert isinstance(cfg.finetune.learning_rates[0], float)
+        assert cfg.finetune.batch_sizes == (8,) and cfg.finetune.epochs == ()
 
     def test_null_and_integer_values_by_field_type(self):
         cfg = parse_config("SYSTEM:\n  MAX_MEMORY_IN_GB: 16\nDATASET:\n  ID: null\n"
@@ -176,11 +208,20 @@ def pipeline_configs(draw) -> PipelineConfig:
             id=draw(st.none() | _names),
             customized_datasets=tuple(draw(st.lists(_names, max_size=3))),
             huggingface_datasets=tuple(draw(st.lists(st.tuples(_names, _names), max_size=3))),
+            seed=draw(st.integers(0, 2**63)),
+            frac_test=draw(st.floats(0, 1, exclude_max=True)),
         ),
         pretrain=PretrainConfig(
-            enabled=draw(st.booleans()), num_steps=draw(st.integers(1, 10**6))
+            enabled=draw(st.booleans()), num_steps=draw(st.integers(1, 10**6)),
+            schedule=draw(st.sampled_from(("esd", "linear"))),
+            eta0=draw(st.floats(1e-9, 1.0)),
         ),
-        finetune=FinetuneConfig(enabled=draw(st.booleans())),
+        finetune=FinetuneConfig(
+            enabled=draw(st.booleans()),
+            tasks=tuple(draw(st.lists(_names, max_size=3))),
+            learning_rates=tuple(draw(st.lists(st.floats(1e-9, 1.0), max_size=3))),
+            batch_sizes=tuple(draw(st.lists(st.integers(1, 512), max_size=3))),
+        ),
         result_collection=ResultCollectionConfig(enabled=draw(st.booleans())),
         tokenizer=TokenizerConfig(name_or_path=draw(_names)),
     )
@@ -208,6 +249,17 @@ def test_defaulting_is_monotone(pretrain_present: bool, dataset_present: bool):
     assert cfg.dataset.enabled == (False if dataset_present else default.dataset.enabled)
     assert cfg.system == default.system
     assert cfg.tokenizer == default.tokenizer
+
+
+def test_with_overrides_coerces_like_the_yaml():
+    cfg = parse_config("DATASET:\n  DUP_FACTOR: 3\nFINETUNE:\n  TASKS: [CoLA]\n")
+    changed = with_overrides(cfg, {"DATASET.SEED": 7, "FINETUNE.LEARNING_RATES": (1, 3e-5)})
+    assert changed == parse_config("DATASET:\n  DUP_FACTOR: 3\n  SEED: 7\nFINETUNE:\n"
+                                   "  TASKS: [CoLA]\n  LEARNING_RATES: [1, 3.0e-5]\n")
+    assert with_overrides(cfg, {}) == cfg
+    with pytest.raises(ConfigValidationError) as excinfo:
+        with_overrides(cfg, {"FINETUNE.BATCH_SIZES": ("16",)})
+    assert excinfo.value.key_path == "FINETUNE.BATCH_SIZES"
 
 
 def test_with_stage_flags():

@@ -10,20 +10,18 @@ import pytest
 
 from bertpipe import glue, pipeline
 from bertpipe.collect import translate_predictions
-from bertpipe.config import parse_config, with_stage_flags
+from bertpipe.config import parse_config, with_overrides, with_stage_flags
 from bertpipe.instances import INSTANCE_FORMAT_VERSION, load_meta
 from bertpipe.pipeline import (
     COMPLETED,
     SKIPPED_DISABLED,
     SKIPPED_DONE,
     PipelineError,
-    PipelineOptions,
     StagePreconditionError,
     Workspace,
     check_preconditions,
     run_pipeline,
 )
-from bertpipe.search import SearchSpace
 from bertpipe.sharding import SHARD_FORMAT_VERSION
 from bertpipe.synthdata import generate_corpus
 from bertpipe.tokenization import load_vocab, resolve_vocab, vocab_digest
@@ -31,31 +29,20 @@ from bertpipe.trainer import ExternalCommandTrainer, SimulationTrainer
 
 STUB_TRAINER = Path(__file__).with_name("stub_trainer.py")
 
-SMALL_TASKS = ("MNLI", "RTE", "CoLA", "STS-B")
-SMALL_SPACE = SearchSpace(learning_rates=(1e-5, 3e-5), batch_sizes=(16,), epochs=(3,))
+GRID_RUNS = 2  # finetune runs per task of corpus_config's grid
 
 
-def small_options(**kwargs) -> PipelineOptions:
-    defaults = dict(
-        n_workers=1,
-        num_train_shards=2,
-        num_test_shards=1,
-        frac_test=0.1,
-        dup_factor=2,
-        tasks=SMALL_TASKS,
-        search_space=SMALL_SPACE,
-    )
-    defaults.update(kwargs)
-    return PipelineOptions(**defaults)
-
-
-def corpus_config(tmp_path, extra: str = "") -> str:
+def corpus_config(tmp_path) -> str:
+    """A small run: 2 + 1 shards, 2 masked copies, 4 tasks of GRID_RUNS runs each."""
     generate_corpus(tmp_path / "corpus", 150_000, seed=9, n_files=2)
     return (
         f"SYSTEM:\n  MAX_MEMORY_IN_GB: 0.25\n"
         f"DATASET:\n  CUSTOMIZED_DATASETS:\n    - {tmp_path / 'corpus'}\n"
+        f"  NUM_TRAIN_SHARDS: 2\n  NUM_TEST_SHARDS: 1\n  FRAC_TEST: 0.1\n  DUP_FACTOR: 2\n"
         f"PRETRAIN:\n  NUM_STEPS: 60\n"
-        f"TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n" + extra
+        f"FINETUNE:\n  TASKS: [MNLI, RTE, CoLA, STS-B]\n"
+        f"  LEARNING_RATES: [1.0e-5, 3.0e-5]\n  BATCH_SIZES: [16]\n  EPOCHS: [3]\n"
+        f"TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n"
     )
 
 
@@ -79,20 +66,20 @@ class TestPreconditions:
     def test_run_pipeline_surfaces_precondition(self, tmp_path):
         cfg = parse_config("DATASET:\n  ENABLED: False\n")
         with pytest.raises(StagePreconditionError):
-            run_pipeline(cfg, Workspace(tmp_path / "ws"), options=small_options())
+            run_pipeline(cfg, Workspace(tmp_path / "ws"))
 
     def test_disabled_stage_checked_with_this_runs_dataset_id(self, tmp_path):
         text = corpus_config(tmp_path)
         ws = Workspace(tmp_path / "ws")
         run_pipeline(with_stage_flags(parse_config(text), finetune=False, result_collection=False),
-                     ws, options=small_options())
+                     ws)
         corpus_file = sorted((tmp_path / "corpus").iterdir())[0]
         with open(corpus_file, "a", encoding="utf-8") as fh:
             fh.write("\n\nan appended article about nothing in particular\n")
         # The checkpoint of the old dataset id exists; the new id has none.
         cfg = with_stage_flags(parse_config(text), pretrain=False)
         with pytest.raises(StagePreconditionError) as excinfo:
-            run_pipeline(cfg, ws, options=small_options())
+            run_pipeline(cfg, ws)
         assert (excinfo.value.producer, excinfo.value.consumer) == ("pretrain", "finetune")
         report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
         assert [s["status"] for s in report["stages"]] == [
@@ -102,7 +89,7 @@ class TestPreconditions:
     def test_invalid_config_rejected(self, tmp_path):
         cfg = parse_config("")  # dataset stage enabled, no corpora listed
         with pytest.raises(PipelineError, match="DATASET"):
-            run_pipeline(cfg, Workspace(tmp_path / "ws"), options=small_options())
+            run_pipeline(cfg, Workspace(tmp_path / "ws"))
 
 
 class TestFullRun:
@@ -114,7 +101,7 @@ class TestFullRun:
             pretrain=False, finetune=False, result_collection=False,
         )
         ws = Workspace(tmp_path / "ws")
-        report = run_pipeline(preprocess_cfg, ws, options=small_options())
+        report = run_pipeline(preprocess_cfg, ws)
         assert [s.status for s in report.stages] == [
             COMPLETED, COMPLETED, SKIPPED_DISABLED, SKIPPED_DISABLED, SKIPPED_DISABLED,
         ]
@@ -123,7 +110,7 @@ class TestFullRun:
 
         # Second phase: dataset disabled, everything else on.
         cfg2 = with_stage_flags(parse_config(corpus_config(tmp_path)), dataset=False)
-        report2 = run_pipeline(cfg2, ws, options=small_options())
+        report2 = run_pipeline(cfg2, ws)
         statuses = {s.name: s.status for s in report2.stages}
         assert statuses["dataset"] == SKIPPED_DISABLED
         assert statuses["pretrain"] == COMPLETED
@@ -137,9 +124,9 @@ class TestFullRun:
     def test_resume_is_noop(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
         ws = Workspace(tmp_path / "ws")
-        first = run_pipeline(cfg, ws, options=small_options())
+        first = run_pipeline(cfg, ws)
         assert all(s.status == COMPLETED for s in first.stages)
-        second = run_pipeline(cfg, ws, options=small_options())
+        second = run_pipeline(cfg, ws)
         assert all(s.status == SKIPPED_DONE for s in second.stages)
         assert second.dataset_id == first.dataset_id
         # report.json says why: each skipped stage's digest is the one it completed with.
@@ -150,7 +137,7 @@ class TestFullRun:
     def test_report_written_and_machine_readable(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
         ws = Workspace(tmp_path / "ws")
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         data = json.loads(report.report_path.read_text())
         assert data["dataset_id"] == report.dataset_id
         assert [s["name"] for s in data["stages"]] == list(
@@ -165,7 +152,7 @@ class TestFullRun:
         )
         ws = Workspace(tmp_path / "ws")
         with pytest.raises(PipelineError, match="stage 'dataset' failed"):
-            run_pipeline(cfg, ws, options=small_options())
+            run_pipeline(cfg, ws)
         report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
         statuses = {s["name"]: s["status"] for s in report["stages"]}
         assert statuses["dataset"] == "failed"
@@ -176,17 +163,17 @@ class TestFullRun:
         text = corpus_config(tmp_path).replace("TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n", "")
         ws = Workspace(tmp_path / "ws")
         with pytest.raises(PipelineError, match="bert-large-uncased"):
-            run_pipeline(parse_config(text), ws, options=small_options())
+            run_pipeline(parse_config(text), ws)
         assert not (ws.sharded_dir / "MANIFEST.tsv").exists()
 
     def test_log_layout(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
         ws = Workspace(tmp_path / "ws")
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         did = report.dataset_id
         assert (ws.log_root / "pretrain" / did / "steps.tsv").is_file()
         rte_runs = list((ws.log_root / "finetune" / did / "RTE").iterdir())
-        assert len(rte_runs) == len(SMALL_SPACE.learning_rates)
+        assert len(rte_runs) == GRID_RUNS
         for run_dir in rte_runs:
             record = json.loads((run_dir / "run.json").read_text())
             assert set(record["hyperparams"]) == {
@@ -199,7 +186,7 @@ class TestFullRun:
     def test_stilt_children_use_parent_checkpoint(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
         ws = Workspace(tmp_path / "ws")
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         did = report.dataset_id
         rte_run = next((ws.log_root / "finetune" / did / "RTE").iterdir())
         record = json.loads((rte_run / "run.json").read_text())
@@ -208,8 +195,8 @@ class TestFullRun:
     def test_finetune_parallelism_same_selection(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
         serial_ws, parallel_ws = Workspace(tmp_path / "w1"), Workspace(tmp_path / "w2")
-        r1 = run_pipeline(cfg, serial_ws, options=small_options(finetune_parallelism=1))
-        r2 = run_pipeline(cfg, parallel_ws, options=small_options(finetune_parallelism=4))
+        r1 = run_pipeline(cfg, serial_ws, finetune_parallelism=1)
+        r2 = run_pipeline(cfg, parallel_ws, finetune_parallelism=4)
         b1 = {k: v for k, v in r1.stage("finetune").artifacts.items() if k.startswith("best_")}
         b2 = {k: v for k, v in r2.stage("finetune").artifacts.items() if k.startswith("best_")}
         assert b1 == b2
@@ -220,11 +207,11 @@ class TestFullRun:
         ws = Workspace(tmp_path / "ws")
 
         def grid(*learning_rates):
-            space = SearchSpace(learning_rates=learning_rates, batch_sizes=(16,), epochs=(3,))
-            return small_options(tasks=("RTE",), search_space=space)
+            return with_overrides(parse_config(text), {"FINETUNE.TASKS": ["RTE"],
+                                                       "FINETUNE.LEARNING_RATES": learning_rates})
 
-        run_pipeline(parse_config(text), ws, options=grid(1e-5, 8e-5))
-        report = run_pipeline(parse_config(text), ws, options=grid(1e-5))
+        run_pipeline(grid(1e-5, 8e-5), ws)
+        report = run_pipeline(grid(1e-5), ws)
         did = report.dataset_id
         finetune = report.stage("finetune").artifacts
         assert finetune["best_RTE"].split()[0] == "finetune/RTE/lr1e-05_bs16_ep3"
@@ -243,11 +230,9 @@ class TestFullRun:
     def test_corrupt_winner_record_fails_collect(self, tmp_path):
         # The finetune stage's winner is what ships; collect never falls back to a runner-up.
         ws = Workspace(tmp_path / "ws")
-        space = SearchSpace(learning_rates=(1e-5, 3e-5, 5e-5, 8e-5), batch_sizes=(16,),
-                            epochs=(3,))
-        options = small_options(tasks=("RTE",), search_space=space)
-        cfg = parse_config(corpus_config(tmp_path))
-        report = run_pipeline(cfg, ws, options=options)
+        cfg = with_overrides(parse_config(corpus_config(tmp_path)), {
+            "FINETUNE.TASKS": ["RTE"], "FINETUNE.LEARNING_RATES": [1e-5, 3e-5, 5e-5, 8e-5]})
+        report = run_pipeline(cfg, ws)
         did = report.dataset_id
         winner = report.stage("finetune").artifacts["best_RTE"].split()[0].rsplit("/", 1)[1]
         assert winner == "lr3e-05_bs16_ep3"
@@ -255,7 +240,7 @@ class TestFullRun:
         (winner_dir / "run.json").write_text("{truncated")
         (ws.translated_dir(did) / "glue_submission.zip").unlink()
         with pytest.raises(PipelineError, match="stage 'collect' failed") as excinfo:
-            run_pipeline(cfg, ws, options=options)
+            run_pipeline(cfg, ws)
         assert str(winner_dir) in str(excinfo.value)
         assert not (ws.translated_dir(did) / "glue_submission.zip").exists()
 
@@ -266,7 +251,7 @@ class TestFullRun:
         cfg = with_stage_flags(parse_config(corpus_config(tmp_path)),
                                pretrain=False, finetune=False, result_collection=False)
         ws = Workspace(tmp_path / "ws")
-        run_pipeline(cfg, ws, options=small_options())
+        run_pipeline(cfg, ws)
         manifest = (ws.sharded_dir / "MANIFEST.tsv").read_text().splitlines()
         filled = sum(int(line.split("\t")[1]) > 0 for line in manifest)
         assert filled == len(manifest) == 3
@@ -282,8 +267,9 @@ class TestExternalTrainerEndToEnd:
         monkeypatch.chdir(cwd)
         ws = Workspace(tmp_path / "ws")
         trainer = ExternalCommandTrainer((sys.executable, str(STUB_TRAINER)))
-        report = run_pipeline(parse_config(corpus_config(tmp_path)), ws, trainer=trainer,
-                              options=small_options(tasks=("MNLI", "RTE")))
+        cfg = with_overrides(parse_config(corpus_config(tmp_path)),
+                             {"FINETUNE.TASKS": ["MNLI", "RTE"]})
+        report = run_pipeline(cfg, ws, trainer=trainer)
         assert [s.status for s in report.stages] == [COMPLETED] * 5
         did = report.dataset_id
 
@@ -291,7 +277,7 @@ class TestExternalTrainerEndToEnd:
             return json.loads((ws.finetune_output_dir(did, task, run) / "model.json").read_text())
 
         runs = [(p.parent.name, p.name) for p in (ws.log_root / "finetune" / did).glob("*/*")]
-        assert len(runs) == 2 * len(SMALL_SPACE)
+        assert len(runs) == 2 * GRID_RUNS
         for task, run in runs:
             assert given(task, run)["output_dir"] == str(ws.finetune_output_dir(did, task, run))
         winner = report.stage("finetune").artifacts["best_MNLI"].split()[0].rsplit("/", 1)[1]
@@ -311,13 +297,13 @@ class TestRerunReactsToChanges:
     def _first_run(self, tmp_path, text):
         cfg = parse_config(text)
         ws = Workspace(tmp_path / "ws")
-        return cfg, ws, run_pipeline(cfg, ws, options=small_options())
+        return cfg, ws, run_pipeline(cfg, ws)
 
     def test_pretrain_change_reruns_everything_downstream(self, tmp_path):
         text = corpus_config(tmp_path)  # writes the corpus once
         _, ws, _ = self._first_run(tmp_path, text)
         cfg = parse_config(text.replace("NUM_STEPS: 60", "NUM_STEPS: 120"))
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED,
         ]
@@ -327,7 +313,7 @@ class TestRerunReactsToChanges:
         corpus_file = sorted((tmp_path / "corpus").iterdir())[0]
         with open(corpus_file, "a", encoding="utf-8") as fh:
             fh.write("\n\nan appended article about nothing in particular\n")
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
         ]
@@ -336,7 +322,7 @@ class TestRerunReactsToChanges:
     def test_deleted_submission_is_rebuilt(self, tmp_path):
         cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
         shutil.rmtree(ws.translated_root)
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [SKIPPED_DONE] * 4 + [COMPLETED]
         assert (ws.translated_dir(first.dataset_id) / "glue_submission.zip").is_file()
 
@@ -351,15 +337,35 @@ class TestRerunReactsToChanges:
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "_stage_collect", crash)
             with pytest.raises(PipelineError, match="stage 'collect' failed"):
-                run_pipeline(cfg, ws, options=small_options(force=True))
+                run_pipeline(cfg, ws, force=True)
         assert not ws.sentinel_path("collect").exists()
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [SKIPPED_DONE] * 4 + [COMPLETED]
+
+    def test_failed_sentinel_write_fails_its_stage(self, tmp_path, monkeypatch):
+        # Without its sentinel a finished stage cannot be skipped later: the run
+        # reports the stage failed, in report.json too, like any stage failure.
+        cfg = parse_config(corpus_config(tmp_path))
+        ws = Workspace(tmp_path / "ws")
+        replace_when_done = pipeline.replace_when_done
+
+        def sentinel_write_fails(path):
+            if path == ws.sentinel_path("pretrain"):
+                raise OSError(28, "No space left on device")
+            return replace_when_done(path)
+
+        monkeypatch.setattr(pipeline, "replace_when_done", sentinel_write_fails)
+        with pytest.raises(PipelineError, match="stage 'pretrain' failed: .*No space left"):
+            run_pipeline(cfg, ws)
+        report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
+        assert [(s["name"], s["status"]) for s in report["stages"]] == [
+            ("env_check", COMPLETED), ("dataset", COMPLETED), ("pretrain", "failed")]
+        assert "No space left on device" in report["stages"][-1]["error"]
 
     def test_deleted_processed_data_is_rebuilt(self, tmp_path):
         cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
         shutil.rmtree(ws.processed_dir)
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, COMPLETED, SKIPPED_DONE, SKIPPED_DONE, SKIPPED_DONE,
         ]
@@ -378,7 +384,7 @@ class TestRerunReactsToChanges:
         before = {p: p.read_bytes() for p in ws.processed_dir.rglob("*.xbi")}
         lines[the], lines[and_] = lines[and_], lines[the]
         vocab_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
         ]
@@ -399,7 +405,7 @@ class TestRerunReactsToChanges:
 
         # Looked up through the module, where bench/trace.py counts it too.
         monkeypatch.setattr(pipeline, "load_meta", counting_load_meta)
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [SKIPPED_DONE] * 5
         assert len(loads) == 1
 
@@ -412,8 +418,8 @@ class TestRerunReactsToChanges:
                 jobs.append(job)
                 return super().run(job)
 
-        report = run_pipeline(with_stage_flags(cfg, dataset=False), ws,
-                              trainer=RecordingTrainer(), options=small_options(seed=7))
+        cfg = with_overrides(with_stage_flags(cfg, dataset=False), {"DATASET.SEED": 7})
+        report = run_pipeline(cfg, ws, trainer=RecordingTrainer())
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, SKIPPED_DISABLED, COMPLETED, COMPLETED, COMPLETED,
         ]
@@ -423,14 +429,14 @@ class TestRerunReactsToChanges:
     def test_worker_counts_are_not_digest_inputs(self, tmp_path):
         # Worker and grid parallelism change no output byte, so no stage re-runs.
         cfg, ws, _ = self._first_run(tmp_path, corpus_config(tmp_path))
-        report = run_pipeline(cfg, ws, options=small_options(n_workers=2,
-                                                            finetune_parallelism=2))
+        report = run_pipeline(cfg, ws, n_workers=2, finetune_parallelism=2)
         assert [s.status for s in report.stages] == [SKIPPED_DONE] * 5
 
     @pytest.mark.parametrize("stage, budget, options, message", [
         ("dataset", "0.001", {}, "memory budget 1073741 below the 16777216-byte floor"),
-        ("pretrain", "0.25", {"eta0": 0}, "eta0 must be positive"),
-        ("pretrain", "0.25", {"eta0": float("nan")}, "eta0 must be positive and finite, not nan"),
+        ("pretrain", "0.25", {"PRETRAIN.ETA0": 0}, "eta0 must be positive"),
+        ("pretrain", "0.25", {"PRETRAIN.ETA0": float("nan")},
+         "eta0 must be positive and finite, not nan"),
     ])
     def test_invalid_option_fails_its_stage(self, tmp_path, stage, budget, options, message):
         # The digest builds the stage's shard plan or schedule, which reject these values.
@@ -438,7 +444,7 @@ class TestRerunReactsToChanges:
                                                f"MAX_MEMORY_IN_GB: {budget}")
         ws = Workspace(tmp_path / "ws")
         with pytest.raises(PipelineError, match=f"stage '{stage}' failed: {message}"):
-            run_pipeline(parse_config(text), ws, options=small_options(**options))
+            run_pipeline(with_overrides(parse_config(text), options), ws)
         report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
         assert report["stages"][-1]["name"] == stage
         assert report["stages"][-1]["status"] == "failed"
@@ -449,7 +455,7 @@ class TestRerunReactsToChanges:
         # written by an older version must not be reused.
         cfg, ws, first = self._first_run(tmp_path, corpus_config(tmp_path))
         monkeypatch.setattr(pipeline, "INSTANCE_FORMAT_VERSION", INSTANCE_FORMAT_VERSION + 1)
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
         ]
@@ -461,7 +467,7 @@ class TestRerunReactsToChanges:
         shard = ws.sharded_dir / "train" / "shard-00000.xbs"
         before = shard.stat().st_ino
         monkeypatch.setattr(pipeline, "SHARD_FORMAT_VERSION", SHARD_FORMAT_VERSION + 1)
-        report = run_pipeline(cfg, ws, options=small_options())
+        report = run_pipeline(cfg, ws)
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, COMPLETED, COMPLETED, COMPLETED, COMPLETED,
         ]
@@ -474,16 +480,14 @@ class TestRerunReactsToChanges:
         # digest change updates these values and README's "Upgrading" note.
         cfg = parse_config("DATASET:\n  CUSTOMIZED_DATASETS:\n    - no-such-corpus\n"
                            "TOKENIZER:\n  NAME_OR_PATH: mini-uncased\n")
-        assert pipeline._dataset_inputs(cfg, PipelineOptions())["corpus"] == [
-            ["no-such-corpus", None, None]]
+        assert pipeline._dataset_inputs(cfg)["corpus"] == [["no-such-corpus", None, None]]
         digests, upstream = {}, None
         for stage in pipeline.STAGE_TABLE:
-            digests[stage.name] = upstream = pipeline._stage_digest(
-                stage, cfg, PipelineOptions(), upstream)
+            digests[stage.name] = upstream = pipeline._stage_digest(stage, cfg, upstream)
         assert digests == {
             "env_check": "cf7544db5e3496a4",
-            "dataset": "4a39d5840ac0d94e",
-            "pretrain": "5be917ddcece3c9d",
-            "finetune": "abbf8a9f4bebda7b",
-            "collect": "6322751aaea3f62a",
+            "dataset": "9d400c40ba863dd4",
+            "pretrain": "64ce65def6905a51",
+            "finetune": "a86117dbbf363796",
+            "collect": "a71241a077430f38",
         }
