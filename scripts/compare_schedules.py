@@ -20,7 +20,7 @@ from bertpipe.trainer import EarlyStopPolicy, SimulationTrainer, TrainerJob
 
 
 def run_kind(kind: str, steps: int, eta0: float, workdir: Path) -> tuple[float, float]:
-    spec = ScheduleSpec.for_budget(steps, kind=kind, eta0=eta0)
+    spec = ScheduleSpec(kind=kind, eta0=eta0)
     trainer = SimulationTrainer()
     job = TrainerJob(
         kind="pretrain",

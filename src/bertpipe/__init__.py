@@ -23,7 +23,6 @@ _EXPORTS = {
     "Workspace": "pipeline",
     "run_pipeline": "pipeline",
     "ScheduleSpec": "schedule",
-    "esd_value": "schedule",
     "schedule_value": "schedule",
     "ShardPlan": "sharding",
     "shard_corpus": "sharding",

@@ -18,7 +18,8 @@ from pathlib import Path
 from . import config as config_mod
 from .pipeline import STAGE_TABLE, PipelineError, Workspace, run_pipeline
 from .records import (
-    DEFAULT_ELL, DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, PRESETS, ScheduleError, ScheduleSpec,
+    DEFAULT_DECAY_RATIO, DEFAULT_ELL, DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, PRESETS,
+    ScheduleError, ScheduleSpec,
 )
 
 
@@ -108,11 +109,9 @@ def _cmd_schedule_trace(args: argparse.Namespace) -> int:
     if args.preset:
         spec, overall = preset_spec(args.preset, kind=args.kind)
     else:
-        # A given ratio's exact square is derived from it once the spec has checked it.
-        ratio = {} if args.decay_ratio is None else {"r": args.decay_ratio, "r_squared": None}
         overall = args.steps
-        spec = ScheduleSpec.for_budget(overall, kind=args.kind, eta0=args.eta0, ell=args.ell,
-                                       warmup_proportion=args.warmup_proportion, **ratio)
+        spec = ScheduleSpec(kind=args.kind, eta0=args.eta0, r=args.decay_ratio, ell=args.ell,
+                            warmup_proportion=args.warmup_proportion)
     path = emit_trace(spec, overall, args.out)
     print(f"wrote {overall + 1} step values to {path}")
     return 0
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--kind", choices=("esd", "linear"), default="esd")
     trace.add_argument("--eta0", type=float, default=DEFAULT_ETA0)
     trace.add_argument("--steps", type=int, default=23000, help="overall step budget")
-    trace.add_argument("--decay-ratio", type=float, default=None,
+    trace.add_argument("--decay-ratio", type=float, default=DEFAULT_DECAY_RATIO,
                        help="decay ratio r (default 2^-1/2, handled exactly)")
     trace.add_argument("--ell", type=int, default=DEFAULT_ELL)
     trace.add_argument("--warmup-proportion", type=float, default=DEFAULT_WARMUP_PROPORTION)

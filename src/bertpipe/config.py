@@ -255,6 +255,9 @@ def validate(config: PipelineConfig) -> list[Violation]:
                     "nor HUGGINGFACE_DATASETS lists a corpus",
                 )
             )
+    if config.finetune.enabled or config.result_collection.enabled:
+        violations += [Violation("FINETUNE.TASKS", f"unknown GLUE task {task!r}")
+                       for task in config.finetune.tasks if task not in glue.TASKS]
     if config.pretrain.enabled and config.pretrain.num_steps < 1:
         violations.append(Violation("PRETRAIN.NUM_STEPS", "must be >= 1"))
     if not config.tokenizer.name_or_path:
@@ -285,18 +288,6 @@ def serialize_config(config: PipelineConfig) -> str:
     return yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)
 
 
-def with_stage_flags(config: PipelineConfig, **enabled: bool | None) -> PipelineConfig:
-    """Copy of the config with some stage-enable flags overridden.
-
-    Each keyword names a section that has an ``enabled`` flag; None leaves it as is.
-    """
-    for section in enabled:
-        if not hasattr(getattr(config, section, None), "enabled"):
-            raise TypeError(f"not a stage section: {section!r}")
-    return with_overrides(config, {f"{section.upper()}.ENABLED": flag
-                                   for section, flag in enabled.items() if flag is not None})
-
-
 def with_overrides(config: PipelineConfig, values: Mapping[str, Any]) -> PipelineConfig:
     """Copy of the config with some keys replaced (CLI flags), each coerced as the YAML is.
 
@@ -304,8 +295,10 @@ def with_overrides(config: PipelineConfig, values: Mapping[str, Any]) -> Pipelin
     """
     for key_path, value in values.items():
         section_name, _, key = key_path.partition(".")
-        attr, cls = _SECTIONS[section_name]
-        f = next(f for f in fields(cls) if f.name.upper() == key)
+        attr, cls = _SECTIONS.get(section_name, (None, None))
+        f = next((f for f in fields(cls) if f.name.upper() == key), None) if cls else None
+        if f is None:
+            raise ConfigValidationError(key_path, "unknown key")
         value = _COERCE_BY_TYPE[f.type](key_path, value)
         config = replace(config, **{attr: replace(getattr(config, attr), **{f.name: value})})
     return config

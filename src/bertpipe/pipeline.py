@@ -243,8 +243,7 @@ def _shard_plan(config: PipelineConfig) -> ShardPlan:
 
 
 def _schedule_spec(config: PipelineConfig) -> ScheduleSpec:
-    pretrain = config.pretrain
-    return ScheduleSpec.for_budget(pretrain.num_steps, kind=pretrain.schedule, eta0=pretrain.eta0)
+    return ScheduleSpec(kind=config.pretrain.schedule, eta0=config.pretrain.eta0)
 
 
 def _dataset_inputs(config: PipelineConfig) -> dict[str, Any]:

@@ -1,10 +1,10 @@
 """What the stage table reads to decide whether a stage runs or is skipped.
 
 A re-run of a finished pipeline needs only this module: the records each
-stage digest hashes (shard plan, masking policy, LR schedule, early-stop
-policy, finetune grid), the on-disk names and format versions of the stage
-outputs, and the three readers the digests and the dataset id use. Each
-record lives here with its error class and defaults; the stage modules
+stage digest hashes (shard plan, masking policy, LR schedule recipe,
+early-stop policy, finetune grid), the on-disk names and format versions of
+the stage outputs, and the three readers the digests and the dataset id use.
+Each record lives here with its error class and defaults; the stage modules
 (``sharding``, ``instances``, ``schedule``, ``trainer``, ``search``,
 ``collect``, ``ingest``, ``tokenization``) import them back, so either name
 works.
@@ -16,7 +16,7 @@ and with the pure-Python ``SafeLoader`` otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -38,7 +38,6 @@ TRAIN, TEST = "train", "test"
 DEFAULT_SEED = 42  # keys every random draw: split, shard order, masks, pretraining
 DEFAULT_ETA0 = 2e-3
 DEFAULT_DECAY_RATIO = 2 ** -0.5
-DEFAULT_DECAY_RATIO_SQUARED = Fraction(1, 2)
 DEFAULT_ELL = 6
 DEFAULT_WARMUP_PROPORTION = 0.06
 
@@ -131,21 +130,17 @@ class MaskingPolicy:
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """Parameters of one schedule evaluation.
+    """The recipe of a learning-rate schedule; the caller passes the step budget.
 
-    ``total_steps`` is the post-warmup horizon T. ``r_squared``, when given,
-    is the exact rational square of ``r`` used for boundary arithmetic;
-    otherwise it is derived from the float value of ``r`` (exact in that
-    float). Pass ``Fraction(1, 2)`` with r = 2**-0.5, the default pairing.
+    The same spec serves any budget: the post-warmup horizon T is worked out
+    from the budget at each lookup, not stored here.
     """
 
     kind: str = "esd"  # "esd" | "linear"
     eta0: float = DEFAULT_ETA0
     r: float = DEFAULT_DECAY_RATIO
     ell: int = DEFAULT_ELL
-    total_steps: int = 1
     warmup_proportion: float = DEFAULT_WARMUP_PROPORTION
-    r_squared: Fraction | None = DEFAULT_DECAY_RATIO_SQUARED
 
     def __post_init__(self):
         if self.kind not in ("esd", "linear"):
@@ -156,28 +151,13 @@ class ScheduleSpec:
             raise ScheduleError("decay ratio r must lie in (0, 1)")
         if self.ell < 1:
             raise ScheduleError("ell must be a positive integer")
-        if self.total_steps < 1:
-            raise ScheduleError("total_steps must be positive")
         if not 0 <= self.warmup_proportion < 1:
             raise ScheduleError("warmup_proportion must lie in [0, 1)")
-        if self.r_squared is not None and self.r_squared != Fraction(self.r) ** 2:
-            # Allow r_squared to stand in for an irrational r (e.g. 1/2 for
-            # 2^-0.5), but require it to match r to float precision.
-            if not math.isclose(float(self.r_squared) ** 0.5, self.r, rel_tol=1e-12):
-                raise ScheduleError("r_squared does not match r")
 
-    @classmethod
-    def for_budget(cls, overall_steps: int, **fields) -> ScheduleSpec:
-        """The spec of ``fields`` with its horizon T re-based to an overall step budget.
-
-        T is what the budget leaves after warmup, at least 1. The fields are
-        validated before the warmup split is computed from them.
-        """
-        if overall_steps < 0:
-            raise ScheduleError(f"overall step budget {overall_steps} is negative")
-        spec = cls(**fields)
-        horizon = overall_steps - warmup_steps(overall_steps, spec.warmup_proportion)
-        return replace(spec, total_steps=max(1, horizon))
+    @property
+    def r_squared(self) -> Fraction:
+        """r^2 as an exact rational: 1/2 for the default r = 2^-0.5, else exact in r's float."""
+        return Fraction(1, 2) if self.r == DEFAULT_DECAY_RATIO else Fraction(self.r) ** 2
 
 
 def warmup_steps(overall_steps: int, warmup_proportion: float) -> int:
@@ -227,6 +207,12 @@ class SearchSpace:
             for value in values:
                 if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                     raise SearchError(f"{name} must be a positive integer, not {value!r}")
+        # Two equal values would share one run directory and both win their task.
+        for name, values in (("learning rate", self.learning_rates),
+                             ("batch size", self.batch_sizes), ("epoch count", self.epochs)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise SearchError(f"{name} {value!r} is repeated in the grid")
 
     def __len__(self) -> int:
         return len(self.learning_rates) * len(self.batch_sizes) * len(self.epochs)

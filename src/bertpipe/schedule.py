@@ -14,6 +14,10 @@ round-off. The square of the decay ratio is carried as an exact rational
 ``t <= (1 - r^k) * T`` is decided by comparing ``(T - t)^2 * den^k`` against
 ``num^k * T^2``. The (truncated) final stage absorbs every remaining step up
 to T, so the stages partition [0, T].
+
+A ``ScheduleSpec`` holds the recipe only; every caller passes the overall
+step budget, and T is what that budget leaves after warmup. The one cached
+``stage_table(spec, T)`` serves every lookup of a (spec, budget) pair.
 """
 
 from __future__ import annotations
@@ -21,17 +25,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 
 from .atomic import replace_text_when_done
-from .records import (
-    DEFAULT_DECAY_RATIO, DEFAULT_DECAY_RATIO_SQUARED, DEFAULT_ELL, DEFAULT_ETA0,
-    DEFAULT_WARMUP_PROPORTION, PRESETS, BenchmarkPreset, ScheduleError, ScheduleSpec, warmup_steps,
-)
+from .records import PRESETS, ScheduleError, ScheduleSpec, warmup_steps
 
 _MAX_STAGES = 10_000
+_last_step = attrgetter("last_step")
 
 
 @dataclass(frozen=True)
@@ -55,19 +57,20 @@ def _ceil_sqrt(p: int, q: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def stage_table(spec: ScheduleSpec) -> tuple[Stage, ...]:
-    """Exact stage decomposition of [0, total_steps] for an esd spec.
+def stage_table(spec: ScheduleSpec, horizon: int) -> tuple[Stage, ...]:
+    """Exact stage decomposition of [0, horizon] for an esd spec.
 
     Stages are contiguous; the last one is truncated (or extended) to end at
-    total_steps. A stage may span zero integer steps (first > last) when two
+    the horizon. A stage may span zero integer steps (first > last) when two
     consecutive real boundaries fall within one unit interval; such stages
     are kept in the table but never matched by lookup.
     """
     if spec.kind != "esd":
         raise ScheduleError("stage_table is defined for esd schedules only")
-    T = spec.total_steps
-    r2 = spec.r_squared if spec.r_squared is not None else Fraction(spec.r) ** 2
-    num, den = r2.numerator, r2.denominator
+    if horizon < 1:
+        raise ScheduleError(f"horizon {horizon} must be positive")
+    T = horizon
+    num, den = spec.r_squared.as_integer_ratio()
     factor = 1.0 / (2.0 * spec.r)
 
     def ceil_rk_T(k: int) -> int:
@@ -98,29 +101,12 @@ def stage_table(spec: ScheduleSpec) -> tuple[Stage, ...]:
     return tuple(stages)
 
 
-@lru_cache(maxsize=64)
-def _rebased_stages(spec: ScheduleSpec, horizon: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """(last steps, rates) of ``spec``'s stage table re-based to ``horizon`` steps."""
-    if spec.total_steps != horizon:
-        spec = replace(spec, total_steps=horizon)
-    table = stage_table(spec)
-    return tuple(s.last_step for s in table), tuple(s.lr for s in table)
-
-
-def esd_value(t: int, spec: ScheduleSpec) -> float:
-    """Learning rate of the step-decay schedule at post-warmup step ``t``."""
-    if not 0 <= t <= spec.total_steps:
-        raise ScheduleError(f"step {t} outside [0, {spec.total_steps}]")
-    last_steps, rates = _rebased_stages(spec, spec.total_steps)
-    return rates[bisect_left(last_steps, t)]
-
-
 def schedule_value(global_step: int, overall_steps: int, spec: ScheduleSpec) -> float:
     """Learning rate at ``global_step`` of an overall budget with warmup.
 
     The first W = round(warmup_proportion * overall_steps) steps rise
     linearly from 0 to eta0; the remaining overall_steps - W steps follow the
-    decay schedule (esd or linear) re-based to that horizon.
+    decay schedule (esd or linear) over that horizon.
     """
     if not 0 <= global_step <= overall_steps:
         raise ScheduleError(f"step {global_step} outside [0, {overall_steps}]")
@@ -133,8 +119,8 @@ def schedule_value(global_step: int, overall_steps: int, spec: ScheduleSpec) -> 
             return spec.eta0
         return spec.eta0 * (1 - (global_step - w) / horizon)
     # A zero horizon (all warmup) leaves step W on a one-step esd schedule.
-    last_steps, rates = _rebased_stages(spec, max(1, horizon))
-    return rates[bisect_left(last_steps, global_step - w)]
+    table = stage_table(spec, max(1, horizon))
+    return table[bisect_left(table, global_step - w, key=_last_step)].lr
 
 
 def emit_trace(spec: ScheduleSpec, overall_steps: int, out: str | Path) -> Path:
@@ -144,13 +130,14 @@ def emit_trace(spec: ScheduleSpec, overall_steps: int, out: str | Path) -> Path:
     arguments: re-emission writes a byte-identical file. Lines are streamed to
     disk, and ``out`` is replaced whole once the last one is written.
     """
+    if overall_steps < 0:
+        raise ScheduleError(f"overall step budget {overall_steps} is negative")
     out = Path(out)
     w = warmup_steps(overall_steps, spec.warmup_proportion)
     if spec.kind == "esd":
-        table = stage_table(replace(spec, total_steps=max(1, overall_steps - w)))
         stage_txt = " ".join(
             f"({s.exponent}:{s.first_step + w}-{s.last_step + w}@{s.lr!r})"
-            for s in table
+            for s in stage_table(spec, max(1, overall_steps - w))
             if s.first_step <= s.last_step
         )
     else:
@@ -164,9 +151,8 @@ def emit_trace(spec: ScheduleSpec, overall_steps: int, out: str | Path) -> Path:
 
 
 def preset_spec(name: str, kind: str = "esd") -> tuple[ScheduleSpec, int]:
-    """Resolve a preset to (spec with re-based horizon, overall step budget)."""
+    """Resolve a preset to (spec, overall step budget)."""
     if name not in PRESETS:
         raise ScheduleError(f"unknown schedule preset: {name!r} (have {sorted(PRESETS)})")
     preset = PRESETS[name]
-    spec = ScheduleSpec.for_budget(preset.overall_steps, kind=kind, eta0=preset.eta0)
-    return spec, preset.overall_steps
+    return ScheduleSpec(kind=kind, eta0=preset.eta0), preset.overall_steps

@@ -20,7 +20,9 @@ from typing import Any, Iterable, Mapping
 
 from . import glue
 from .records import SearchError, SearchSpace
-from .trainer import FINETUNE, RunOutcome, TrainerJob, build_finetune_argv, winner_key
+from .trainer import (
+    FINETUNE, RunOutcome, TrainerJob, build_finetune_argv, format_number, winner_key,
+)
 
 
 # Small high-variance tasks benefit from supplementary training on MNLI first.
@@ -28,7 +30,7 @@ DEFAULT_STILT_SOURCES: dict[str, str] = {"RTE": "MNLI", "MRPC": "MNLI", "STS-B":
 
 
 def run_name(learning_rate: float, batch_size: int, epochs: int) -> str:
-    return f"lr{learning_rate:g}_bs{batch_size}_ep{epochs}"
+    return f"lr{format_number(learning_rate)}_bs{batch_size}_ep{epochs}"
 
 
 def _check_stilt_dag(sources: Mapping[str, str]) -> None:

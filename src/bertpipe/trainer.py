@@ -106,6 +106,12 @@ class TrainerAdapter(Protocol):
     def run(self, job: TrainerJob) -> RunOutcome: ...
 
 
+def format_number(value: float) -> str:
+    """``value`` as argv and run-name text: the short ``:g`` form when it reads back exactly."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def hyperparam_sort_key(hyperparams: dict[str, Any]) -> tuple:
     """Canonical ordering of a hyperparameter mapping, used for all tie-breaks."""
     return (
@@ -180,7 +186,7 @@ def build_pretrain_job(
         "--dataset_path", str(dataset_path),
         "--output_dir", str(output_dir),
         "--tokenizer_name", config.tokenizer.name_or_path,
-        "--lr", f"{spec.eta0:g}",
+        "--lr", format_number(spec.eta0),
         "--num_steps", str(num_steps),
         "--num_gpus", str(config.system.num_gpus),
     ]
@@ -188,15 +194,15 @@ def build_pretrain_job(
         argv += ["--lr_schedule", "time", "--curve", "linear"]
     else:
         argv += ["--lr_schedule", "step", "--curve", spec.kind]
-    argv += ["--warmup_proportion", f"{spec.warmup_proportion:g}"]
+    argv += ["--warmup_proportion", format_number(spec.warmup_proportion)]
     for flag, value in PRETRAIN_STATIC_ARGS:
         argv.append(flag)
         if value is not None:
             argv.append(value)
     if early_stop.enabled:
         argv += ["--use_early_stopping",
-                 "--early_stop_time", f"{early_stop.early_stop_time_minutes:g}",
-                 "--early_stop_eval_loss", f"{early_stop.early_stop_eval_loss:g}"]
+                 "--early_stop_time", format_number(early_stop.early_stop_time_minutes),
+                 "--early_stop_eval_loss", format_number(early_stop.early_stop_eval_loss)]
     argv += ["--seed", str(seed)]
     return TrainerJob(
         kind=PRETRAIN,
@@ -228,8 +234,8 @@ def build_finetune_argv(checkpoint: str, task: str, output_dir: str,
         "--per_device_train_batch_size", str(hp["batch_size"]),
         "--gradient_accumulation_steps", "1",
         "--per_device_eval_batch_size", "32",
-        "--learning_rate", f"{hp['learning_rate']:g}",
-        "--weight_decay", f"{hp['weight_decay']:g}",
+        "--learning_rate", format_number(hp["learning_rate"]),
+        "--weight_decay", format_number(hp["weight_decay"]),
         "--eval_steps", "50",
         "--max_grad_norm", "1.0",
         "--num_train_epochs", str(hp["epochs"]),

@@ -17,7 +17,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from bertpipe.config import parse_config, with_stage_flags
+from bertpipe.config import parse_config, with_overrides
 from bertpipe.ingest import CorpusSource, enumerate_corpus_files, iter_documents
 from bertpipe.instances import MaskingPolicy, generate_instances, mask_rate_report
 from bertpipe.pipeline import (
@@ -27,7 +27,7 @@ from bertpipe.pipeline import (
     Workspace,
     run_pipeline,
 )
-from bertpipe.schedule import ScheduleSpec, esd_value, schedule_value, stage_table, warmup_steps
+from bertpipe.schedule import ScheduleSpec, schedule_value, stage_table, warmup_steps
 from bertpipe.sharding import ShardPlan, dataset_id, read_shard, shard_corpus
 from bertpipe.synthdata import generate_corpus
 from bertpipe.tokenization import load_vocab, resolve_vocab
@@ -79,11 +79,12 @@ def test_criterion_1_scheduler_exactness():
         impl_elapsed = 0.0
         for budget in (23000, 57500):
             T = budget - warmup_steps(budget, 0.06)
-            spec = ScheduleSpec(eta0=eta0, total_steps=T)
+            # Without warmup, step t of a T-step budget is post-warmup step t.
+            spec = ScheduleSpec(eta0=eta0, warmup_proportion=0.0)
             rows = oracle_stage_map(eta0, ell, T)
 
             t0 = time.perf_counter()
-            values = [esd_value(t, spec) for t in range(T + 1)]
+            values = [schedule_value(t, T, spec) for t in range(T + 1)]
             impl_elapsed += time.perf_counter() - t0
 
             row_iter = iter(rows)
@@ -100,7 +101,7 @@ def test_criterion_1_scheduler_exactness():
             assert values[first_decay - 1] == eta0
             assert values[first_decay] < eta0
 
-            table = stage_table(spec)
+            table = stage_table(spec, T)
             for prev, cur in zip(table, table[1:]):
                 ratio = cur.lr / prev.lr
                 assert abs(ratio - 2**-0.5) <= 1e-12
@@ -111,7 +112,7 @@ def test_criterion_2_warmup_contract():
     with criterion(2, "warmup contract"):
         for budget, eta0 in ((23000, 2e-3), (57500, 1e-3)):
             w = round(0.06 * budget)
-            spec = ScheduleSpec(eta0=eta0, total_steps=budget - w)
+            spec = ScheduleSpec(eta0=eta0)
             assert warmup_steps(budget, 0.06) == w
             assert schedule_value(0, budget, spec) == 0.0
             assert schedule_value(w, budget, spec) == eta0
@@ -277,8 +278,7 @@ def test_criterion_6_config_fidelity():
             "--seed": "42",
             "--fp16": None,
         }
-        spec = ScheduleSpec(kind="linear", eta0=1e-3,
-                            total_steps=57500 - warmup_steps(57500, 0.06))
+        spec = ScheduleSpec(kind="linear", eta0=1e-3)
         job = build_pretrain_job(
             large, spec, "d1", dataset_path=Path("data/processed"),
             output_dir=Path("saved_models/pretrain/d1"),
@@ -318,16 +318,17 @@ def test_criterion_7_end_to_end(tmp_path_factory, vocab):
         ws = Workspace(tmp / "ws")
 
         # Stage disabling, preprocess-only shape: dataset runs, rest skipped.
-        preprocess_cfg = with_stage_flags(
-            parse_config(base_yaml), pretrain=False, finetune=False, result_collection=False
-        )
+        preprocess_cfg = with_overrides(parse_config(base_yaml), {
+            "PRETRAIN.ENABLED": False, "FINETUNE.ENABLED": False,
+            "RESULT_COLLECTION.ENABLED": False,
+        })
         report_a = run_pipeline(preprocess_cfg, ws, n_workers=2)
         assert [s.status for s in report_a.stages] == [
             COMPLETED, COMPLETED, SKIPPED_DISABLED, SKIPPED_DISABLED, SKIPPED_DISABLED,
         ]
 
         # Train shape: dataset disabled, preprocessed data picked up.
-        train_cfg = with_stage_flags(parse_config(base_yaml), dataset=False)
+        train_cfg = with_overrides(parse_config(base_yaml), {"DATASET.ENABLED": False})
         report_b = run_pipeline(train_cfg, ws, n_workers=2)
         statuses = {s.name: s.status for s in report_b.stages}
         assert statuses["dataset"] == SKIPPED_DISABLED
@@ -374,8 +375,7 @@ def test_criterion_9_schedule_effect_directional(tmp_path_factory):
         budget = 2000
         outcomes = {}
         for kind in ("esd", "linear"):
-            spec = ScheduleSpec(kind=kind, eta0=2e-3,
-                                total_steps=budget - warmup_steps(budget, 0.06))
+            spec = ScheduleSpec(kind=kind, eta0=2e-3)
             trainer = SimulationTrainer()
             job = TrainerJob(
                 kind="pretrain",

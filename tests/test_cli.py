@@ -162,6 +162,16 @@ def test_precondition_error_is_reported(tmp_path, capsys):
     assert "dataset" in err and "pretrain" in err
 
 
+def test_unknown_task_is_a_config_error(tmp_path, capsys):
+    # Caught before any stage runs, not when the finetune stage looks the task up.
+    cfg = write_config(tmp_path)
+    ws = tmp_path / "ws"
+    assert main(["run", *base_args(cfg, ws), "--tasks", "MNLI,SNLI"]) == 1
+    assert capsys.readouterr().err == (
+        "error: configuration is invalid: FINETUNE.TASKS: unknown GLUE task 'SNLI'\n")
+    assert not (ws / "data").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--max-seq-length", "70000"], "max_seq_length 70000 exceeds 65535, the largest "
                                     "instance file format version 3 can store"),

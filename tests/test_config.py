@@ -12,7 +12,6 @@ from bertpipe.config import (
     serialize_config,
     validate,
     with_overrides,
-    with_stage_flags,
 )
 from bertpipe.records import DEFAULT_SEED, MaskingPolicy, ScheduleSpec, SearchSpace, ShardPlan
 
@@ -262,11 +261,11 @@ def test_with_overrides_coerces_like_the_yaml():
     assert excinfo.value.key_path == "FINETUNE.BATCH_SIZES"
 
 
-def test_with_stage_flags():
-    cfg = with_stage_flags(get_default_config(), pretrain=False, finetune=False)
+def test_with_overrides_sets_stage_flags():
+    cfg = with_overrides(get_default_config(), {"PRETRAIN.ENABLED": False,
+                                                "FINETUNE.ENABLED": False})
     assert cfg.dataset.enabled and not cfg.pretrain.enabled and not cfg.finetune.enabled
     assert cfg.result_collection.enabled
-    assert with_stage_flags(cfg, pretrain=None) == cfg
-    for name in ("system", "tokenizer", "collect"):
-        with pytest.raises(TypeError, match=name):
-            with_stage_flags(cfg, **{name: False})
+    for key_path in ("SYSTEM.ENABLED", "TOKENIZER.ENABLED", "COLLECT.ENABLED"):
+        with pytest.raises(ConfigValidationError, match=f"{key_path}: unknown key"):
+            with_overrides(cfg, {key_path: False})

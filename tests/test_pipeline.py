@@ -10,7 +10,7 @@ import pytest
 
 from bertpipe import glue, pipeline
 from bertpipe.collect import translate_predictions
-from bertpipe.config import parse_config, with_overrides, with_stage_flags
+from bertpipe.config import parse_config, with_overrides
 from bertpipe.instances import INSTANCE_FORMAT_VERSION, load_meta
 from bertpipe.pipeline import (
     COMPLETED,
@@ -71,13 +71,13 @@ class TestPreconditions:
     def test_disabled_stage_checked_with_this_runs_dataset_id(self, tmp_path):
         text = corpus_config(tmp_path)
         ws = Workspace(tmp_path / "ws")
-        run_pipeline(with_stage_flags(parse_config(text), finetune=False, result_collection=False),
-                     ws)
+        run_pipeline(with_overrides(parse_config(text), {"FINETUNE.ENABLED": False,
+                                                         "RESULT_COLLECTION.ENABLED": False}), ws)
         corpus_file = sorted((tmp_path / "corpus").iterdir())[0]
         with open(corpus_file, "a", encoding="utf-8") as fh:
             fh.write("\n\nan appended article about nothing in particular\n")
         # The checkpoint of the old dataset id exists; the new id has none.
-        cfg = with_stage_flags(parse_config(text), pretrain=False)
+        cfg = with_overrides(parse_config(text), {"PRETRAIN.ENABLED": False})
         with pytest.raises(StagePreconditionError) as excinfo:
             run_pipeline(cfg, ws)
         assert (excinfo.value.producer, excinfo.value.consumer) == ("pretrain", "finetune")
@@ -96,10 +96,10 @@ class TestFullRun:
     def test_preprocess_only_then_train(self, tmp_path):
         # Stage-disabling workflow: first preprocessing only, then the rest
         # on the preprocessed data.
-        preprocess_cfg = with_stage_flags(
-            parse_config(corpus_config(tmp_path)),
-            pretrain=False, finetune=False, result_collection=False,
-        )
+        preprocess_cfg = with_overrides(parse_config(corpus_config(tmp_path)), {
+            "PRETRAIN.ENABLED": False, "FINETUNE.ENABLED": False,
+            "RESULT_COLLECTION.ENABLED": False,
+        })
         ws = Workspace(tmp_path / "ws")
         report = run_pipeline(preprocess_cfg, ws)
         assert [s.status for s in report.stages] == [
@@ -109,7 +109,7 @@ class TestFullRun:
         assert (ws.processed_dir / "META.yaml").is_file()
 
         # Second phase: dataset disabled, everything else on.
-        cfg2 = with_stage_flags(parse_config(corpus_config(tmp_path)), dataset=False)
+        cfg2 = with_overrides(parse_config(corpus_config(tmp_path)), {"DATASET.ENABLED": False})
         report2 = run_pipeline(cfg2, ws)
         statuses = {s.name: s.status for s in report2.stages}
         assert statuses["dataset"] == SKIPPED_DISABLED
@@ -248,8 +248,10 @@ class TestFullRun:
     def test_dataset_report_counts_spill_runs(self, tmp_path):
         # The 256 MiB budget never fills, so the one worker spills once at the
         # end: one sorted run per shard that received a document.
-        cfg = with_stage_flags(parse_config(corpus_config(tmp_path)),
-                               pretrain=False, finetune=False, result_collection=False)
+        cfg = with_overrides(parse_config(corpus_config(tmp_path)), {
+            "PRETRAIN.ENABLED": False, "FINETUNE.ENABLED": False,
+            "RESULT_COLLECTION.ENABLED": False,
+        })
         ws = Workspace(tmp_path / "ws")
         run_pipeline(cfg, ws)
         manifest = (ws.sharded_dir / "MANIFEST.tsv").read_text().splitlines()
@@ -418,7 +420,7 @@ class TestRerunReactsToChanges:
                 jobs.append(job)
                 return super().run(job)
 
-        cfg = with_overrides(with_stage_flags(cfg, dataset=False), {"DATASET.SEED": 7})
+        cfg = with_overrides(cfg, {"DATASET.ENABLED": False, "DATASET.SEED": 7})
         report = run_pipeline(cfg, ws, trainer=RecordingTrainer())
         assert [s.status for s in report.stages] == [
             SKIPPED_DONE, SKIPPED_DISABLED, COMPLETED, COMPLETED, COMPLETED,
@@ -437,6 +439,8 @@ class TestRerunReactsToChanges:
         ("pretrain", "0.25", {"PRETRAIN.ETA0": 0}, "eta0 must be positive"),
         ("pretrain", "0.25", {"PRETRAIN.ETA0": float("nan")},
          "eta0 must be positive and finite, not nan"),
+        ("finetune", "0.25", {"FINETUNE.LEARNING_RATES": (1e-5, 1e-5)},
+         "learning rate 1e-05 is repeated in the grid"),
     ])
     def test_invalid_option_fails_its_stage(self, tmp_path, stage, budget, options, message):
         # The digest builds the stage's shard plan or schedule, which reject these values.
@@ -487,7 +491,7 @@ class TestRerunReactsToChanges:
         assert digests == {
             "env_check": "cf7544db5e3496a4",
             "dataset": "9d400c40ba863dd4",
-            "pretrain": "64ce65def6905a51",
-            "finetune": "a86117dbbf363796",
-            "collect": "a71241a077430f38",
+            "pretrain": "2feb6b1ca5d6c257",
+            "finetune": "0d26a62afd9819d9",
+            "collect": "68bc73195f23db75",
         }

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from bertpipe.config import get_default_config
-from bertpipe.schedule import ScheduleSpec, schedule_value, warmup_steps
+from bertpipe.schedule import ScheduleSpec, schedule_value
 from bertpipe.search import (
     SearchError,
     SearchSpace,
     finetune_search,
+    run_name,
     schedule_waves,
     select_best,
 )
@@ -27,6 +28,7 @@ from bertpipe.trainer import (
     SimulationTrainer,
     TrainerError,
     TrainerJob,
+    build_finetune_argv,
     build_pretrain_job,
     check_early_stop,
     hyperparam_sort_key,
@@ -56,12 +58,10 @@ class TestEarlyStop:
 
 class TestBuildPretrainJob:
     def _job(self, **spec_kwargs):
-        spec_defaults = dict(total_steps=21620)
-        spec_defaults.update(spec_kwargs)
         cfg = get_default_config()
         return build_pretrain_job(
             cfg,
-            ScheduleSpec(**spec_defaults),
+            ScheduleSpec(**spec_kwargs),
             "abc123",
             dataset_path="data/processed",
             output_dir="saved_models/pretrain/abc123",
@@ -75,7 +75,7 @@ class TestBuildPretrainJob:
         )
 
     def test_large_benchmark_lr(self):
-        argv = self._job(eta0=1e-3, total_steps=54050).argv
+        argv = self._job(eta0=1e-3).argv
         lr = argv[argv.index("--lr") + 1]
         assert float(lr) == 1e-3
 
@@ -86,7 +86,7 @@ class TestBuildPretrainJob:
 
     def test_seed_and_early_stop_from_options(self):
         cfg = get_default_config()
-        spec = ScheduleSpec(total_steps=21620)
+        spec = ScheduleSpec()
         job = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"), seed=7,
                                  early_stop=EarlyStopPolicy(True, 90.0, 4.5))
         argv = list(job.argv)
@@ -99,6 +99,18 @@ class TestBuildPretrainJob:
         early_stop_flags = {"--use_early_stopping", "--early_stop_time", "--early_stop_eval_loss"}
         assert not early_stop_flags & set(disabled)
 
+    def test_argv_numbers_are_exact(self):
+        # ":g" keeps six significant digits: 1.2345678e-3 would be sent as 0.00123457.
+        argv = self._job(eta0=1.2345678e-3).argv
+        assert argv[argv.index("--lr") + 1] == "0.0012345678"
+        hp = {"learning_rate": 1.2345678e-3, "batch_size": 16, "epochs": 3, "warmup_steps": 50,
+              "weight_decay": 0.01, "scheduler": "polynomial"}
+        argv = build_finetune_argv("ckpt", "RTE", "out", hp)
+        assert argv[argv.index("--learning_rate") + 1] == "0.0012345678"
+        assert run_name(1.2345678e-3, 16, 3) == "lr0.0012345678_bs16_ep3"
+        assert run_name(1.23457e-3, 16, 3) == "lr0.00123457_bs16_ep3"
+        assert run_name(3e-5, 16, 3) == "lr3e-05_bs16_ep3"
+
     def test_no_task_on_pretrain(self):
         assert self._job().task is None
         with pytest.raises(ValueError):
@@ -110,13 +122,12 @@ class TestBuildPretrainJob:
 
 
 def _pretrain_job(tmp_path, tag, steps, kind="esd", eta0=2e-3, early_stop=None):
-    horizon = max(1, steps - warmup_steps(steps, 0.06))
     return TrainerJob(
         kind="pretrain",
         job_id=f"pretrain/{tag}",
         argv=(),
         hyperparams={"num_steps": steps,
-                     "schedule": ScheduleSpec(kind=kind, eta0=eta0, total_steps=horizon),
+                     "schedule": ScheduleSpec(kind=kind, eta0=eta0),
                      "early_stop": early_stop or EarlyStopPolicy(enabled=False)},
         output_dir=tmp_path / tag / "model",
         log_dir=tmp_path / tag / "log",
@@ -171,7 +182,7 @@ class TestSimulationPretrain:
 
     def test_early_stop_triggers(self, tmp_path):
         # 2000 steps/min simulated: 180 min needs 360k steps; use a tight policy.
-        spec = ScheduleSpec(eta0=1e-300, total_steps=188)
+        spec = ScheduleSpec(eta0=1e-300)
         job = TrainerJob(
             kind="pretrain",
             job_id="pretrain/stop",
@@ -392,6 +403,9 @@ class TestFinetuneSearch:
         ({"learning_rates": (-3e-5,)}, "learning rate must be positive and finite, not -3e-05"),
         ({"learning_rates": (float("nan"),)}, "learning rate must be positive and finite, not nan"),
         ({"learning_rates": (float("inf"),)}, "learning rate must be positive and finite, not inf"),
+        ({"learning_rates": (1e-5, 3e-5, 1e-5)}, "learning rate 1e-05 is repeated in the grid"),
+        ({"batch_sizes": (16, 16)}, "batch size 16 is repeated in the grid"),
+        ({"epochs": (3, 5, 3)}, "epoch count 3 is repeated in the grid"),
     ])
     def test_grid_values_validated(self, fields, message):
         # Before, batch size 0 died in the simulated trainer with a bare
