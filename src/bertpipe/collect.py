@@ -6,8 +6,9 @@ and ``predictions.tsv`` (``index\\tprediction`` with internal label ids) there
 and prints a ``final_val_metric\\t<name>\\t<float>`` line on stdout, which its
 adapter parses into the run's outcome. After the job the pipeline writes
 ``run.json`` (:func:`write_run_record`) into the run's log directory
-``log/finetune/<id>/<task>/<run>/``: the task, the grid-point hyperparameters,
-the STILT parent, the metric name and value, the eval loss and the wall time.
+``log/finetune/<id>/<task>/<run>/``: the task, the grid point's learning rate,
+batch size and epochs, the STILT parent, the metric name and value, the eval
+loss and the wall time. Collection reads only the task and the metric value.
 Once the grid is done the stage writes ``log/finetune/<id>/RUNS.tsv``
 (:func:`write_runs_index`): one ``task``, ``run``, ``winner`` line per run of
 this grid, where ``winner`` is 1 for the run ``search.select_best`` chose.

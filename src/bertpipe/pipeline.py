@@ -168,8 +168,11 @@ class Workspace:
     def pretrain_log_dir(self, dataset_id: str) -> Path:
         return self.log_root / "pretrain" / dataset_id
 
+    def finetune_root(self, dataset_id: str) -> Path:
+        return self.log_root / "finetune" / dataset_id
+
     def finetune_log_dir(self, dataset_id: str, task: str, run: str) -> Path:
-        return self.log_root / "finetune" / dataset_id / task / run
+        return self.finetune_root(dataset_id) / task / run
 
     def finetune_output_dir(self, dataset_id: str, task: str, run: str) -> Path:
         return self.output_root / "finetune" / dataset_id / task / run
@@ -304,7 +307,7 @@ STAGE_TABLE: tuple[StageSpec, ...] = (
     StageSpec("pretrain", "pretrain", _pretrain_inputs,
               lambda ws, did: ws.pretrain_model_dir(did) / RESULT_FILE if did else None),
     StageSpec("finetune", "finetune", _finetune_inputs,
-              lambda ws, did: ws.log_root / "finetune" / did / RUNS_INDEX if did else None),
+              lambda ws, did: ws.finetune_root(did) / RUNS_INDEX if did else None),
     StageSpec("collect", "result_collection",
               lambda config: {"tasks": sorted(config.finetune.tasks)},
               lambda ws, did: ws.translated_dir(did) / SUBMISSION_ZIP_NAME if did else None),
@@ -607,7 +610,7 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
             best[task] = select_best(pair for pair in wave_outcomes if pair[0].task == task)
 
     # Collect reads only this grid; runs of an earlier grid are the user's data and stay.
-    finetune_root = ws.log_root / "finetune" / did
+    finetune_root = ws.finetune_root(did)
     write_runs_index(finetune_root, [
         (point.task, point.run, best[point.task][0].log_dir.name == point.run)
         for point in points

@@ -13,7 +13,7 @@ hands the job to a :class:`TrainerAdapter`. The contract, per job:
   test example) and prints ``final_val_metric\\t<name>\\t<float>`` on stdout;
   the last such line counts.
 * The adapter returns a :class:`RunOutcome`. After each finetune job the
-  pipeline writes that outcome, with the job's task and hyperparameters, to
+  pipeline writes that outcome, with the job's task and grid values, to
   ``<log_dir>/run.json``; result collection reads nothing else.
 
 Two adapters ship:
@@ -28,7 +28,9 @@ Two adapters ship:
   cadence and early stopping, is fully deterministic, and leaves a per-step
   TSV, ``steps.tsv``, under the job's log directory. Each row is written as
   its step runs, so memory does not grow with the step count, and the file
-  replaces any earlier one only once the job's last step is logged.
+  replaces any earlier one only once the job's last step is logged. Its
+  ``checkpoint.json``, ``RESULT.tsv`` and ``predictions.tsv`` are each
+  replaced whole too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 from typing import Any, Protocol
 
 from . import glue
-from .atomic import replace_text_when_done
+from .atomic import replace_text_when_done, replace_when_done
 from .records import DEFAULT_SEED, RESULT_FILE, EarlyStopPolicy
 from .rng import derive_u64, keyed_uniform
 from .schedule import ScheduleSpec, schedule_value
@@ -112,20 +114,9 @@ def format_number(value: float) -> str:
     return text if float(text) == value else repr(value)
 
 
-def hyperparam_sort_key(hyperparams: dict[str, Any]) -> tuple:
-    """Canonical ordering of a hyperparameter mapping, used for all tie-breaks."""
-    return (
-        hyperparams.get("learning_rate", 0.0),
-        hyperparams.get("batch_size", 0),
-        hyperparams.get("epochs", 0),
-        hyperparams.get("warmup_steps", 0),
-        hyperparams.get("weight_decay", 0.0),
-    )
-
-
-def winner_key(val_metric: float, hyperparams: dict[str, Any]) -> tuple:
-    """Sort key of a finetune run: highest metric first, ties to the smallest hyperparams."""
-    return (-val_metric, hyperparam_sort_key(hyperparams))
+def run_name(learning_rate: float, batch_size: int, epochs: int) -> str:
+    """Name of one finetune grid point: its directory name and simulated-metric key."""
+    return f"lr{format_number(learning_rate)}_bs{batch_size}_ep{epochs}"
 
 
 VALIDATION_BEGIN_PROPORTION = 0.05
@@ -222,7 +213,7 @@ def build_pretrain_job(
 
 def build_finetune_argv(checkpoint: str, task: str, output_dir: str,
                         hp: dict[str, Any]) -> tuple[str, ...]:
-    """Finetuning argv in the standard run_glue shape, from grid-point hyperparams."""
+    """Finetuning argv in the standard run_glue shape, from a grid point's three values."""
     return (
         "--model_name_or_path", checkpoint,
         "--task_name", task,
@@ -235,12 +226,12 @@ def build_finetune_argv(checkpoint: str, task: str, output_dir: str,
         "--gradient_accumulation_steps", "1",
         "--per_device_eval_batch_size", "32",
         "--learning_rate", format_number(hp["learning_rate"]),
-        "--weight_decay", format_number(hp["weight_decay"]),
+        "--weight_decay", "0.01",
         "--eval_steps", "50",
         "--max_grad_norm", "1.0",
         "--num_train_epochs", str(hp["epochs"]),
-        "--lr_scheduler_type", hp["scheduler"],
-        "--warmup_steps", str(hp["warmup_steps"]),
+        "--lr_scheduler_type", "polynomial",
+        "--warmup_steps", "50",
     )
 
 
@@ -341,6 +332,23 @@ SIM_TEST_EXAMPLES: dict[str, int] = {
 }
 
 
+def _write_job_outputs(output_dir: Path, checkpoint: dict[str, Any], eval_loss: float,
+                       predictions: str | None = None) -> Path:
+    """Write a simulated job's output files, each replaced whole, ``RESULT.tsv`` last.
+
+    ``predictions`` (finetune jobs only) is the text of ``predictions.tsv``.
+    Returns the checkpoint path.
+    """
+    checkpoint_path = output_dir / "checkpoint.json"
+    texts = {} if predictions is None else {"predictions.tsv": predictions}
+    texts["checkpoint.json"] = json.dumps(checkpoint, indent=2) + "\n"
+    texts[RESULT_FILE] = f"eval_loss\t{eval_loss!r}\ncheckpoint\t{checkpoint_path}\n"
+    for name, text in texts.items():
+        with replace_when_done(output_dir / name) as fh:
+            fh.write(text.encode("utf-8"))
+    return checkpoint_path
+
+
 class SimulationTrainer:
     """Deterministic stand-in trainer for hermetic end-to-end runs.
 
@@ -398,24 +406,13 @@ class SimulationTrainer:
                     stopped_at = k
                     break
 
-        checkpoint = job.output_dir / "checkpoint.json"
-        checkpoint.write_text(
-            json.dumps(
-                {
-                    "kind": PRETRAIN,
-                    "quality": cum,
-                    "dataset_id": hp.get("dataset_id"),
-                    "steps": steps_done,
-                    "early_stopped_at": stopped_at,
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        (job.output_dir / RESULT_FILE).write_text(
-            f"eval_loss\t{loss!r}\ncheckpoint\t{checkpoint}\n", encoding="utf-8"
-        )
+        checkpoint = _write_job_outputs(job.output_dir, {
+            "kind": PRETRAIN,
+            "quality": cum,
+            "dataset_id": hp.get("dataset_id"),
+            "steps": steps_done,
+            "early_stopped_at": stopped_at,
+        }, loss)
         return RunOutcome(
             eval_loss=loss,
             wall_time_minutes=steps_done / self.steps_per_minute,
@@ -457,31 +454,22 @@ class SimulationTrainer:
 
         # Deterministic synthetic metric: saturating in upstream checkpoint
         # quality and tuning effort, plus a keyed per-run jitter.
-        hp_key = f"lr{lr:g}_bs{batch_size}_ep{epochs}"
+        key = run_name(lr, batch_size, epochs)
         base = 0.55 + 0.30 * (1 - math.exp(-0.08 * quality_in))
         tune = 0.05 * (1 - math.exp(-self.finetune_decay_per_lr * cum / 10))
-        jitter = (keyed_uniform("sim-metric", task.name, hp_key) - 0.5) * 0.04
+        jitter = (keyed_uniform("sim-metric", task.name, key) - 0.5) * 0.04
         metric = round(base + tune + jitter, 6)
 
-        predictions = job.output_dir / "predictions.tsv"
-        with open(predictions, "w", encoding="utf-8") as fh:
-            for index in range(SIM_TEST_EXAMPLES[task.name]):
-                if task.labels is None:
-                    value = round(keyed_uniform("sim-pred", task.name, hp_key, index) * 5, 3)
-                    fh.write(f"{index}\t{value}\n")
-                else:
-                    label_id = derive_u64("sim-pred", task.name, hp_key, index) % len(task.labels)
-                    fh.write(f"{index}\t{label_id}\n")
-
-        checkpoint_out = job.output_dir / "checkpoint.json"
-        checkpoint_out.write_text(
-            json.dumps({"kind": FINETUNE, "quality": quality_in + cum, "task": task.name}, indent=2)
-            + "\n",
-            encoding="utf-8",
-        )
-        (job.output_dir / RESULT_FILE).write_text(
-            f"eval_loss\t{loss!r}\ncheckpoint\t{checkpoint_out}\n", encoding="utf-8"
-        )
+        rows = []
+        for index in range(SIM_TEST_EXAMPLES[task.name]):
+            if task.labels is None:
+                value = round(keyed_uniform("sim-pred", task.name, key, index) * 5, 3)
+            else:
+                value = derive_u64("sim-pred", task.name, key, index) % len(task.labels)
+            rows.append(f"{index}\t{value}\n")
+        checkpoint_out = _write_job_outputs(
+            job.output_dir, {"kind": FINETUNE, "quality": quality_in + cum, "task": task.name},
+            loss, predictions="".join(rows))
         return RunOutcome(
             eval_loss=loss,
             wall_time_minutes=steps / self.steps_per_minute,

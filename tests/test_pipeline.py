@@ -176,10 +176,7 @@ class TestFullRun:
         assert len(rte_runs) == GRID_RUNS
         for run_dir in rte_runs:
             record = json.loads((run_dir / "run.json").read_text())
-            assert set(record["hyperparams"]) == {
-                "learning_rate", "batch_size", "epochs", "warmup_steps", "weight_decay",
-                "scheduler",
-            }
+            assert set(record["hyperparams"]) == {"learning_rate", "batch_size", "epochs"}
             assert record["task"] == "RTE" and record["metric_name"] == "accuracy"
         assert (ws.saved_models_root / "pretrain" / did / "checkpoint.json").is_file()
 

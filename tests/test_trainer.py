@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -10,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from bertpipe import glue
 from bertpipe.config import get_default_config
 from bertpipe.schedule import ScheduleSpec, schedule_value
 from bertpipe.search import (
+    STILT_SOURCES,
+    GridPoint,
     SearchError,
     SearchSpace,
     finetune_search,
-    run_name,
     schedule_waves,
     select_best,
 )
@@ -31,8 +34,8 @@ from bertpipe.trainer import (
     build_finetune_argv,
     build_pretrain_job,
     check_early_stop,
-    hyperparam_sort_key,
     parse_result_file,
+    run_name,
 )
 
 STUB_TRAINER = Path(__file__).with_name("stub_trainer.py")
@@ -103,8 +106,7 @@ class TestBuildPretrainJob:
         # ":g" keeps six significant digits: 1.2345678e-3 would be sent as 0.00123457.
         argv = self._job(eta0=1.2345678e-3).argv
         assert argv[argv.index("--lr") + 1] == "0.0012345678"
-        hp = {"learning_rate": 1.2345678e-3, "batch_size": 16, "epochs": 3, "warmup_steps": 50,
-              "weight_decay": 0.01, "scheduler": "polynomial"}
+        hp = {"learning_rate": 1.2345678e-3, "batch_size": 16, "epochs": 3}
         argv = build_finetune_argv("ckpt", "RTE", "out", hp)
         assert argv[argv.index("--learning_rate") + 1] == "0.0012345678"
         assert run_name(1.2345678e-3, 16, 3) == "lr0.0012345678_bs16_ep3"
@@ -234,6 +236,20 @@ def _joined_finetune_log(job: TrainerJob, trainer: SimulationTrainer) -> bytes:
 TIGHT_EARLY_STOP = EarlyStopPolicy(early_stop_time_minutes=0.05, early_stop_eval_loss=6.0)
 
 
+@contextlib.contextmanager
+def _file_size_limit(limit: int):
+    """Make a write past ``limit`` bytes fail partway, as a full disk would."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
 class TestStreamedStepLogs:
     @pytest.mark.parametrize("kind, eta0, early_stop, stops", [
         ("esd", 2e-3, EarlyStopPolicy(enabled=False), False),
@@ -274,24 +290,39 @@ class TestStreamedStepLogs:
 
     @pytest.mark.parametrize("writer", ["pretrain", "finetune"])
     def test_failed_write_keeps_the_earlier_log(self, tmp_path, writer):
-        # A file-size limit makes the log write fail partway, as a full disk would.
-        resource = pytest.importorskip("resource")
         job = (_pretrain_job(tmp_path, "p", 575) if writer == "pretrain"
                else _finetune_job(tmp_path, "f"))
         log = job.log_dir / "steps.tsv"
         log.parent.mkdir(parents=True)
         log.write_text("step\tlr\tloss\nan earlier run\n")
-        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
-        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, hard))
-        try:
-            with pytest.raises(OSError):
-                SimulationTrainer().run(job)
-        finally:
-            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
-            signal.signal(signal.SIGXFSZ, handler)
+        with _file_size_limit(1024), pytest.raises(OSError):
+            SimulationTrainer().run(job)
         assert log.read_text() == "step\tlr\tloss\nan earlier run\n"
         assert list(log.parent.iterdir()) == [log]
+
+    @pytest.mark.parametrize("writer, target", [("pretrain", "checkpoint.json"),
+                                                ("finetune", "predictions.tsv")])
+    def test_failed_output_write_keeps_the_earlier_file(self, tmp_path, writer, target):
+        # A one-step job writes its steps.tsv whole; a file-size limit between
+        # that log's size and the target's then cuts the target partway.
+        def job(tag):
+            if writer == "pretrain":
+                return _pretrain_job(tmp_path, tag, 1, early_stop=EarlyStopPolicy(enabled=False))
+            return _finetune_job(tmp_path, tag, "MNLI", batch_size=1024, epochs=1)
+
+        clean = job("clean")
+        SimulationTrainer().run(clean)
+        log_size = (clean.log_dir / "steps.tsv").stat().st_size
+        target_size = (clean.output_dir / target).stat().st_size
+        assert log_size < target_size
+        cut = job("cut")
+        earlier = cut.output_dir / target
+        earlier.parent.mkdir(parents=True)
+        earlier.write_text("an earlier run\n")
+        with _file_size_limit((log_size + target_size) // 2), pytest.raises(OSError):
+            SimulationTrainer().run(cut)
+        assert earlier.read_text() == "an earlier run\n"
+        assert list(cut.output_dir.iterdir()) == [earlier]
 
 
 class TestSimulationFinetune:
@@ -314,6 +345,17 @@ class TestSimulationFinetune:
         values = [float(l.split("\t")[1]) for l in lines]
         assert all(0 <= v <= 5 for v in values)
         assert outcome.metric_name == "spearman_corr"
+
+    def test_close_learning_rates_are_distinct_runs(self, tmp_path):
+        # Both rates read 0.00123457 in ":g" form, but they are two runs with two names.
+        a = SimulationTrainer().run(_finetune_job(tmp_path, "a", lr=1.2345678e-3))
+        b = SimulationTrainer().run(_finetune_job(tmp_path, "b", lr=1.2345679e-3))
+        assert a.val_metric != b.val_metric
+        predictions_a = (tmp_path / "a" / "out" / "predictions.tsv").read_bytes()
+        assert predictions_a != (tmp_path / "b" / "out" / "predictions.tsv").read_bytes()
+        # For the default grid the run name is the ":g" key, so their outputs are unchanged.
+        for lr in SearchSpace().learning_rates:
+            assert run_name(lr, 16, 3) == f"lr{lr:g}_bs16_ep3"
 
 
 class TestExternalTrainer:
@@ -413,20 +455,40 @@ class TestFinetuneSearch:
         with pytest.raises(SearchError, match=f"^{re.escape(message)}$"):
             SearchSpace(**fields)
 
-    def test_stilt_cycle_rejected(self):
-        with pytest.raises(SearchError, match="cycle"):
-            finetune_search(["RTE", "MRPC"], stilt_sources={"RTE": "MRPC", "MRPC": "RTE"})
+    def test_stilt_sources_are_one_level_of_glue_tasks(self):
+        assert set(STILT_SOURCES) | set(STILT_SOURCES.values()) <= set(glue.TASK_NAMES)
+        # No source is seeded from another task, so two waves cover every chain.
+        assert not set(STILT_SOURCES.values()) & set(STILT_SOURCES)
 
     def test_waves_topological(self):
         jobs = finetune_search(["MNLI", "RTE", "CoLA"])
         waves = schedule_waves(jobs)
-        assert len(waves) == 2
-        wave0_tasks = {j.task for j in waves[0]}
-        assert wave0_tasks == {"MNLI", "CoLA"}
-        assert {j.task for j in waves[1]} == {"RTE"}
+        assert waves == [[j for j in jobs if j.task != "RTE"], [j for j in jobs if j.task == "RTE"]]
+        assert {j.task for j in waves[0]} == {"MNLI", "CoLA"}
+
+    def test_waves_leave_out_an_empty_wave(self):
+        jobs = finetune_search(["RTE", "CoLA"])
+        assert schedule_waves(jobs) == [jobs]
+
+    def test_wave_parent_must_be_scheduled(self):
+        child = GridPoint("RTE", "run", {}, stilt_parent="MNLI")
+        with pytest.raises(SearchError, match="'MNLI' has no scheduled jobs"):
+            schedule_waves([child])
+
+    def test_full_argv_of_one_point(self):
+        point = finetune_search(["RTE"])[0]
+        assert point.job("ckpt", Path("out"), Path("log")).argv == (
+            "--model_name_or_path", "ckpt", "--task_name", "RTE", "--max_seq_length", "128",
+            "--output_dir", "out", "--overwrite_output_dir", "--do_train", "--do_eval",
+            "--evaluation_strategy", "steps", "--per_device_train_batch_size", "16",
+            "--gradient_accumulation_steps", "1", "--per_device_eval_batch_size", "32",
+            "--learning_rate", "1e-05", "--weight_decay", "0.01", "--eval_steps", "50",
+            "--max_grad_norm", "1.0", "--num_train_epochs", "3",
+            "--lr_scheduler_type", "polynomial", "--warmup_steps", "50",
+        )
 
     def test_argv_shape(self, tmp_path):
-        point = finetune_search(["MRPC"], stilt_sources={})[0]
+        point = finetune_search(["MRPC"])[0]
         job = point.job("ckpt", tmp_path / "out", tmp_path / "log")
         argv = job.argv
         assert argv[argv.index("--model_name_or_path") + 1] == "ckpt"
@@ -438,13 +500,13 @@ class TestFinetuneSearch:
 
 
 class TestSelectBest:
-    def _pair(self, task, lr, metric):
+    def _pair(self, task, lr, metric, batch_size=16, epochs=3):
         job = TrainerJob(
             kind="finetune",
-            job_id=f"finetune/{task}/lr{lr:g}",
+            job_id=f"finetune/{task}/{run_name(lr, batch_size, epochs)}",
             argv=(),
             task=task,
-            hyperparams={"learning_rate": lr, "batch_size": 16, "epochs": 3},
+            hyperparams={"learning_rate": lr, "batch_size": batch_size, "epochs": epochs},
         )
         outcome = RunOutcome(
             eval_loss=1.0, wall_time_minutes=1.0, checkpoint_path=None,
@@ -469,7 +531,13 @@ class TestSelectBest:
             rotated = pairs[rotation:] + pairs[:rotation]
             assert select_best(rotated)[0].hyperparams["learning_rate"] == 3e-5
 
-    def test_hyperparam_sort_key_order(self):
-        small = hyperparam_sort_key({"learning_rate": 1e-5, "batch_size": 32, "epochs": 5})
-        big = hyperparam_sort_key({"learning_rate": 3e-5, "batch_size": 16, "epochs": 3})
-        assert small < big
+    def test_ties_broken_by_batch_size_then_epochs(self):
+        # Learning rate first: the smaller rate wins over a smaller batch size.
+        pairs = [self._pair("RTE", 3e-5, 0.72, 16, 3), self._pair("RTE", 1e-5, 0.72, 32, 5)]
+        assert select_best(pairs)[0].job_id == "finetune/RTE/lr1e-05_bs32_ep5"
+        # Same rate: the smaller batch size wins over fewer epochs.
+        pairs = [self._pair("RTE", 3e-5, 0.72, 32, 3), self._pair("RTE", 3e-5, 0.72, 16, 5)]
+        assert select_best(pairs)[0].job_id == "finetune/RTE/lr3e-05_bs16_ep5"
+        # Same rate and batch size: fewer epochs win.
+        pairs = [self._pair("RTE", 3e-5, 0.72, 16, 5), self._pair("RTE", 3e-5, 0.72, 16, 3)]
+        assert select_best(pairs)[0].job_id == "finetune/RTE/lr3e-05_bs16_ep3"
