@@ -29,12 +29,15 @@ import json
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import glue
 from .atomic import replace_when_done
-from .records import RUNS_INDEX, SUBMISSION_ZIP_NAME
+from .records import PREDICTIONS_FILE, RUNS_INDEX, SUBMISSION_ZIP_NAME
 from .trainer import RunOutcome, TrainerJob
+
+if TYPE_CHECKING:
+    from .pipeline import Workspace
 
 RUN_RECORD = "run.json"
 _RUNS_INDEX_HEADER = "task\trun\twinner\n"
@@ -81,7 +84,8 @@ def write_runs_index(finetune_root: Path, runs: Iterable[tuple[str, str, bool]])
         fh.write((_RUNS_INDEX_HEADER + "".join(lines)).encode("utf-8"))
 
 
-def _read_winner(run_dir: Path, task: str, predictions_path: Path) -> RunResult:
+def _read_winner(ws: Workspace, dataset_id: str, task: str, run: str) -> RunResult:
+    run_dir = ws.finetune_log_dir(dataset_id, task, run)
     try:
         record = json.loads((run_dir / RUN_RECORD).read_text(encoding="utf-8"))
         intact = record["task"] == task and record["val_metric"] is not None
@@ -89,19 +93,18 @@ def _read_winner(run_dir: Path, task: str, predictions_path: Path) -> RunResult:
         raise CollectionError(f"winning run {run_dir}: unreadable {RUN_RECORD}: {exc}") from None
     if not intact:
         raise CollectionError(f"winning run {run_dir}: {RUN_RECORD} does not match the index")
-    return RunResult(task=task, predictions_path=predictions_path)
+    predictions = ws.finetune_output_dir(dataset_id, task, run) / PREDICTIONS_FILE
+    return RunResult(task=task, predictions_path=predictions)
 
 
-def summarize_val(log_root: str | Path, dataset_id: str,
-                  output_root: str | Path) -> SummarizeReport:
+def summarize_val(ws: Workspace, dataset_id: str) -> SummarizeReport:
     """Read the record of each winner that ``log/finetune/<dataset_id>/RUNS.tsv`` marks.
 
     Runs that did not win are never opened. A missing index, a damaged index
     row, an index without winners, or a winner whose record is missing or
     malformed is a CollectionError.
     """
-    finetune_root = Path(log_root) / "finetune" / dataset_id
-    predictions_root = Path(output_root) / "finetune" / dataset_id
+    finetune_root = ws.finetune_root(dataset_id)
     index = finetune_root / RUNS_INDEX
     if not index.is_file():
         raise CollectionError(f"no finetune logs under {finetune_root}: no {RUNS_INDEX}")
@@ -113,8 +116,7 @@ def summarize_val(log_root: str | Path, dataset_id: str,
                 f"{index}, line {number}: not a tab-separated task, run, 0/1 winner row: {line!r}")
         task, run, winner = row
         if winner == "1":
-            results.append(_read_winner(finetune_root / task / run, task,
-                                        predictions_root / task / run / "predictions.tsv"))
+            results.append(_read_winner(ws, dataset_id, task, run))
     if not results:
         raise CollectionError(f"{index} marks no winning run")
     return SummarizeReport(results=tuple(results))

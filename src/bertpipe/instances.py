@@ -24,10 +24,11 @@ when the vocabulary has at most 65536 entries, else 4), copies per window
 count u32. Then per window: its length u16, n_masked u16 (one value for all
 copies, since num_masked depends only on the window length) and its ids,
 stored once; then per copy its n_masked positions and the input id at each
-of them. Positions are u8 when max_seq_length <= 256, else u16; ids are
-id-width ints. Labels are not stored: the label at position p is
-window[p - 1], and the copy's input ids are [CLS] window [SEP] with the
-stored ids at its positions.
+of them, just what masking yields per copy. Positions are u8 when
+max_seq_length <= 256, else u16; ids are id-width ints. Labels are not
+stored: ``read_instances`` yields each copy as an ``MlmInstance`` whose input
+ids are [CLS] window [SEP] with the stored ids at its positions, and whose
+label at position p is window[p - 1].
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .records import (
 )
 from .rng import keyed_rng
 from .sharding import Shard, read_shard
-from .tokenization import TokenSequence, Vocabulary, tokenize, vocab_digest
+from .tokenization import Vocabulary, tokenize, vocab_digest
 
 INSTANCE_MAGIC = b"XBINST01"
 _VERSION = struct.Struct("<8sH")
@@ -67,8 +68,8 @@ MIN_WINDOW_TOKENS = 8
 class MlmInstance(NamedTuple):
     """One pre-masked training example, [CLS] ... [SEP] without padding.
 
-    A named tuple: ``read_instances`` builds one per instance, and a tuple is
-    several times cheaper to build than a frozen dataclass.
+    What ``read_instances`` yields, one per instance: a named tuple, several
+    times cheaper to build than a frozen dataclass.
     """
 
     input_ids: tuple[int, ...]
@@ -77,13 +78,13 @@ class MlmInstance(NamedTuple):
     masked_labels: tuple[int, ...]
 
 
-def segment_document(tokens: TokenSequence | Iterable[int], policy: MaskingPolicy) -> list[list[int]]:
+def segment_document(tokens: Iterable[int], policy: MaskingPolicy) -> list[list[int]]:
     """Cut a document's token ids into consecutive windows.
 
     Windows hold at most max_seq_length - 2 ids; a final short window is kept
     only if it has at least ``MIN_WINDOW_TOKENS`` ids.
     """
-    ids = list(tokens.ids) if isinstance(tokens, TokenSequence) else list(tokens)
+    ids = list(tokens)
     size = policy.window_size
     windows = [ids[start : start + size] for start in range(0, len(ids), size)]
     if windows and len(windows[-1]) < MIN_WINDOW_TOKENS:
@@ -96,46 +97,44 @@ def num_masked(window_len: int, policy: MaskingPolicy) -> int:
     return min(policy.max_predictions_per_seq, max(1, round(policy.masked_lm_prob * window_len)))
 
 
+# One masked copy of a window: its sorted positions in [CLS] window [SEP]
+# (so window[pos - 1] is the label at pos) and the input id at each of them.
+MaskedCopy = tuple[list[int], list[int]]
+# One window's ids and its dup_factor masked copies, in copy order.
+MaskedWindow = tuple[list[int], list[MaskedCopy]]
+
+
 def apply_masking(
     window: list[int],
     policy: MaskingPolicy,
     vocab: Vocabulary,
     rng: random.Random,
-) -> MlmInstance:
+) -> MaskedCopy:
     """Mask one window with draws taken from ``rng``.
 
     Position choice is uniform without replacement; each chosen position is
     replaced by [MASK] with ``MASK_TOKEN_SHARE`` probability, by a uniformly
     random non-special vocab id with ``RANDOM_TOKEN_SHARE``, and kept
-    otherwise. Labels always record the original ids. Successive calls on one
-    rng give independent copies of the window.
+    otherwise. Successive calls on one rng give independent copies of the
+    window.
     """
     if not window:
         raise ValueError("cannot mask an empty window")
     if len(window) > policy.window_size:
         raise ValueError(f"window of {len(window)} ids exceeds max_seq_length - 2")
-    input_ids = [vocab.cls_id, *window, vocab.sep_id]
     positions = sorted(rng.sample(range(1, len(window) + 1), num_masked(len(window), policy)))
-    labels = [input_ids[pos] for pos in positions]
 
     mask_below, random_below = MASK_TOKEN_SHARE, MASK_TOKEN_SHARE + RANDOM_TOKEN_SHARE
+    ids = []
     for pos in positions:
         roll = rng.random()
         if roll < mask_below:
-            input_ids[pos] = vocab.mask_id
+            ids.append(vocab.mask_id)
         elif roll < random_below:
-            input_ids[pos] = rng.choice(vocab.non_special_ids)
-
-    return MlmInstance(
-        input_ids=tuple(input_ids),
-        attention_len=len(input_ids),
-        masked_positions=tuple(positions),
-        masked_labels=tuple(labels),
-    )
-
-
-# One window's ids and its dup_factor masked copies, in copy order.
-MaskedWindow = tuple[list[int], list[MlmInstance]]
+            ids.append(rng.choice(vocab.non_special_ids))
+        else:
+            ids.append(window[pos - 1])
+    return positions, ids
 
 
 def iter_document_instances(
@@ -145,8 +144,7 @@ def iter_document_instances(
     vocab: Vocabulary,
 ) -> Iterator[MaskedWindow]:
     """A document's windows, each with its dup_factor masked copies."""
-    tokens = tokenize(text, vocab)
-    for window_idx, window in enumerate(segment_document(tokens, policy)):
+    for window_idx, window in enumerate(segment_document(tokenize(text, vocab).ids, policy)):
         rng = keyed_rng(policy.seed, doc_id, window_idx, "mask")
         yield window, [apply_masking(window, policy, vocab, rng)
                        for _ in range(policy.dup_factor)]
@@ -163,10 +161,10 @@ def write_instance_file(path: Path, windows: Iterable[MaskedWindow],
     """Stream masked windows into one file; returns the instance count.
 
     Each window comes with its ``policy.dup_factor`` copies, as
-    ``apply_masking`` made them from it: a copy is stored as its positions
-    and the input ids there, which rebuild it exactly. One window's copies
-    are held at a time, and the file appears at ``path`` only once every
-    window is written.
+    ``apply_masking`` made them from it: per copy its positions and the input
+    ids there, packed as given. ``read_instances`` rebuilds each copy from
+    them as an ``MlmInstance``. One window's copies are held at a time, and
+    the file appears at ``path`` only once every window is written.
     """
     width = 2 if len(vocab) <= 1 << 16 else 4
     copies = policy.dup_factor
@@ -185,7 +183,7 @@ def write_instance_file(path: Path, windows: Iterable[MaskedWindow],
         for window, masked in windows:
             if len(masked) != copies:
                 raise ValueError(f"a window has {len(masked)} copies, not {copies}")
-            shape = (len(window), len(masked[0].masked_positions))
+            shape = (len(window), len(masked[0][0]))
             record = records.get(shape)
             if record is None:
                 ids_format, positions_format, copy_ids_format = _formats(
@@ -193,10 +191,9 @@ def write_instance_file(path: Path, windows: Iterable[MaskedWindow],
                 record = records[shape] = struct.Struct(
                     "<HH" + ids_format + (positions_format + copy_ids_format) * copies)
             values = [*shape, *window]
-            for inst in masked:
-                ids, positions = inst.input_ids, inst.masked_positions
+            for positions, ids in masked:
                 values += positions
-                values += [ids[pos] for pos in positions]
+                values += ids
             fh.write(record.pack(*values))
             n_windows += 1
         fh.seek(0)
@@ -310,7 +307,7 @@ class InstanceGenerationResult:
     num_instances: int
 
 
-# A pool worker's vocabulary, set once per worker by ``_init_worker``.
+# The vocabulary of ``_generate_for_shard``, set once per process by ``_init_worker``.
 _worker_vocab: Vocabulary | None = None
 
 
@@ -319,17 +316,13 @@ def _init_worker(vocab: Vocabulary) -> None:
     _worker_vocab = vocab
 
 
-def _generate_for_shard(shard_path: str, out_path: str, policy: MaskingPolicy,
-                        vocab: Vocabulary | None = None) -> int:
-    """Write one shard's instance file; ``vocab`` None: the pool worker's."""
-    if vocab is None:
-        vocab = _worker_vocab
-
+def _generate_for_shard(shard_path: str, out_path: str, policy: MaskingPolicy) -> int:
+    """Write one shard's instance file with the vocabulary ``_init_worker`` set."""
     def all_windows() -> Iterator[MaskedWindow]:
         for doc_id, text in read_shard(Path(shard_path)):
-            yield from iter_document_instances(doc_id, text, policy, vocab)
+            yield from iter_document_instances(doc_id, text, policy, _worker_vocab)
 
-    return write_instance_file(Path(out_path), all_windows(), policy, vocab)
+    return write_instance_file(Path(out_path), all_windows(), policy, _worker_vocab)
 
 
 def generate_instances(
@@ -348,12 +341,11 @@ def generate_instances(
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     out_dir = Path(out_dir)
-    shards = list(shards)
     jobs = [(str(s.path), str(out_dir / instance_rel_path(s.split, s.index)), s)
             for s in shards]
-    files: list[InstanceFile] = []
     if n_workers == 1 or len(jobs) <= 1:
-        counts = [_generate_for_shard(p, out, policy, vocab) for p, out, _ in jobs]
+        _init_worker(vocab)
+        counts = [_generate_for_shard(p, out, policy) for p, out, _ in jobs]
     else:
         from concurrent.futures import ProcessPoolExecutor  # a one-worker run never loads it
 
@@ -362,8 +354,8 @@ def generate_instances(
                                  initargs=(vocab,)) as pool:
             futures = [pool.submit(_generate_for_shard, p, out, policy) for p, out, _ in jobs]
             counts = [f.result() for f in futures]
-    for (_, out, shard), count in zip(jobs, counts):
-        files.append(InstanceFile(shard.split, shard.index, Path(out), count))
+    files = [InstanceFile(shard.split, shard.index, Path(out), count)
+             for (_, out, shard), count in zip(jobs, counts)]
 
     total = sum(f.num_instances for f in files)
     meta = {

@@ -633,7 +633,7 @@ def _stage_collect(state: _RunState) -> dict[str, Any]:
     _import_stage_code("collect")
     ws = state.workspace
     did = state.require_dataset_id()
-    summary = summarize_val(ws.log_root, did, output_root=ws.output_root)
+    summary = summarize_val(ws, did)
     best = collect_best_val(summary.results)
     zip_path = translate_test_result(best, ws.translated_dir(did))
     return {

@@ -29,6 +29,7 @@ INSTANCE_FORMAT_VERSION = 3
 MAX_SEQ_LENGTH_LIMIT = 0xFFFF
 META_NAME = "META.yaml"
 RESULT_FILE = "RESULT.tsv"
+PREDICTIONS_FILE = "predictions.tsv"
 RUNS_INDEX = "RUNS.tsv"
 SUBMISSION_ZIP_NAME = "glue_submission.zip"
 

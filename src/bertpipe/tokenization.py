@@ -50,6 +50,7 @@ import hashlib
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .records import VocabularyError, resolve_vocab
 
@@ -91,12 +92,15 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """The token ids of one text."""
+    """The token ids of one text; iterating it yields them."""
 
     ids: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
 
 
 def _trie(pieces: dict[str, int]) -> dict[str, tuple]:

@@ -45,7 +45,7 @@ from typing import Any, Protocol
 
 from . import glue
 from .atomic import replace_text_when_done, replace_when_done
-from .records import DEFAULT_SEED, RESULT_FILE, EarlyStopPolicy
+from .records import DEFAULT_SEED, PREDICTIONS_FILE, RESULT_FILE, EarlyStopPolicy
 from .rng import derive_u64, keyed_uniform
 from .schedule import ScheduleSpec, schedule_value
 
@@ -340,7 +340,7 @@ def _write_job_outputs(output_dir: Path, checkpoint: dict[str, Any], eval_loss: 
     Returns the checkpoint path.
     """
     checkpoint_path = output_dir / "checkpoint.json"
-    texts = {} if predictions is None else {"predictions.tsv": predictions}
+    texts = {} if predictions is None else {PREDICTIONS_FILE: predictions}
     texts["checkpoint.json"] = json.dumps(checkpoint, indent=2) + "\n"
     texts[RESULT_FILE] = f"eval_loss\t{eval_loss!r}\ncheckpoint\t{checkpoint_path}\n"
     for name, text in texts.items():

@@ -341,7 +341,7 @@ def test_criterion_7_end_to_end(tmp_path_factory, vocab):
             assert zf.namelist() == NINE_TSVS
 
         # Reproducible: re-translating the same results gives identical bytes.
-        summary = summarize_val(ws.log_root, did, ws.output_root)
+        summary = summarize_val(ws, did)
         best = collect_best_val(summary.results)
         again = translate_test_result(best, tmp / "zip_again")
         assert again.read_bytes() == zip_path.read_bytes()

@@ -20,6 +20,7 @@ from bertpipe.collect import (
     write_run_record,
     write_runs_index,
 )
+from bertpipe.pipeline import Workspace
 from bertpipe.trainer import RunOutcome, TrainerJob
 
 
@@ -80,7 +81,7 @@ class TestSummarizeVal:
             for k in range(16):
                 write_run(tmp_path / "log", tmp_path / "output", "d1", task, f"run{k:02d}",
                           0.5 + k / 100, {**HP, "epochs": k}, ["0", "1"], winner=(k == 5))
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         assert [(r.task, r.predictions_path.parent.name) for r in report.results] == [
             ("CoLA", "run05"), ("RTE", "run05"),
         ]
@@ -89,7 +90,7 @@ class TestSummarizeVal:
         for k in range(16):
             write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", f"run{k:02d}",
                       0.5, {**HP, "epochs": k}, ["0"], corrupt=(k == 3), winner=(k == 0))
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         assert [r.predictions_path.parent.name for r in report.results] == ["run00"]
 
     @pytest.mark.parametrize("damage", ["corrupt", "delete", "other_task"])
@@ -107,33 +108,33 @@ class TestSummarizeVal:
             record.write_text(record.read_text().replace('"RTE"', '"CoLA"'))
         # The other runs are intact (run03 even scores higher), but none of them is the winner.
         with pytest.raises(CollectionError, match=str(record.parent)):
-            summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+            summarize_val(Workspace(tmp_path), "d1")
 
     def test_recorded_winner_shipped_over_higher_metric(self, tmp_path):
         # Run A is the index's winner; run B's record has the higher metric.
         write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "A", 0.6, HP, ["0"])
         write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "B", 0.9, HP, ["1"],
                   winner=False)
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         translate_test_result(collect_best_val(report.results), tmp_path / "zip")
         assert (tmp_path / "zip" / "RTE.tsv").read_text() == "index\tprediction\n0\tentailment\n"
 
     def test_empty_log_root_is_error(self, tmp_path):
         with pytest.raises(CollectionError, match="no finetune logs"):
-            summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+            summarize_val(Workspace(tmp_path), "d1")
 
     def test_damaged_index_row_names_the_line(self, tmp_path):
         write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "r0", 0.5, HP, ["0"])
         index = tmp_path / "log" / "finetune" / "d1" / RUNS_INDEX
         index.write_text("task\trun\twinner\nRTE r0 1\n")  # space-separated
         with pytest.raises(CollectionError, match=re.escape(f"{index}, line 2: ")):
-            summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+            summarize_val(Workspace(tmp_path), "d1")
 
     def test_index_without_winner_is_error(self, tmp_path):
         write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "r0", 0.5, HP, ["0"])
         index_runs(tmp_path / "log", "d1", set())
         with pytest.raises(CollectionError, match="no winning run"):
-            summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+            summarize_val(Workspace(tmp_path), "d1")
 
     def test_unlisted_run_ignored(self, tmp_path):
         # A run of an earlier grid outranks this grid's run but is not in its index.
@@ -141,13 +142,13 @@ class TestSummarizeVal:
         root = tmp_path / "log" / "finetune" / "d1"
         write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "new", 0.5, HP, ["0"])
         write_runs_index(root, [("RTE", "new", True)])
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         assert [r.predictions_path.parent.name for r in report.results] == ["new"]
         assert (root / "RTE" / "old").is_dir()
 
     def test_predictions_path_derived(self, tmp_path):
         write_run(tmp_path / "log", tmp_path / "output", "d1", "QNLI", "r0", 0.8, HP, ["0"])
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         assert report.results[0].predictions_path.is_file()
 
 
@@ -165,7 +166,7 @@ class TestTranslate:
     def test_rte_label_map(self, tmp_path):
         # Internal ids [1, 0] map to not_entailment / entailment.
         write_run(tmp_path / "log", tmp_path / "output", "d1", "RTE", "r0", 0.7, HP, ["1", "0"])
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         best = collect_best_val(report.results)
         zip_path = translate_test_result(best, tmp_path / "zip")
         content = (tmp_path / "zip" / "RTE.tsv").read_text()
@@ -176,7 +177,7 @@ class TestTranslate:
 
     def test_stsb_numeric_passthrough(self, tmp_path):
         write_run(tmp_path / "log", tmp_path / "output", "d1", "STS-B", "r0", 0.8, HP, ["2.5"])
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         best = collect_best_val(report.results)
         translate_test_result(best, tmp_path / "zip")
         assert (tmp_path / "zip" / "STS-B.tsv").read_text() == "index\tprediction\n0\t2.5\n"
@@ -196,7 +197,7 @@ class TestTranslate:
     def test_totality_same_cardinality(self, tmp_path):
         preds = [str(i % 2) for i in range(57)]
         write_run(tmp_path / "log", tmp_path / "output", "d1", "SST-2", "r0", 0.9, HP, preds)
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         translate_test_result(collect_best_val(report.results), tmp_path / "zip")
         lines = (tmp_path / "zip" / "SST-2.tsv").read_text().splitlines()
         assert len(lines) == 1 + 57
@@ -204,7 +205,7 @@ class TestTranslate:
     def test_zip_reproducible(self, tmp_path):
         for task, preds in (("RTE", ["0", "1"]), ("MNLI", ["2", "0", "1"]), ("STS-B", ["3.25"])):
             write_run(tmp_path / "log", tmp_path / "output", "d1", task, "r0", 0.7, HP, preds)
-        report = summarize_val(tmp_path / "log", "d1", tmp_path / "output")
+        report = summarize_val(Workspace(tmp_path), "d1")
         best = collect_best_val(report.results)
         a = translate_test_result(best, tmp_path / "zip_a").read_bytes()
         b = translate_test_result(best, tmp_path / "zip_b").read_bytes()

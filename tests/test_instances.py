@@ -86,20 +86,59 @@ class TestNumMasked:
         assert num_masked(126, MaskingPolicy(masked_lm_prob=0.5)) == 20
 
 
-class TestApplyMasking:
-    def test_framing_and_count(self, mini_vocab):
-        window = [mini_vocab.token_to_id["the"]] * 126
-        inst = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(1, 0, "mask"))
-        assert len(inst.input_ids) == 128
-        assert inst.input_ids[0] == mini_vocab.cls_id
-        assert inst.attention_len == 128
-        assert inst.input_ids[inst.attention_len - 1] == mini_vocab.sep_id
-        assert len(inst.masked_positions) == len(inst.masked_labels) == 19
+def expected_instances(window, copies, vocab):
+    """The instances a file holds for ``window`` and its ``(positions, ids)`` copies.
 
-    def test_padding(self, mini_vocab):
+    Built here from the format's definition, so the reader is checked against
+    code that is neither the reader nor the writer.
+    """
+    out = []
+    for positions, ids in copies:
+        input_ids = [vocab.cls_id, *window, vocab.sep_id]
+        for pos, token in zip(positions, ids):
+            input_ids[pos] = token
+        labels = tuple(window[pos - 1] for pos in positions)
+        out.append(MlmInstance(tuple(input_ids), len(window) + 2, tuple(positions), labels))
+    return out
+
+
+def write_then_read(path, window, copies, vocab):
+    """Write one window with its copies to ``path``; the instances read back."""
+    write_instance_file(path, [(window, copies)], MaskingPolicy(dup_factor=len(copies)), vocab)
+    return list(read_instances(path))
+
+
+def assert_framed(inst, window, vocab):
+    """[CLS] window [SEP] without padding, with each label the window's id."""
+    assert inst.attention_len == len(inst.input_ids) == len(window) + 2
+    assert inst.input_ids[0] == vocab.cls_id
+    assert inst.input_ids[inst.attention_len - 1] == vocab.sep_id
+    assert vocab.pad_id not in inst.input_ids
+    assert list(inst.masked_labels) == [window[pos - 1] for pos in inst.masked_positions]
+    # Reconstruction: writing labels back restores the original window.
+    rebuilt = list(inst.input_ids)
+    for pos, label in zip(inst.masked_positions, inst.masked_labels):
+        rebuilt[pos] = label
+    assert rebuilt[1 : inst.attention_len - 1] == window
+
+
+class TestApplyMasking:
+    def test_framing_and_count(self, tmp_path, mini_vocab):
+        window = [mini_vocab.token_to_id["the"]] * 126
+        positions, ids = apply_masking(window, MaskingPolicy(), mini_vocab,
+                                       keyed_rng(1, 0, "mask"))
+        assert len(positions) == len(ids) == 19
+        [inst] = write_then_read(tmp_path / "x.xbi", window, [(positions, ids)], mini_vocab)
+        assert len(inst.input_ids) == inst.attention_len == 128
+        assert_framed(inst, window, mini_vocab)
+        assert list(inst.masked_positions) == positions
+        assert len(inst.masked_labels) == 19
+
+    def test_padding(self, tmp_path, mini_vocab):
         # No padding is stored: attention_len implies it.
         window = [mini_vocab.token_to_id["the"]] * 10
-        inst = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(1, 0, "mask"))
+        copy = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(1, 0, "mask"))
+        [inst] = write_then_read(tmp_path / "x.xbi", window, [copy], mini_vocab)
         assert inst.attention_len == len(inst.input_ids) == 12
         assert mini_vocab.pad_id not in inst.input_ids
 
@@ -112,18 +151,16 @@ class TestApplyMasking:
         c = apply_masking(window, MaskingPolicy(), mini_vocab, rng_a)  # the next copy
         assert c != a
 
-    def test_positions_valid_and_labels_consistent(self, mini_vocab):
+    def test_positions_valid_and_labels_consistent(self, tmp_path, mini_vocab):
         window = list(range(20, 120))
-        inst = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(9, 1, "mask"))
-        assert list(inst.masked_positions) == sorted(set(inst.masked_positions))
-        for pos, label in zip(inst.masked_positions, inst.masked_labels):
-            assert 1 <= pos <= inst.attention_len - 2
-            assert label == window[pos - 1]
-        # Reconstruction: writing labels back restores the original window.
-        rebuilt = list(inst.input_ids)
-        for pos, label in zip(inst.masked_positions, inst.masked_labels):
-            rebuilt[pos] = label
-        assert rebuilt[1 : inst.attention_len - 1] == window
+        positions, ids = apply_masking(window, MaskingPolicy(), mini_vocab,
+                                       keyed_rng(9, 1, "mask"))
+        assert positions == sorted(set(positions))
+        assert all(1 <= pos <= len(window) for pos in positions)
+        [inst] = write_then_read(tmp_path / "x.xbi", window, [(positions, ids)], mini_vocab)
+        assert list(inst.masked_positions) == positions
+        assert [inst.input_ids[pos] for pos in positions] == ids
+        assert_framed(inst, window, mini_vocab)
 
     def test_does_not_hash_the_vocabulary(self, mini_vocab, monkeypatch):
         def no_hash(self):
@@ -131,16 +168,18 @@ class TestApplyMasking:
 
         monkeypatch.setattr(Vocabulary, "__hash__", no_hash)
         window = list(range(20, 120))
-        inst = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(9, 1, "mask"))
-        assert len(inst.masked_positions) == 15
+        positions, ids = apply_masking(window, MaskingPolicy(), mini_vocab,
+                                       keyed_rng(9, 1, "mask"))
+        assert len(positions) == 15
         # This key reaches the random-replacement branch, which draws a vocabulary id.
-        replaced = [pos for pos, label in zip(inst.masked_positions, inst.masked_labels)
-                    if inst.input_ids[pos] not in (mini_vocab.mask_id, label)]
+        replaced = [pos for pos, token in zip(positions, ids)
+                    if token not in (mini_vocab.mask_id, window[pos - 1])]
         assert replaced
 
 
-def test_masking_invariants_property(mini_vocab):
+def test_masking_invariants_property(tmp_path, mini_vocab):
     policy = MaskingPolicy()
+    path = tmp_path / "x.xbi"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -149,13 +188,25 @@ def test_masking_invariants_property(mini_vocab):
     )
     def inner(length, key):
         window = [(17 * (i + 1)) % (len(mini_vocab) - 6) + 5 for i in range(length)]
-        inst = apply_masking(window, policy, mini_vocab, keyed_rng(*key, "mask"))
-        assert len(inst.masked_positions) <= policy.max_predictions_per_seq
-        assert len(inst.masked_positions) == num_masked(length, policy)
-        assert inst.input_ids[0] == mini_vocab.cls_id
-        assert inst.input_ids[inst.attention_len - 1] == mini_vocab.sep_id
-        for pos in inst.masked_positions:
-            assert 1 <= pos <= inst.attention_len - 2
+        positions, ids = apply_masking(window, policy, mini_vocab, keyed_rng(*key, "mask"))
+        assert len(positions) <= policy.max_predictions_per_seq
+        assert len(positions) == len(ids) == num_masked(length, policy)
+        for pos in positions:
+            assert 1 <= pos <= length
+        # The same draws, in the same order, as the recipe spelled out by hand.
+        rng = keyed_rng(*key, "mask")
+        expected = sorted(rng.sample(range(1, length + 1), len(positions)))
+        assert positions == expected
+        for pos, token in zip(positions, ids):
+            roll = rng.random()
+            if roll < 0.8:
+                assert token == mini_vocab.mask_id
+            elif roll < 0.9:
+                assert token == rng.choice(mini_vocab.non_special_ids)
+            else:
+                assert token == window[pos - 1]
+        [inst] = write_then_read(path, window, [(positions, ids)], mini_vocab)
+        assert_framed(inst, window, mini_vocab)
 
     inner()
 
@@ -185,16 +236,12 @@ class TestGenerateInstances:
         assert [window for window, _ in masked] == windows
         assert [len(copies) for _, copies in masked] == [10] * len(windows)
         first_window = masked[0][1]
-        position_sets = {tuple(i.masked_positions) for i in first_window}
+        position_sets = {tuple(positions) for positions, _ in first_window}
         assert len(position_sets) >= 2  # independent masking per dup at seed 42
-        # Same underlying content: every copy rebuilds [CLS] window [SEP].
-        rebuilt = set()
-        for inst in first_window:
-            ids = list(inst.input_ids)
-            for pos, label in zip(inst.masked_positions, inst.masked_labels):
-                ids[pos] = label
-            rebuilt.add(tuple(ids))
-        assert rebuilt == {(mini_vocab.cls_id, *windows[0], mini_vocab.sep_id)}
+        # Same underlying content: every copy, written and read back, rebuilds
+        # [CLS] window [SEP].
+        for inst in write_then_read(tmp_path / "x.xbi", windows[0], first_window, mini_vocab):
+            assert_framed(inst, windows[0], mini_vocab)
 
     def test_dup_factor_one(self, tmp_path, mini_vocab):
         text = "the new world of state and work " * 30
@@ -329,8 +376,9 @@ def v3_file_size(windows, policy, vocab_size):
 
 
 def test_instance_file_round_trip_property(tmp_path):
-    # Reading a file back gives exactly what apply_masking made, at both id
-    # widths and both position widths, and the file has the layout's size.
+    # Reading a file back gives exactly the instances apply_masking's copies
+    # define, at both id widths and both position widths, and the file has
+    # the layout's size.
     path = tmp_path / "x.xbi"
 
     @settings(max_examples=50, deadline=None)
@@ -344,7 +392,8 @@ def test_instance_file_round_trip_property(tmp_path):
                    for n in lengths]
         masked = masked_windows(windows, policy, vocab)
         assert write_instance_file(path, masked, policy, vocab) == dup * len(windows)
-        assert list(read_instances(path)) == [inst for _, copies in masked for inst in copies]
+        assert list(read_instances(path)) == [
+            inst for window, copies in masked for inst in expected_instances(window, copies, vocab)]
         assert path.stat().st_size == v3_file_size(windows, policy, size)
 
     inner()
@@ -362,7 +411,7 @@ class TestInstanceFiles:
                                     mini_vocab)
         loaded = list(read_instances(path))
         assert count == len(loaded) == 3
-        assert loaded == original
+        assert loaded == expected_instances(window, original, mini_vocab)
         assert len({inst.masked_positions for inst in loaded}) > 1
 
     def test_header_magic(self, tmp_path, mini_vocab):
@@ -409,7 +458,7 @@ class TestInstanceFiles:
         raw = path.read_bytes()
         assert struct.unpack("<H", raw[12:14]) == (4,)
         assert len(raw) == 34 + 4 + 4 * 8 + 2 * 1 * (1 + 4)
-        assert list(read_instances(path)) == masked[0][1]
+        assert list(read_instances(path)) == expected_instances(*masked[0], vocab)
 
     def test_u16_width_up_to_65536_entries(self, tmp_path):
         vocab = sized_vocab(65536)
@@ -420,7 +469,7 @@ class TestInstanceFiles:
         raw = path.read_bytes()
         assert struct.unpack("<H", raw[12:14]) == (2,)
         assert len(raw) == 34 + 4 + 2 * 3 + 1 * (1 + 2)
-        assert list(read_instances(path)) == masked[0][1]
+        assert list(read_instances(path)) == expected_instances(*masked[0], vocab)
 
     def test_version_1_file_rejected(self, tmp_path):
         # A version 1 header followed by one padded record, as older builds wrote it.
@@ -532,10 +581,9 @@ class TestMaskRateReport:
 def test_mask_rate_report_sorts_each_position_once(tmp_path, mini_vocab):
     # A [MASK] label that reads [MASK] counts as a mask, not a keep; a position
     # reading its label is a keep, and one reading any other id a replacement.
-    mask, cls, sep = mini_vocab.mask_id, mini_vocab.cls_id, mini_vocab.sep_id
+    mask = mini_vocab.mask_id
     window = [mask, 20, 21, 22, 23, 24, 25, 26, 27, 28]
-    copies = [MlmInstance((cls, mask, 20, *window[2:], sep), 12, (1, 2), (mask, 20)),
-              MlmInstance((cls, mask, 30, *window[2:], sep), 12, (1, 2), (mask, 20))]
+    copies = [([1, 2], [mask, 20]), ([1, 2], [mask, 30])]
     path = tmp_path / "x.xbi"
     write_instance_file(path, [(window, copies)], MaskingPolicy(dup_factor=2), mini_vocab)
     report = mask_rate_report([path], mini_vocab)
