@@ -15,26 +15,18 @@ import math
 import tempfile
 from pathlib import Path
 
+from bertpipe.config import get_default_config, with_overrides
 from bertpipe.schedule import ScheduleSpec, schedule_value
-from bertpipe.trainer import EarlyStopPolicy, SimulationTrainer, TrainerJob
+from bertpipe.trainer import EarlyStopPolicy, SimulationTrainer, build_pretrain_job
 
 
 def run_kind(kind: str, steps: int, eta0: float, workdir: Path) -> tuple[float, float]:
     spec = ScheduleSpec(kind=kind, eta0=eta0)
-    trainer = SimulationTrainer()
-    job = TrainerJob(
-        kind="pretrain",
-        job_id=f"pretrain/compare-{kind}",
-        argv=(),
-        hyperparams={
-            "num_steps": steps,
-            "schedule": spec,
-            "early_stop": EarlyStopPolicy(enabled=False),
-        },
-        output_dir=workdir / kind / "model",
-        log_dir=workdir / kind / "log",
-    )
-    outcome = trainer.run(job)
+    config = with_overrides(get_default_config(), {"PRETRAIN.NUM_STEPS": steps})
+    job = build_pretrain_job(config, spec, f"compare-{kind}", workdir / "data",
+                             workdir / kind / "model", workdir / kind / "log",
+                             early_stop=EarlyStopPolicy(enabled=False))
+    outcome = SimulationTrainer().run(job)
     total_lr = sum(schedule_value(k, steps, spec) for k in range(steps))
     return total_lr, outcome.eval_loss
 

@@ -6,9 +6,10 @@ and ``predictions.tsv`` (``index\\tprediction`` with internal label ids) there
 and prints a ``final_val_metric\\t<name>\\t<float>`` line on stdout, which its
 adapter parses into the run's outcome. After the job the pipeline writes
 ``run.json`` (:func:`write_run_record`) into the run's log directory
-``log/finetune/<id>/<task>/<run>/``: the task, the grid point's learning rate,
-batch size and epochs, the STILT parent, the metric name and value, the eval
-loss and the wall time. Collection reads only the task and the metric value.
+``log/finetune/<id>/<task>/<run>/``, from the grid point and the outcome: the
+point's task, learning rate, batch size, epochs and STILT parent, and the
+outcome's metric name and value, eval loss and wall time. Collection reads
+only the task and the metric value.
 Once the grid is done the stage writes ``log/finetune/<id>/RUNS.tsv``
 (:func:`write_runs_index`): one ``task``, ``run``, ``winner`` line per run of
 this grid, where ``winner`` is 1 for the run ``search.select_best`` chose.
@@ -34,10 +35,11 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from . import glue
 from .atomic import replace_when_done
 from .records import PREDICTIONS_FILE, RUNS_INDEX, SUBMISSION_ZIP_NAME
-from .trainer import RunOutcome, TrainerJob
+from .trainer import RunOutcome
 
 if TYPE_CHECKING:
     from .pipeline import Workspace
+    from .search import GridPoint
 
 RUN_RECORD = "run.json"
 _RUNS_INDEX_HEADER = "task\trun\twinner\n"
@@ -62,18 +64,18 @@ class SummarizeReport:
     results: tuple[RunResult, ...]  # one per task, in index order
 
 
-def write_run_record(job: TrainerJob, outcome: RunOutcome) -> None:
-    """Record one finished finetune job in ``<log_dir>/run.json``, atomically."""
+def write_run_record(point: GridPoint, outcome: RunOutcome, log_dir: Path) -> None:
+    """Record the finished job of one grid point in ``<log_dir>/run.json``, atomically."""
     record = {
-        "task": job.task,
-        "hyperparams": job.hyperparams,
-        "stilt_parent": job.stilt_parent,
+        "task": point.task,
+        "hyperparams": point.hyperparams,
+        "stilt_parent": point.stilt_parent,
         "metric_name": outcome.metric_name,
         "val_metric": outcome.val_metric,
         "eval_loss": outcome.eval_loss,
         "wall_time_minutes": outcome.wall_time_minutes,
     }
-    with replace_when_done(job.log_dir / RUN_RECORD) as fh:
+    with replace_when_done(log_dir / RUN_RECORD) as fh:
         fh.write((json.dumps(record, indent=2) + "\n").encode("utf-8"))
 
 

@@ -16,6 +16,7 @@ built from the config by the stage, checks the value.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
@@ -24,6 +25,21 @@ import yaml
 
 from . import glue
 from .records import DEFAULT_SEED, MaskingPolicy, ScheduleSpec, SearchSpace, ShardPlan
+
+
+class _Loader(yaml.SafeLoader):
+    """Reads YAML 1.2's exponent floats too: ``1e-3``, without a dot, is a number, not text."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """Quotes the text that ``_Loader`` would read as a number, such as ``'1e5'``."""
+
+
+for _yaml_class in (_Loader, _Dumper):  # subclass-local: yaml.SafeLoader stays YAML 1.1
+    _yaml_class.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
 
 
 class ConfigParseError(ValueError):
@@ -209,7 +225,7 @@ def parse_config(yaml_text: str) -> PipelineConfig:
         ConfigValidationError: unknown key or type mismatch, naming the key path.
     """
     try:
-        data = yaml.safe_load(yaml_text)
+        data = yaml.load(yaml_text, Loader=_Loader)
     except yaml.YAMLError as exc:
         line = None
         mark = getattr(exc, "problem_mark", None)
@@ -285,7 +301,7 @@ def serialize_config(config: PipelineConfig) -> str:
             if value is not None:
                 body[f.name.upper()] = _yaml_value(value)
         tree[section_name] = body
-    return yaml.safe_dump(tree, sort_keys=False, default_flow_style=False)
+    return yaml.dump(tree, Dumper=_Dumper, sort_keys=False, default_flow_style=False)
 
 
 def with_overrides(config: PipelineConfig, values: Mapping[str, Any]) -> PipelineConfig:

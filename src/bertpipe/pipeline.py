@@ -14,8 +14,10 @@ corpus URL, ``force``) change no output byte. Three rules read the table:
 * Chained digests: a stage's digest hashes its inputs and the digest of the
   stage before it (the one computed in this run, or the one in that stage's
   sentinel when it is disabled), so a change upstream re-runs every later
-  stage. Outputs after the dataset are keyed by the dataset id, so a new
-  dataset shows up downstream as a missing output, not as a digest change.
+  stage. Every digest is computed before the first stage runs, so a value a
+  stage record rejects fails the run before any stage starts. Outputs after
+  the dataset are keyed by the dataset id, so a new dataset shows up
+  downstream as a missing output, not as a digest change.
 * Sentinels: a completed stage records its digest under ``.stages/``. A later
   run skips it only when the recorded digest equals the new one and the
   stage's output still exists; ``force`` ignores sentinels. A stage that is
@@ -59,7 +61,7 @@ from .config import PipelineConfig, serialize_config, validate
 from .records import (
     INSTANCE_FORMAT_VERSION, META_NAME, RESULT_FILE, RUNS_INDEX, SHARD_FORMAT_VERSION,
     SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError, MaskingPolicy, ScheduleSpec, SearchSpace,
-    ShardPlan, VocabularyError, load_meta, resolve_vocab, scan_local,
+    ShardError, ShardPlan, VocabularyError, load_meta, resolve_vocab, scan_local,
 )
 
 # Stage code by the name the stages call it: "module", or "module.attribute" when renamed.
@@ -67,8 +69,8 @@ _STAGE_CODE: dict[str, str] = {
     "sources_from_config": "ingest", "enumerate_corpus_files": "ingest",
     "shard_corpus": "sharding", "derive_dataset_id": "sharding.dataset_id",
     "load_vocab": "tokenization", "generate_instances": "instances",
-    "SimulationTrainer": "trainer", "TrainerAdapter": "trainer", "TrainerJob": "trainer",
-    "RunOutcome": "trainer", "build_pretrain_job": "trainer", "parse_result_file": "trainer",
+    "SimulationTrainer": "trainer", "TrainerAdapter": "trainer", "RunOutcome": "trainer",
+    "build_pretrain_job": "trainer", "parse_result_file": "trainer",
     "GridPoint": "search", "finetune_search": "search", "schedule_waves": "search",
     "select_best": "search", "write_run_record": "collect", "write_runs_index": "collect",
     "summarize_val": "collect", "collect_best_val": "collect",
@@ -400,6 +402,17 @@ def run_pipeline(
     if violations:
         details = "; ".join(f"{v.key_path}: {v.message}" for v in violations)
         raise PipelineError(f"configuration is invalid: {details}")
+    # Building each enabled stage's records rejects a bad value before any work
+    # or write. A disabled stage passes on the digest its sentinel recorded.
+    digests: list[str | None] = []
+    for stage in STAGE_TABLE:
+        upstream = digests[-1] if digests else None
+        try:
+            digests.append(_stage_digest(stage, config, upstream) if stage.enabled(config)
+                           else _sentinel_digest(workspace, stage.name))
+        except (ShardError, ValueError) as exc:
+            raise PipelineError(
+                f"configuration is invalid: {stage.section.upper()}: {exc}") from exc
     # Resolved once (META.yaml is parsed at most once); only the dataset stage changes it.
     dataset_id = resolve_dataset_id(config, workspace)
     check_preconditions(config, workspace, dataset_id)
@@ -419,11 +432,9 @@ def run_pipeline(
     report = PipelineReport(stages=[], dataset_id=None)
 
     failure: PipelineError | None = None
-    upstream: str | None = None
-    for previous, stage in zip((None, *STAGE_TABLE), STAGE_TABLE):
+    for previous, stage, digest in zip((None, *STAGE_TABLE), STAGE_TABLE, digests):
         if not stage.enabled(config):
             report.stages.append(StageReport(stage.name, SKIPPED_DISABLED))
-            upstream = _sentinel_digest(workspace, stage.name)
             continue
         if previous is not None and not previous.enabled(config):
             try:
@@ -435,9 +446,6 @@ def run_pipeline(
                 break
         started = time.perf_counter()
         try:
-            # Inside the stage's failure handling: the digest builds the stage's
-            # validated plan, policy, schedule or grid, which rejects bad values.
-            digest = upstream = _stage_digest(stage, config, upstream)
             if (not force and _sentinel_digest(workspace, stage.name) == digest
                     and stage.output_exists(workspace, state.dataset_id)):
                 report.stages.append(
@@ -586,17 +594,17 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
         raise PipelineError(f"pretrained checkpoint missing: {pretrain_checkpoint}")
 
     points = finetune_search(config.finetune.tasks, _record(SearchSpace, config.finetune))
-    best: dict[str, tuple[TrainerJob, RunOutcome]] = {}
+    best: dict[str, tuple[GridPoint, RunOutcome]] = {}
 
-    def run_point(point: GridPoint) -> tuple[TrainerJob, RunOutcome]:
+    def run_point(point: GridPoint) -> tuple[GridPoint, RunOutcome]:
         # A STILT child's wave starts after its parent task's winner is chosen.
         checkpoint = (best[point.stilt_parent][1].checkpoint_path if point.stilt_parent
                       else pretrain_checkpoint)
-        job = point.job(str(checkpoint), ws.finetune_output_dir(did, point.task, point.run),
-                        ws.finetune_log_dir(did, point.task, point.run))
-        outcome = trainer.run(job)
-        write_run_record(job, outcome)
-        return job, outcome
+        log_dir = ws.finetune_log_dir(did, point.task, point.run)
+        outcome = trainer.run(point.job(
+            str(checkpoint), ws.finetune_output_dir(did, point.task, point.run), log_dir))
+        write_run_record(point, outcome, log_dir)
+        return point, outcome
 
     for wave in schedule_waves(points):
         if state.finetune_parallelism > 1:
@@ -606,13 +614,13 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
                 wave_outcomes = list(pool.map(run_point, wave))
         else:
             wave_outcomes = [run_point(point) for point in wave]
-        for task in {job.task for job, _ in wave_outcomes}:
+        for task in {point.task for point in wave}:
             best[task] = select_best(pair for pair in wave_outcomes if pair[0].task == task)
 
     # Collect reads only this grid; runs of an earlier grid are the user's data and stay.
     finetune_root = ws.finetune_root(did)
     write_runs_index(finetune_root, [
-        (point.task, point.run, best[point.task][0].log_dir.name == point.run)
+        (point.task, point.run, best[point.task][0].run == point.run)
         for point in points
     ])
     grid = {(point.task, point.run) for point in points}

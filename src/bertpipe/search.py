@@ -39,17 +39,13 @@ class GridPoint:
     hyperparams: dict[str, Any]  # learning_rate, batch_size, epochs
     stilt_parent: str | None = None  # start from that task's winner, not from pretraining
 
+    @property
+    def job_id(self) -> str:
+        return f"{FINETUNE}/{self.task}/{self.run}"
+
     def job(self, checkpoint: str, output_dir: Path, log_dir: Path) -> TrainerJob:
-        return TrainerJob(
-            kind=FINETUNE,
-            job_id=f"finetune/{self.task}/{self.run}",
-            argv=build_finetune_argv(checkpoint, self.task, str(output_dir), self.hyperparams),
-            hyperparams=self.hyperparams,
-            task=self.task,
-            stilt_parent=self.stilt_parent,
-            output_dir=output_dir,
-            log_dir=log_dir,
-        )
+        argv = build_finetune_argv(checkpoint, self.task, str(output_dir), self.hyperparams)
+        return TrainerJob(FINETUNE, self.job_id, argv, output_dir, log_dir)
 
 
 def finetune_search(tasks: Iterable[str], space: SearchSpace | None = None) -> list[GridPoint]:
@@ -91,17 +87,17 @@ def schedule_waves(points: Iterable[GridPoint]) -> list[list[GridPoint]]:
 
 
 def select_best(
-    outcomes: Iterable[tuple[TrainerJob, RunOutcome]],
-) -> tuple[TrainerJob, RunOutcome]:
+    outcomes: Iterable[tuple[GridPoint, RunOutcome]],
+) -> tuple[GridPoint, RunOutcome]:
     """Winner of one task's grid: highest metric, smallest (lr, batch size, epochs) on ties."""
     pairs = list(outcomes)
     if not pairs:
         raise SearchError("cannot select the best run of an empty grid")
-    for job, outcome in pairs:
+    for point, outcome in pairs:
         if outcome.val_metric is None:
-            raise SearchError(f"job {job.job_id} reported no validation metric")
+            raise SearchError(f"job {point.job_id} reported no validation metric")
 
-    def key(pair: tuple[TrainerJob, RunOutcome]) -> tuple:
+    def key(pair: tuple[GridPoint, RunOutcome]) -> tuple:
         hp = pair[0].hyperparams
         return (-pair[1].val_metric, hp["learning_rate"], hp["batch_size"], hp["epochs"])
 

@@ -16,8 +16,8 @@ that share one process pool (or run in this process with one worker):
   byte-accounting counter would cross 80% of the worker's share, the
   largest buffers are spilled: each is sorted by (order key, doc_id) and
   written to a file of its own as one sorted run. The remaining 20% is
-  headroom for a spill's sort index and the last, partly written page of
-  each map.
+  headroom for a spill's sort index and the partly written last page of
+  each full map: a buffer's first page is counted (see the budget rule).
 * Merge: one task per destination shard streams ``heapq.merge`` over that
   shard's runs, from every worker, into the shard file. The file is written
   through ``atomic.replace_when_done``, header first (the record count is
@@ -34,14 +34,15 @@ so any worker partitioning or interleaving of the stream yields bit-identical
 shard files.
 
 Budget rule: a record is accounted as its UTF-8 text bytes plus a fixed
-64-byte overhead. The spill workers run concurrently, so the spill phase's
-accounted peak is the sum of the workers' peaks. A merge holds one record
-per run, at most the run's largest, and up to one merge per worker runs at
-a time, so the merge phase's accounted peak is the sum of the largest such
-per-shard bounds, one per worker; it is known before any merge starts. The
-reported peak is the larger of the two phases; if it exceeds the budget,
-sharding fails with a ShardError that names both, before any shard file is
-written.
+64-byte overhead, and a destination's buffer as one 4096-byte page, the
+least its first map write makes resident, until the buffer is spilled. The
+spill workers run concurrently, so the spill phase's accounted peak is the
+sum of the workers' peaks. A merge holds one record per run, at most the
+run's largest, and up to one merge per worker runs at a time, so the merge
+phase's accounted peak is the sum of the largest such per-shard bounds, one
+per worker; it is known before any merge starts. The reported peak is the
+larger of the two phases; if it exceeds the budget, sharding fails with a
+ShardError that names both, before any shard file is written.
 
 Shard file format v2 (bit-exact for determinism tests), all little-endian:
 16-byte header of magic "XBSHARD1", format version u16, record count u32, 2
@@ -76,6 +77,7 @@ _RECORD = struct.Struct("<QI")  # doc_id, byte length
 _RUN_RECORD = struct.Struct("<QQI")  # order key, doc_id, byte length
 
 RECORD_OVERHEAD_BYTES = 64
+BUFFER_PAGE_BYTES = 4096
 _CHUNK_BYTES = 1 << 20
 SPILL_THRESHOLD = 0.8
 
@@ -151,7 +153,9 @@ class _SpillWriter:
 
     def add(self, doc: DocumentRecord) -> None:
         data = doc.text.encode("utf-8")
-        cost = record_cost(data)
+        split = assign_split(doc.doc_id, self.plan)
+        dest = (split, assign_shard_index(doc.doc_id, split, self.plan))
+        cost = record_cost(data) + (0 if dest in self.buffers else BUFFER_PAGE_BYTES)
         if cost > self.budget:
             raise ShardError(
                 f"document {doc.doc_id} ({cost} accounted bytes) exceeds the "
@@ -159,11 +163,10 @@ class _SpillWriter:
             )
         if self.total + cost > self.threshold:
             self._spill_until(self.threshold - cost)
-        split = assign_split(doc.doc_id, self.plan)
-        dest = (split, assign_shard_index(doc.doc_id, split, self.plan))
         buffer = self.buffers.get(dest)
-        if buffer is None:
+        if buffer is None:  # new, or spilled just now to make room: its page is charged
             buffer = self.buffers[dest] = _Buffer()
+            cost = record_cost(data) + BUFFER_PAGE_BYTES
         buffer.add(_order_key(doc.doc_id, self.plan.seed), doc.doc_id, data)
         self.sizes[dest] = self.sizes.get(dest, 0) + cost
         self.total += cost

@@ -13,24 +13,29 @@ hands the job to a :class:`TrainerAdapter`. The contract, per job:
   test example) and prints ``final_val_metric\\t<name>\\t<float>`` on stdout;
   the last such line counts.
 * The adapter returns a :class:`RunOutcome`. After each finetune job the
-  pipeline writes that outcome, with the job's task and grid values, to
-  ``<log_dir>/run.json``; result collection reads nothing else.
+  pipeline writes that outcome, with its grid point's task and grid values,
+  to ``<log_dir>/run.json``; result collection reads nothing else.
+
+A job is its kind, its id, its argv and its two directories. Every setting is
+in the argv: an external trainer gets it, and the simulation reads only it.
 
 Two adapters ship:
 
 * :class:`ExternalCommandTrainer` launches a real trainer process with the
   job argv, keeps its stdout/stderr under the job's log directory and times
   it. The process must exit 0.
-* :class:`SimulationTrainer` iterates the configured steps hermetically,
-  consuming the learning-rate schedule and emitting a synthetic eval loss
+* :class:`SimulationTrainer` reads the job's argv, as a real trainer would,
+  and iterates the steps it sets hermetically, consuming the learning-rate
+  schedule and emitting a synthetic eval loss
   ``loss(k) = loss_start * exp(-decay_per_lr * sum_{j<=k} lr_j) + loss_floor``
-  so schedule quality is reflected in the outcome. It honors the validation
-  cadence and early stopping, is fully deterministic, and leaves a per-step
-  TSV, ``steps.tsv``, under the job's log directory. Each row is written as
-  its step runs, so memory does not grow with the step count, and the file
-  replaces any earlier one only once the job's last step is logged. Its
-  ``checkpoint.json``, ``RESULT.tsv`` and ``predictions.tsv`` are each
-  replaced whole too.
+  so schedule quality is reflected in the outcome. A flag it needs that the
+  argv lacks is a :class:`TrainerError` naming the job and the flag. It
+  honors the validation cadence and early stopping, is fully deterministic,
+  and leaves a per-step TSV, ``steps.tsv``, under the job's log directory.
+  Each row is written as its step runs, so memory does not grow with the
+  step count, and the file replaces any earlier one only once the job's last
+  step is logged. Its ``checkpoint.json``, ``RESULT.tsv`` and
+  ``predictions.tsv`` are each replaced whole too.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import json
 import math
 import shlex
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
@@ -74,24 +79,28 @@ def check_early_stop(elapsed_minutes: float, eval_loss: float, policy: EarlyStop
 
 @dataclass(frozen=True)
 class TrainerJob:
-    """One pretraining or finetuning run, argv-shaped for the external contract."""
+    """One pretraining or finetuning run: the argv a trainer gets, and where it writes.
+
+    The argv carries every setting; the simulation reads only the argv, and a
+    flag it needs that is missing is a :class:`TrainerError`.
+    """
 
     kind: str  # "pretrain" | "finetune"
     job_id: str
     argv: tuple[str, ...]
-    hyperparams: dict[str, Any] = field(default_factory=dict)
-    task: str | None = None
-    stilt_parent: str | None = None  # finetune only: seed from that task's best checkpoint
-    output_dir: Path | None = None
-    log_dir: Path | None = None
+    output_dir: Path
+    log_dir: Path
 
     def __post_init__(self):
         if self.kind not in (PRETRAIN, FINETUNE):
             raise ValueError(f"unknown job kind: {self.kind!r}")
-        if self.kind == PRETRAIN and self.task is not None:
-            raise ValueError("pretrain jobs carry no task")
-        if self.kind == PRETRAIN and self.stilt_parent is not None:
-            raise ValueError("stilt_parent is only valid on finetune jobs")
+
+    def arg(self, flag: str) -> str:
+        """The value that follows ``flag`` in the argv."""
+        try:
+            return self.argv[self.argv.index(flag) + 1]
+        except (ValueError, IndexError):
+            raise TrainerError(f"job {self.job_id}: argv has no {flag} value") from None
 
 
 @dataclass(frozen=True)
@@ -167,18 +176,17 @@ def build_pretrain_job(
     dataset_id: str,
     dataset_path: Path,
     output_dir: Path,
-    log_dir: Path | None = None,
+    log_dir: Path,
     early_stop: EarlyStopPolicy = EarlyStopPolicy(),
     seed: int = DEFAULT_SEED,
 ) -> TrainerJob:
     """Assemble the pretraining job argv from the config, schedule, early stop and seed."""
-    num_steps = config.pretrain.num_steps
     argv: list[str] = [
         "--dataset_path", str(dataset_path),
         "--output_dir", str(output_dir),
         "--tokenizer_name", config.tokenizer.name_or_path,
         "--lr", format_number(spec.eta0),
-        "--num_steps", str(num_steps),
+        "--num_steps", str(config.pretrain.num_steps),
         "--num_gpus", str(config.system.num_gpus),
     ]
     if spec.kind == "linear":
@@ -195,20 +203,7 @@ def build_pretrain_job(
                  "--early_stop_time", format_number(early_stop.early_stop_time_minutes),
                  "--early_stop_eval_loss", format_number(early_stop.early_stop_eval_loss)]
     argv += ["--seed", str(seed)]
-    return TrainerJob(
-        kind=PRETRAIN,
-        job_id=f"pretrain/{dataset_id}",
-        argv=tuple(argv),
-        hyperparams={
-            "num_steps": num_steps,
-            "schedule": spec,
-            "learning_rate": spec.eta0,
-            "early_stop": early_stop,
-            "dataset_id": dataset_id,
-        },
-        output_dir=output_dir,
-        log_dir=log_dir,
-    )
+    return TrainerJob(PRETRAIN, f"{PRETRAIN}/{dataset_id}", tuple(argv), output_dir, log_dir)
 
 
 def build_finetune_argv(checkpoint: str, task: str, output_dir: str,
@@ -283,8 +278,6 @@ class ExternalCommandTrainer:
     def run(self, job: TrainerJob) -> RunOutcome:
         import subprocess  # only external-trainer runs pay for importing it
 
-        if job.output_dir is None or job.log_dir is None:
-            raise TrainerError(f"job {job.job_id} has no output/log directory assigned")
         job.output_dir.mkdir(parents=True, exist_ok=True)
         job.log_dir.mkdir(parents=True, exist_ok=True)
         full = [*self.command, *job.argv]
@@ -366,8 +359,6 @@ class SimulationTrainer:
     finetune_decay_per_lr = 40.0
 
     def run(self, job: TrainerJob) -> RunOutcome:
-        if job.output_dir is None or job.log_dir is None:
-            raise TrainerError(f"job {job.job_id} has no output/log directory assigned")
         job.output_dir.mkdir(parents=True, exist_ok=True)
         job.log_dir.mkdir(parents=True, exist_ok=True)
         if job.kind == PRETRAIN:
@@ -383,10 +374,13 @@ class SimulationTrainer:
         return k % 100 == 0
 
     def _run_pretrain(self, job: TrainerJob) -> RunOutcome:
-        hp = job.hyperparams
-        steps: int = hp["num_steps"]
-        spec: ScheduleSpec = hp["schedule"]
-        policy: EarlyStopPolicy = hp.get("early_stop", EarlyStopPolicy())
+        steps = int(job.arg("--num_steps"))
+        spec = ScheduleSpec(kind=job.arg("--curve"), eta0=float(job.arg("--lr")),
+                            warmup_proportion=float(job.arg("--warmup_proportion")))
+        policy = EarlyStopPolicy(enabled=False)
+        if "--use_early_stopping" in job.argv:
+            policy = EarlyStopPolicy(True, float(job.arg("--early_stop_time")),
+                                     float(job.arg("--early_stop_eval_loss")))
 
         cum = 0.0
         loss = self.loss_start + self.loss_floor
@@ -409,7 +403,7 @@ class SimulationTrainer:
         checkpoint = _write_job_outputs(job.output_dir, {
             "kind": PRETRAIN,
             "quality": cum,
-            "dataset_id": hp.get("dataset_id"),
+            "dataset_id": job.job_id.removeprefix(f"{PRETRAIN}/"),
             "steps": steps_done,
             "early_stopped_at": stopped_at,
         }, loss)
@@ -428,13 +422,11 @@ class SimulationTrainer:
             raise TrainerError(f"cannot read simulation checkpoint: {path}")
 
     def _run_finetune(self, job: TrainerJob) -> RunOutcome:
-        hp = job.hyperparams
-        task = glue.get_task(job.task)
-        lr: float = hp["learning_rate"]
-        batch_size: int = hp["batch_size"]
-        epochs: int = hp["epochs"]
-        quality_in = self._checkpoint_quality(
-            job.argv[job.argv.index("--model_name_or_path") + 1])
+        task = glue.get_task(job.arg("--task_name"))
+        lr = float(job.arg("--learning_rate"))
+        batch_size = int(job.arg("--per_device_train_batch_size"))
+        epochs = int(job.arg("--num_train_epochs"))
+        quality_in = self._checkpoint_quality(job.arg("--model_name_or_path"))
 
         n_train = SIM_TRAIN_EXAMPLES[task.name]
         steps = epochs * math.ceil(n_train / batch_size)

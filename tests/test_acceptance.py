@@ -17,7 +17,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from bertpipe.config import parse_config, with_overrides
+from bertpipe.config import get_default_config, parse_config, with_overrides
 from bertpipe.ingest import CorpusSource, enumerate_corpus_files, iter_documents
 from bertpipe.instances import MaskingPolicy, generate_instances, mask_rate_report
 from bertpipe.pipeline import (
@@ -31,7 +31,7 @@ from bertpipe.schedule import ScheduleSpec, schedule_value, stage_table, warmup_
 from bertpipe.sharding import ShardPlan, dataset_id, read_shard, shard_corpus
 from bertpipe.synthdata import generate_corpus
 from bertpipe.tokenization import load_vocab, resolve_vocab
-from bertpipe.trainer import EarlyStopPolicy, SimulationTrainer, TrainerJob, build_pretrain_job
+from bertpipe.trainer import EarlyStopPolicy, SimulationTrainer, build_pretrain_job
 from bertpipe.collect import collect_best_val, summarize_val, translate_test_result
 
 mpmath.mp.dps = 60
@@ -281,7 +281,7 @@ def test_criterion_6_config_fidelity():
         spec = ScheduleSpec(kind="linear", eta0=1e-3)
         job = build_pretrain_job(
             large, spec, "d1", dataset_path=Path("data/processed"),
-            output_dir=Path("saved_models/pretrain/d1"),
+            output_dir=Path("saved_models/pretrain/d1"), log_dir=Path("log/pretrain/d1"),
         )
         argv = list(job.argv)
         for flag, expected in printed_command.items():
@@ -377,15 +377,9 @@ def test_criterion_9_schedule_effect_directional(tmp_path_factory):
         for kind in ("esd", "linear"):
             spec = ScheduleSpec(kind=kind, eta0=2e-3)
             trainer = SimulationTrainer()
-            job = TrainerJob(
-                kind="pretrain",
-                job_id=f"pretrain/{kind}",
-                argv=(),
-                hyperparams={"num_steps": budget, "schedule": spec,
-                             "early_stop": EarlyStopPolicy(enabled=False)},
-                output_dir=tmp / kind / "model",
-                log_dir=tmp / kind / "log",
-            )
+            config = with_overrides(get_default_config(), {"PRETRAIN.NUM_STEPS": budget})
+            job = build_pretrain_job(config, spec, kind, tmp / "data", tmp / kind / "model",
+                                     tmp / kind / "log", early_stop=EarlyStopPolicy(enabled=False))
             outcome = trainer.run(job)
             mass = sum(schedule_value(k, budget, spec) for k in range(budget))
             expected = trainer.loss_start * math.exp(-trainer.decay_per_lr * mass)

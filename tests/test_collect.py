@@ -21,7 +21,8 @@ from bertpipe.collect import (
     write_runs_index,
 )
 from bertpipe.pipeline import Workspace
-from bertpipe.trainer import RunOutcome, TrainerJob
+from bertpipe.search import GridPoint
+from bertpipe.trainer import RunOutcome
 
 
 def write_run(log_root: Path, output_root: Path, dataset_id: str, task: str,
@@ -37,12 +38,10 @@ def write_run(log_root: Path, output_root: Path, dataset_id: str, task: str,
     if corrupt:
         (run_dir / RUN_RECORD).write_text("garbage without a metric\n")
     else:
-        job = TrainerJob(kind="finetune", job_id=f"finetune/{task}/{run}", argv=(),
-                         hyperparams=hyperparams, task=task, log_dir=run_dir)
         outcome = RunOutcome(eval_loss=0.5, wall_time_minutes=1.0, checkpoint_path=Path("c"),
                              log_path=Path("l"), val_metric=metric,
                              metric_name=glue.get_task(task).metric)
-        write_run_record(job, outcome)
+        write_run_record(GridPoint(task, run, hyperparams), outcome, run_dir)
     out_dir = output_root / "finetune" / dataset_id / task / run
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "predictions.tsv").write_text(

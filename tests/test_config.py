@@ -120,13 +120,22 @@ class TestParse:
         ("FINETUNE:\n  LEARNING_RATES: [fast]\n", "FINETUNE.LEARNING_RATES"),
         ("FINETUNE:\n  BATCH_SIZES: [16.0]\n", "FINETUNE.BATCH_SIZES"),
         ("FINETUNE:\n  EPOCHS: [true]\n", "FINETUNE.EPOCHS"),
-        # YAML 1.1 reads an exponent without a dot as text: 1.0e-3 is the number.
-        ("PRETRAIN:\n  ETA0: 1e-3\n", "PRETRAIN.ETA0"),
+        ("PRETRAIN:\n  ETA0: '1e-3'\n", "PRETRAIN.ETA0"),
     ])
     def test_each_field_type_rejects_a_wrong_value(self, text, key_path):
         with pytest.raises(ConfigValidationError) as excinfo:
             parse_config(text)
         assert excinfo.value.key_path == key_path
+
+    def test_exponent_without_a_dot_is_a_number(self):
+        # YAML 1.1, which yaml.SafeLoader implements, reads these as text.
+        cfg = parse_config("PRETRAIN:\n  ETA0: 1e-3\nFINETUNE:\n  LEARNING_RATES: [1e-5, 3E-5]\n")
+        assert cfg.pretrain.eta0 == 1e-3 and isinstance(cfg.pretrain.eta0, float)
+        assert cfg.finetune.learning_rates == (1e-5, 3e-5)
+        assert all(isinstance(lr, float) for lr in cfg.finetune.learning_rates)
+        # Text of that form stays text: it is written quoted.
+        cfg = parse_config("DATASET:\n  ID: '1e5'\n")
+        assert cfg.dataset.id == "1e5" and parse_config(serialize_config(cfg)) == cfg
 
     def test_number_lists_by_field_type(self):
         cfg = parse_config("FINETUNE:\n  LEARNING_RATES: [1, 2.5e-5]\n  BATCH_SIZES: [8]\n"

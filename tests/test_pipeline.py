@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import sys
 import zipfile
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bertpipe import glue, pipeline
+from bertpipe import glue, pipeline, search
 from bertpipe.collect import translate_predictions
 from bertpipe.config import parse_config, with_overrides
 from bertpipe.instances import INSTANCE_FORMAT_VERSION, load_meta
@@ -188,6 +189,23 @@ class TestFullRun:
         rte_run = next((ws.log_root / "finetune" / did / "RTE").iterdir())
         record = json.loads((rte_run / "run.json").read_text())
         assert record["stilt_parent"] == "MNLI"
+
+    def test_finetune_argv_is_what_the_simulation_reads(self, tmp_path, monkeypatch):
+        # The argv is the job's only setting: a flag it lacks fails the job, naming both.
+        build_argv = search.build_finetune_argv
+
+        def without_epochs(*args):
+            argv = list(build_argv(*args))
+            at = argv.index("--num_train_epochs")
+            return tuple(argv[:at] + argv[at + 2:])
+
+        monkeypatch.setattr(search, "build_finetune_argv", without_epochs)
+        ws = Workspace(tmp_path / "ws")
+        message = "job finetune/MNLI/lr1e-05_bs16_ep3: argv has no --num_train_epochs value"
+        with pytest.raises(PipelineError, match=f"^stage 'finetune' failed: {message}$"):
+            run_pipeline(parse_config(corpus_config(tmp_path)), ws)
+        report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
+        assert [s["status"] for s in report["stages"]] == ["completed"] * 3 + ["failed"]
 
     def test_finetune_parallelism_same_selection(self, tmp_path):
         cfg = parse_config(corpus_config(tmp_path))
@@ -440,16 +458,16 @@ class TestRerunReactsToChanges:
          "learning rate 1e-05 is repeated in the grid"),
     ])
     def test_invalid_option_fails_its_stage(self, tmp_path, stage, budget, options, message):
-        # The digest builds the stage's shard plan or schedule, which reject these values.
+        # Every digest is computed before the first stage runs, and builds each
+        # stage's shard plan, schedule or grid, which reject these values: no
+        # stage runs, not even the ones before the stage the value belongs to.
         text = corpus_config(tmp_path).replace("MAX_MEMORY_IN_GB: 0.25",
                                                f"MAX_MEMORY_IN_GB: {budget}")
         ws = Workspace(tmp_path / "ws")
-        with pytest.raises(PipelineError, match=f"stage '{stage}' failed: {message}"):
+        expected = f"configuration is invalid: {stage.upper()}: {re.escape(message)}"
+        with pytest.raises(PipelineError, match=f"^{expected}"):
             run_pipeline(with_overrides(parse_config(text), options), ws)
-        report = json.loads((ws.pipeline_log_dir() / "report.json").read_text())
-        assert report["stages"][-1]["name"] == stage
-        assert report["stages"][-1]["status"] == "failed"
-        assert message in report["stages"][-1]["error"]
+        assert not ws.root.exists()
 
     def test_instance_format_change_rebuilds_dataset(self, tmp_path, monkeypatch):
         # The reader rejects files of another format version, so a workspace

@@ -164,14 +164,15 @@ class TestShuffleAndShard:
     def test_spill_runs_counted(self, tmp_path):
         # One destination: a sorted run each time the next document would
         # cross the spill threshold, and one more for what is left at the end.
+        # Each new buffer holds one page besides its records.
         docs = [DocumentRecord(doc_id=i, text=f"{i}:" + "y" * 50_000)
                 for i in range(1000)]
         threshold = int(MIN_MEMORY_BYTES * sharding.SPILL_THRESHOLD)
-        runs, held = 1, 0
+        runs, held = 1, sharding.BUFFER_PAGE_BYTES
         for doc in docs:
             cost = len(doc.text) + RECORD_OVERHEAD_BYTES
             if held + cost > threshold:
-                runs, held = runs + 1, 0
+                runs, held = runs + 1, sharding.BUFFER_PAGE_BYTES
             held += cost
         assert runs == 4
         result = shard_docs(docs, plan(num_train_shards=1), tmp_path / "spill", tmp_path / "out")
@@ -206,6 +207,16 @@ class TestShuffleAndShard:
             shard_docs(docs, plan(num_train_shards=1), tmp_path / "spill", tmp_path / "out")
         assert not (tmp_path / "out").exists()
         assert list((tmp_path / "spill").glob("w*/*.run")) == []
+
+    def test_each_buffer_counts_a_resident_page(self, tmp_path):
+        # A destination's first map write makes a 4 KiB page resident, however
+        # small its texts: 64 small documents' bytes alone would hide it.
+        p = plan(num_train_shards=64)
+        writer = sharding._SpillWriter(p, tmp_path / "spill", p.max_memory_bytes)
+        for doc in make_docs(200, size=0):
+            writer.add(doc)
+        assert len(writer.buffers) > 32
+        assert writer.total >= len(writer.buffers) * 4096
 
     def test_oversized_document_fatal(self, tmp_path):
         docs = make_docs(7) + [

@@ -7,12 +7,13 @@ import re
 import signal
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from bertpipe import glue
-from bertpipe.config import get_default_config
+from bertpipe.config import get_default_config, with_overrides
 from bertpipe.schedule import ScheduleSpec, schedule_value
 from bertpipe.search import (
     STILT_SOURCES,
@@ -30,7 +31,6 @@ from bertpipe.trainer import (
     RunOutcome,
     SimulationTrainer,
     TrainerError,
-    TrainerJob,
     build_finetune_argv,
     build_pretrain_job,
     check_early_stop,
@@ -68,6 +68,7 @@ class TestBuildPretrainJob:
             "abc123",
             dataset_path="data/processed",
             output_dir="saved_models/pretrain/abc123",
+            log_dir="log/pretrain/abc123",
         )
 
     def test_seed_and_warmup_flags(self):
@@ -90,14 +91,14 @@ class TestBuildPretrainJob:
     def test_seed_and_early_stop_from_options(self):
         cfg = get_default_config()
         spec = ScheduleSpec()
-        job = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"), seed=7,
-                                 early_stop=EarlyStopPolicy(True, 90.0, 4.5))
+        job = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"), Path("log"),
+                                 seed=7, early_stop=EarlyStopPolicy(True, 90.0, 4.5))
         argv = list(job.argv)
         assert argv[argv.index("--seed") + 1] == "7"
         assert argv[argv.index("--early_stop_time") + 1] == "90"
         assert argv[argv.index("--early_stop_eval_loss") + 1] == "4.5"
         assert "--use_early_stopping" in argv
-        disabled = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"),
+        disabled = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"), Path("log"),
                                       early_stop=EarlyStopPolicy(enabled=False)).argv
         early_stop_flags = {"--use_early_stopping", "--early_stop_time", "--early_stop_eval_loss"}
         assert not early_stop_flags & set(disabled)
@@ -113,27 +114,12 @@ class TestBuildPretrainJob:
         assert run_name(1.23457e-3, 16, 3) == "lr0.00123457_bs16_ep3"
         assert run_name(3e-5, 16, 3) == "lr3e-05_bs16_ep3"
 
-    def test_no_task_on_pretrain(self):
-        assert self._job().task is None
-        with pytest.raises(ValueError):
-            TrainerJob(kind="pretrain", job_id="x", argv=(), task="RTE")
-
-    def test_stilt_parent_rejected_on_pretrain(self):
-        with pytest.raises(ValueError):
-            TrainerJob(kind="pretrain", job_id="x", argv=(), stilt_parent="MNLI")
-
 
 def _pretrain_job(tmp_path, tag, steps, kind="esd", eta0=2e-3, early_stop=None):
-    return TrainerJob(
-        kind="pretrain",
-        job_id=f"pretrain/{tag}",
-        argv=(),
-        hyperparams={"num_steps": steps,
-                     "schedule": ScheduleSpec(kind=kind, eta0=eta0),
-                     "early_stop": early_stop or EarlyStopPolicy(enabled=False)},
-        output_dir=tmp_path / tag / "model",
-        log_dir=tmp_path / tag / "log",
-    )
+    config = with_overrides(get_default_config(), {"PRETRAIN.NUM_STEPS": steps})
+    return build_pretrain_job(config, ScheduleSpec(kind=kind, eta0=eta0), tag, tmp_path / "data",
+                              tmp_path / tag / "model", tmp_path / tag / "log",
+                              early_stop=early_stop or EarlyStopPolicy(enabled=False))
 
 
 def _finetune_job(tmp_path, tag="f", task="RTE", lr=3e-5, batch_size=16, epochs=3,
@@ -141,23 +127,16 @@ def _finetune_job(tmp_path, tag="f", task="RTE", lr=3e-5, batch_size=16, epochs=
     checkpoint = tmp_path / tag / "ckpt.json"
     checkpoint.parent.mkdir(parents=True, exist_ok=True)
     checkpoint.write_text(json.dumps({"quality": checkpoint_quality}))
-    return TrainerJob(
-        kind="finetune",
-        job_id=f"finetune/{task}/{tag}",
-        argv=("--model_name_or_path", str(checkpoint)),
-        task=task,
-        hyperparams={"learning_rate": lr, "batch_size": batch_size, "epochs": epochs},
-        output_dir=tmp_path / tag / "out",
-        log_dir=tmp_path / tag / "log",
-    )
+    hp = {"learning_rate": lr, "batch_size": batch_size, "epochs": epochs}
+    point = GridPoint(task, run_name(lr, batch_size, epochs), hp)
+    return point.job(str(checkpoint), tmp_path / tag / "out", tmp_path / tag / "log")
 
 
 class TestSimulationPretrain:
     def _run(self, tmp_path, kind="esd", steps=500, eta0=2e-3, tag="a"):
-        job = _pretrain_job(tmp_path, tag, steps, kind, eta0)
         trainer = SimulationTrainer()
-        outcome = trainer.run(job)
-        spec = job.hyperparams["schedule"]
+        outcome = trainer.run(_pretrain_job(tmp_path, tag, steps, kind, eta0))
+        spec = ScheduleSpec(kind=kind, eta0=eta0)
         total_lr = sum(schedule_value(k, steps, spec) for k in range(steps))
         return outcome, total_lr, trainer
 
@@ -184,28 +163,16 @@ class TestSimulationPretrain:
 
     def test_early_stop_triggers(self, tmp_path):
         # 2000 steps/min simulated: 180 min needs 360k steps; use a tight policy.
-        spec = ScheduleSpec(eta0=1e-300)
-        job = TrainerJob(
-            kind="pretrain",
-            job_id="pretrain/stop",
-            argv=(),
-            hyperparams={
-                "num_steps": 200,
-                "schedule": spec,
-                "early_stop": EarlyStopPolicy(early_stop_time_minutes=0.05,
-                                              early_stop_eval_loss=6.0),
-            },
-            output_dir=tmp_path / "stop" / "model",
-            log_dir=tmp_path / "stop" / "log",
-        )
+        job = _pretrain_job(tmp_path, "stop", 200, eta0=1e-300, early_stop=EarlyStopPolicy(
+            early_stop_time_minutes=0.05, early_stop_eval_loss=6.0))
         outcome = SimulationTrainer().run(job)
         steps_logged = len(outcome.log_path.read_text().splitlines()) - 1
         assert steps_logged < 200  # stopped before the budget
 
 
-def _joined_pretrain_log(job: TrainerJob, trainer: SimulationTrainer) -> bytes:
+def _joined_pretrain_log(steps: int, spec: ScheduleSpec, policy: EarlyStopPolicy,
+                         trainer: SimulationTrainer) -> bytes:
     """Reference steps.tsv of a pretrain job: every row kept in a list, joined once."""
-    steps, spec = job.hyperparams["num_steps"], job.hyperparams["schedule"]
     rows, cum = [], 0.0
     for k in range(steps):
         lr = schedule_value(k, steps, spec)
@@ -213,19 +180,18 @@ def _joined_pretrain_log(job: TrainerJob, trainer: SimulationTrainer) -> bytes:
         loss = trainer.loss_start * math.exp(-trainer.decay_per_lr * cum) + trainer.loss_floor
         rows.append(f"{k}\t{lr!r}\t{loss!r}")
         elapsed = (k + 1) / trainer.steps_per_minute
-        if trainer._is_validation_step(k, steps) and check_early_stop(
-                elapsed, loss, job.hyperparams["early_stop"]):
+        if trainer._is_validation_step(k, steps) and check_early_stop(elapsed, loss, policy):
             break
     return ("step\tlr\tloss\n" + "\n".join(rows) + "\n").encode()
 
 
-def _joined_finetune_log(job: TrainerJob, trainer: SimulationTrainer) -> bytes:
+def _joined_finetune_log(task: str, lr: float, batch_size: int, epochs: int,
+                         trainer: SimulationTrainer) -> bytes:
     """Reference steps.tsv of a finetune job: every row kept in a list, joined once."""
-    hp = job.hyperparams
-    steps = hp["epochs"] * math.ceil(SIM_TRAIN_EXAMPLES[job.task] / hp["batch_size"])
+    steps = epochs * math.ceil(SIM_TRAIN_EXAMPLES[task] / batch_size)
     rows, cum = [], 0.0
     for k in range(steps):
-        step_lr = hp["learning_rate"] * (1 - k / steps)
+        step_lr = lr * (1 - k / steps)
         cum += step_lr
         loss = (trainer.finetune_loss_start * math.exp(-trainer.finetune_decay_per_lr * cum)
                 + trainer.finetune_loss_floor)
@@ -260,10 +226,10 @@ class TestStreamedStepLogs:
     ])
     def test_pretrain_log_bytes_match_joined_rows(self, tmp_path, kind, eta0, early_stop, stops):
         trainer = SimulationTrainer()
-        job = _pretrain_job(tmp_path, "p", 500, kind, eta0, early_stop)
-        outcome = trainer.run(job)
+        outcome = trainer.run(_pretrain_job(tmp_path, "p", 500, kind, eta0, early_stop))
         written = outcome.log_path.read_bytes()
-        assert written == _joined_pretrain_log(job, trainer)
+        spec = ScheduleSpec(kind=kind, eta0=eta0)
+        assert written == _joined_pretrain_log(500, spec, early_stop, trainer)
         assert (written.count(b"\n") - 1 < 500) == stops
         checkpoint = json.loads(outcome.checkpoint_path.read_text())
         assert checkpoint["steps"] == written.count(b"\n") - 1
@@ -271,8 +237,36 @@ class TestStreamedStepLogs:
     @pytest.mark.parametrize("task, batch_size, epochs", [("RTE", 16, 3), ("MNLI", 32, 5)])
     def test_finetune_log_bytes_match_joined_rows(self, tmp_path, task, batch_size, epochs):
         trainer = SimulationTrainer()
-        job = _finetune_job(tmp_path, "f", task, batch_size=batch_size, epochs=epochs)
-        assert trainer.run(job).log_path.read_bytes() == _joined_finetune_log(job, trainer)
+        job = _finetune_job(tmp_path, "f", task, lr=3e-5, batch_size=batch_size, epochs=epochs)
+        assert trainer.run(job).log_path.read_bytes() == _joined_finetune_log(
+            task, 3e-5, batch_size, epochs, trainer)
+
+    def test_steps_follow_the_argv(self, tmp_path):
+        # The simulation reads its settings from the argv a real trainer gets.
+        def edited(job, flag, value):
+            argv = list(job.argv)
+            argv[argv.index(flag) + 1] = value
+            return replace(job, argv=tuple(argv))
+
+        trainer = SimulationTrainer()
+        job = edited(_finetune_job(tmp_path, "f", "RTE", batch_size=16, epochs=3),
+                     "--num_train_epochs", "7")
+        assert trainer.run(job).log_path.read_bytes() == _joined_finetune_log(
+            "RTE", 3e-5, 16, 7, trainer)
+        job = edited(_pretrain_job(tmp_path, "p", 500, "esd"), "--curve", "linear")
+        assert trainer.run(job).log_path.read_bytes() == _joined_pretrain_log(
+            500, ScheduleSpec(kind="linear"), EarlyStopPolicy(enabled=False), trainer)
+
+    @pytest.mark.parametrize("writer, flag", [("pretrain", "--warmup_proportion"),
+                                              ("finetune", "--task_name")])
+    def test_a_missing_flag_names_the_job(self, tmp_path, writer, flag):
+        job = (_pretrain_job(tmp_path, "p", 50) if writer == "pretrain"
+               else _finetune_job(tmp_path, "f"))
+        argv = list(job.argv)
+        at = argv.index(flag)
+        del argv[at:at + 2]
+        with pytest.raises(TrainerError, match=f"^job {job.job_id}: argv has no {flag} value$"):
+            SimulationTrainer().run(replace(job, argv=tuple(argv)))
 
     def test_pretrain_memory_does_not_grow_with_steps(self, tmp_path):
         # The log goes to disk row by row: a 100x longer job peaks no higher.
@@ -365,22 +359,15 @@ class TestExternalTrainer:
                 "--stub_sleep", str(sleep_seconds), *no_result)
 
     def _job(self, tmp_path):
-        return TrainerJob(
-            kind="finetune",
-            job_id="finetune/RTE/stub",
-            argv=("--model_name_or_path", "ckpt-in", "--task_name", "RTE",
-                  "--output_dir", str(tmp_path / "out")),
-            task="RTE",
-            output_dir=tmp_path / "out",
-            log_dir=tmp_path / "log",
-        )
+        point = GridPoint("RTE", "stub", {"learning_rate": 3e-5, "batch_size": 16, "epochs": 3})
+        return point.job("ckpt-in", tmp_path / "out", tmp_path / "log")
 
     def test_contract_round_trip(self, tmp_path):
         trainer = ExternalCommandTrainer(self._stub(tmp_path))
         outcome = trainer.run(self._job(tmp_path))
         assert outcome.eval_loss == 2.25
         assert json.loads(outcome.checkpoint_path.read_text())["model_name_or_path"] == "ckpt-in"
-        assert outcome.val_metric == 0.8125
+        assert outcome.val_metric == 0.8125 + 3e-5  # the stub adds the job's --learning_rate
         assert (tmp_path / "log" / "stdout.log").is_file()
         assert (tmp_path / "log" / "stderr.log").is_file()
 
@@ -501,28 +488,23 @@ class TestFinetuneSearch:
 
 class TestSelectBest:
     def _pair(self, task, lr, metric, batch_size=16, epochs=3):
-        job = TrainerJob(
-            kind="finetune",
-            job_id=f"finetune/{task}/{run_name(lr, batch_size, epochs)}",
-            argv=(),
-            task=task,
-            hyperparams={"learning_rate": lr, "batch_size": batch_size, "epochs": epochs},
-        )
+        point = GridPoint(task, run_name(lr, batch_size, epochs),
+                          {"learning_rate": lr, "batch_size": batch_size, "epochs": epochs})
         outcome = RunOutcome(
             eval_loss=1.0, wall_time_minutes=1.0, checkpoint_path=None,
             log_path=None, val_metric=metric, metric_name="accuracy",
         )
-        return job, outcome
+        return point, outcome
 
     def test_max_metric_wins(self):
-        best_job, _ = select_best([self._pair("RTE", 1e-5, 0.70), self._pair("RTE", 3e-5, 0.72)])
-        assert best_job.hyperparams["learning_rate"] == 3e-5
+        best, _ = select_best([self._pair("RTE", 1e-5, 0.70), self._pair("RTE", 3e-5, 0.72)])
+        assert best.hyperparams["learning_rate"] == 3e-5
 
     def test_tie_breaks_to_smallest_hyperparams(self):
         pairs = [self._pair("RTE", 5e-5, 0.72), self._pair("RTE", 3e-5, 0.72),
                  self._pair("RTE", 1e-5, 0.70)]
-        best_job, _ = select_best(pairs)
-        assert best_job.hyperparams["learning_rate"] == 3e-5
+        best, _ = select_best(pairs)
+        assert best.hyperparams["learning_rate"] == 3e-5
 
     def test_order_invariance(self):
         pairs = [self._pair("RTE", lr, m) for lr, m in
