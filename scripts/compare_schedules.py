@@ -16,14 +16,16 @@ import tempfile
 from pathlib import Path
 
 from bertpipe.config import get_default_config, with_overrides
-from bertpipe.schedule import ScheduleSpec, schedule_value
+from bertpipe.records import pretrain_schedule
+from bertpipe.schedule import schedule_value
 from bertpipe.trainer import EarlyStopPolicy, SimulationTrainer, build_pretrain_job
 
 
 def run_kind(kind: str, steps: int, eta0: float, workdir: Path) -> tuple[float, float]:
-    spec = ScheduleSpec(kind=kind, eta0=eta0)
-    config = with_overrides(get_default_config(), {"PRETRAIN.NUM_STEPS": steps})
-    job = build_pretrain_job(config, spec, f"compare-{kind}", workdir / "data",
+    config = with_overrides(get_default_config(), {
+        "PRETRAIN.NUM_STEPS": steps, "PRETRAIN.SCHEDULE": kind, "PRETRAIN.ETA0": eta0})
+    spec = pretrain_schedule(config)
+    job = build_pretrain_job(config, f"compare-{kind}", workdir / "data",
                              workdir / kind / "model", workdir / kind / "log",
                              early_stop=EarlyStopPolicy(enabled=False))
     outcome = SimulationTrainer().run(job)

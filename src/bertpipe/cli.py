@@ -141,8 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--eta0", type=float, default=DEFAULT_ETA0)
     trace.add_argument("--steps", type=int, default=23000, help="overall step budget")
     trace.add_argument("--decay-ratio", type=float, default=DEFAULT_DECAY_RATIO,
-                       help="decay ratio r (default 2^-1/2, handled exactly)")
-    trace.add_argument("--ell", type=int, default=DEFAULT_ELL)
+                       help="decay ratio r (default 2^-1/2, handled exactly); trace only: "
+                            "a pretraining job always gets the default")
+    trace.add_argument("--ell", type=int, default=DEFAULT_ELL,
+                       help="the peak rate holds for the first (1 - r^ell) of the steps "
+                            "(default 6); trace only: a pretraining job always gets the default")
     trace.add_argument("--warmup-proportion", type=float, default=DEFAULT_WARMUP_PROPORTION)
     trace.add_argument("--preset", choices=sorted(PRESETS), default=None)
     trace.add_argument("--out", required=True, help="output TSV path")

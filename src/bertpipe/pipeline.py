@@ -60,8 +60,8 @@ from .atomic import replace_when_done
 from .config import PipelineConfig, serialize_config, validate
 from .records import (
     INSTANCE_FORMAT_VERSION, META_NAME, RESULT_FILE, RUNS_INDEX, SHARD_FORMAT_VERSION,
-    SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError, MaskingPolicy, ScheduleSpec, SearchSpace,
-    ShardError, ShardPlan, VocabularyError, load_meta, resolve_vocab, scan_local,
+    SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError, MaskingPolicy, SearchSpace, ShardError,
+    ShardPlan, VocabularyError, load_meta, pretrain_schedule, resolve_vocab, scan_local,
 )
 
 # Stage code by the name the stages call it: "module", or "module.attribute" when renamed.
@@ -247,10 +247,6 @@ def _shard_plan(config: PipelineConfig) -> ShardPlan:
     return _record(ShardPlan, config.dataset, max_memory_bytes=memory)
 
 
-def _schedule_spec(config: PipelineConfig) -> ScheduleSpec:
-    return ScheduleSpec(kind=config.pretrain.schedule, eta0=config.pretrain.eta0)
-
-
 def _dataset_inputs(config: PipelineConfig) -> dict[str, Any]:
     # A remote corpus is keyed by (name, split) alone: a completed cache never changes.
     return {
@@ -269,7 +265,7 @@ def _pretrain_inputs(config: PipelineConfig) -> dict[str, Any]:
     return {
         "pretrain": asdict(config.pretrain),
         "tokenizer": asdict(config.tokenizer),
-        "schedule": asdict(_schedule_spec(config)),
+        "schedule": asdict(pretrain_schedule(config)),
         "early_stop": asdict(EarlyStopPolicy()),  # build_pretrain_job's default
         "seed": config.dataset.seed,
     }
@@ -425,7 +421,8 @@ def run_pipeline(
     provenance = config
     if config.wandb.api_key is not None:
         provenance = replace(config, wandb=replace(config.wandb, api_key=REDACTED))
-    (pipeline_log / "config.yaml").write_text(serialize_config(provenance), encoding="utf-8")
+    with replace_when_done(pipeline_log / "config.yaml") as fh:
+        fh.write(serialize_config(provenance).encode("utf-8"))
 
     state = _RunState(config, workspace, trainer, dataset_id, n_workers, finetune_parallelism,
                       remote_base_url)
@@ -470,7 +467,8 @@ def run_pipeline(
 
     report.dataset_id = state.dataset_id
     report_path = pipeline_log / "report.json"
-    report_path.write_text(json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
+    with replace_when_done(report_path) as fh:
+        fh.write((json.dumps(report.to_json(), indent=2) + "\n").encode("utf-8"))
     report.report_path = report_path
     if failure is not None:
         raise failure
@@ -569,7 +567,6 @@ def _stage_pretrain(state: _RunState) -> dict[str, Any]:
     did = state.require_dataset_id()
     job = build_pretrain_job(
         config,
-        _schedule_spec(config),
         did,
         dataset_path=ws.processed_dir,
         output_dir=ws.pretrain_model_dir(did),

@@ -24,7 +24,7 @@ from pathlib import Path
 import yaml
 
 SHARD_FORMAT_VERSION = 2
-INSTANCE_FORMAT_VERSION = 3
+INSTANCE_FORMAT_VERSION = 4
 # Instance files store max_seq_length and each window length as u16.
 MAX_SEQ_LENGTH_LIMIT = 0xFFFF
 META_NAME = "META.yaml"
@@ -159,6 +159,15 @@ class ScheduleSpec:
     def r_squared(self) -> Fraction:
         """r^2 as an exact rational: 1/2 for the default r = 2^-0.5, else exact in r's float."""
         return Fraction(1, 2) if self.r == DEFAULT_DECAY_RATIO else Fraction(self.r) ** 2
+
+
+def pretrain_schedule(config) -> ScheduleSpec:
+    """The schedule a pipeline config names: ``PRETRAIN.SCHEDULE`` and ``ETA0``.
+
+    Its decay ratio, ``ell`` and warmup share are the defaults, which is all
+    a pretraining job's argv can carry.
+    """
+    return ScheduleSpec(kind=config.pretrain.schedule, eta0=config.pretrain.eta0)
 
 
 def warmup_steps(overall_steps: int, warmup_proportion: float) -> int:

@@ -16,8 +16,9 @@ hands the job to a :class:`TrainerAdapter`. The contract, per job:
   pipeline writes that outcome, with its grid point's task and grid values,
   to ``<log_dir>/run.json``; result collection reads nothing else.
 
-A job is its kind, its id, its argv and its two directories. Every setting is
-in the argv: an external trainer gets it, and the simulation reads only it.
+A job is its kind, its id, its argv and its log directory. Every setting,
+the output directory included, is in the argv: an external trainer gets it,
+and both adapters read the output directory from it.
 
 Two adapters ship:
 
@@ -50,7 +51,9 @@ from typing import Any, Protocol
 
 from . import glue
 from .atomic import replace_text_when_done, replace_when_done
-from .records import DEFAULT_SEED, PREDICTIONS_FILE, RESULT_FILE, EarlyStopPolicy
+from .records import (
+    DEFAULT_SEED, PREDICTIONS_FILE, RESULT_FILE, EarlyStopPolicy, pretrain_schedule,
+)
 from .rng import derive_u64, keyed_uniform
 from .schedule import ScheduleSpec, schedule_value
 
@@ -79,16 +82,16 @@ def check_early_stop(elapsed_minutes: float, eval_loss: float, policy: EarlyStop
 
 @dataclass(frozen=True)
 class TrainerJob:
-    """One pretraining or finetuning run: the argv a trainer gets, and where it writes.
+    """One pretraining or finetuning run: the argv a trainer gets, and where its logs go.
 
-    The argv carries every setting; the simulation reads only the argv, and a
-    flag it needs that is missing is a :class:`TrainerError`.
+    The argv carries every setting, ``--output_dir`` included; the adapters
+    read only the argv, and a flag they need that is missing is a
+    :class:`TrainerError`.
     """
 
     kind: str  # "pretrain" | "finetune"
     job_id: str
     argv: tuple[str, ...]
-    output_dir: Path
     log_dir: Path
 
     def __post_init__(self):
@@ -172,7 +175,6 @@ PRETRAIN_STATIC_ARGS: tuple[tuple[str, str | None], ...] = (
 
 def build_pretrain_job(
     config,
-    spec: ScheduleSpec,
     dataset_id: str,
     dataset_path: Path,
     output_dir: Path,
@@ -180,7 +182,12 @@ def build_pretrain_job(
     early_stop: EarlyStopPolicy = EarlyStopPolicy(),
     seed: int = DEFAULT_SEED,
 ) -> TrainerJob:
-    """Assemble the pretraining job argv from the config, schedule, early stop and seed."""
+    """Assemble the pretraining job argv from the config, early stop and seed.
+
+    The schedule is the config's (``records.pretrain_schedule``), so the argv
+    carries all of it.
+    """
+    spec = pretrain_schedule(config)
     argv: list[str] = [
         "--dataset_path", str(dataset_path),
         "--output_dir", str(output_dir),
@@ -203,7 +210,7 @@ def build_pretrain_job(
                  "--early_stop_time", format_number(early_stop.early_stop_time_minutes),
                  "--early_stop_eval_loss", format_number(early_stop.early_stop_eval_loss)]
     argv += ["--seed", str(seed)]
-    return TrainerJob(PRETRAIN, f"{PRETRAIN}/{dataset_id}", tuple(argv), output_dir, log_dir)
+    return TrainerJob(PRETRAIN, f"{PRETRAIN}/{dataset_id}", tuple(argv), log_dir)
 
 
 def build_finetune_argv(checkpoint: str, task: str, output_dir: str,
@@ -278,7 +285,8 @@ class ExternalCommandTrainer:
     def run(self, job: TrainerJob) -> RunOutcome:
         import subprocess  # only external-trainer runs pay for importing it
 
-        job.output_dir.mkdir(parents=True, exist_ok=True)
+        output_dir = Path(job.arg("--output_dir"))
+        output_dir.mkdir(parents=True, exist_ok=True)
         job.log_dir.mkdir(parents=True, exist_ok=True)
         full = [*self.command, *job.argv]
         stdout_path = job.log_dir / "stdout.log"
@@ -298,7 +306,7 @@ class ExternalCommandTrainer:
                 f"trainer exited with status {proc.returncode} "
                 f"for job {job.job_id}: {shlex.join(full)}"
             )
-        eval_loss, checkpoint = parse_result_file(job.output_dir)
+        eval_loss, checkpoint = parse_result_file(output_dir)
         try:
             metric = parse_metric_line(stdout_path.read_text(encoding="utf-8", errors="replace"))
         except ValueError as exc:
@@ -359,11 +367,12 @@ class SimulationTrainer:
     finetune_decay_per_lr = 40.0
 
     def run(self, job: TrainerJob) -> RunOutcome:
-        job.output_dir.mkdir(parents=True, exist_ok=True)
+        output_dir = Path(job.arg("--output_dir"))
+        output_dir.mkdir(parents=True, exist_ok=True)
         job.log_dir.mkdir(parents=True, exist_ok=True)
         if job.kind == PRETRAIN:
-            return self._run_pretrain(job)
-        return self._run_finetune(job)
+            return self._run_pretrain(job, output_dir)
+        return self._run_finetune(job, output_dir)
 
     def _is_validation_step(self, k: int, steps: int) -> bool:
         # Denser validation in the configured beginning/end proportions.
@@ -373,7 +382,7 @@ class SimulationTrainer:
             return True
         return k % 100 == 0
 
-    def _run_pretrain(self, job: TrainerJob) -> RunOutcome:
+    def _run_pretrain(self, job: TrainerJob, output_dir: Path) -> RunOutcome:
         steps = int(job.arg("--num_steps"))
         spec = ScheduleSpec(kind=job.arg("--curve"), eta0=float(job.arg("--lr")),
                             warmup_proportion=float(job.arg("--warmup_proportion")))
@@ -400,7 +409,7 @@ class SimulationTrainer:
                     stopped_at = k
                     break
 
-        checkpoint = _write_job_outputs(job.output_dir, {
+        checkpoint = _write_job_outputs(output_dir, {
             "kind": PRETRAIN,
             "quality": cum,
             "dataset_id": job.job_id.removeprefix(f"{PRETRAIN}/"),
@@ -421,7 +430,7 @@ class SimulationTrainer:
         except (OSError, ValueError):
             raise TrainerError(f"cannot read simulation checkpoint: {path}")
 
-    def _run_finetune(self, job: TrainerJob) -> RunOutcome:
+    def _run_finetune(self, job: TrainerJob, output_dir: Path) -> RunOutcome:
         task = glue.get_task(job.arg("--task_name"))
         lr = float(job.arg("--learning_rate"))
         batch_size = int(job.arg("--per_device_train_batch_size"))
@@ -460,7 +469,7 @@ class SimulationTrainer:
                 value = derive_u64("sim-pred", task.name, key, index) % len(task.labels)
             rows.append(f"{index}\t{value}\n")
         checkpoint_out = _write_job_outputs(
-            job.output_dir, {"kind": FINETUNE, "quality": quality_in + cum, "task": task.name},
+            output_dir, {"kind": FINETUNE, "quality": quality_in + cum, "task": task.name},
             loss, predictions="".join(rows))
         return RunOutcome(
             eval_loss=loss,

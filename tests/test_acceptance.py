@@ -278,9 +278,9 @@ def test_criterion_6_config_fidelity():
             "--seed": "42",
             "--fp16": None,
         }
-        spec = ScheduleSpec(kind="linear", eta0=1e-3)
         job = build_pretrain_job(
-            large, spec, "d1", dataset_path=Path("data/processed"),
+            with_overrides(large, {"PRETRAIN.SCHEDULE": "linear", "PRETRAIN.ETA0": 1e-3}),
+            "d1", dataset_path=Path("data/processed"),
             output_dir=Path("saved_models/pretrain/d1"), log_dir=Path("log/pretrain/d1"),
         )
         argv = list(job.argv)
@@ -377,8 +377,9 @@ def test_criterion_9_schedule_effect_directional(tmp_path_factory):
         for kind in ("esd", "linear"):
             spec = ScheduleSpec(kind=kind, eta0=2e-3)
             trainer = SimulationTrainer()
-            config = with_overrides(get_default_config(), {"PRETRAIN.NUM_STEPS": budget})
-            job = build_pretrain_job(config, spec, kind, tmp / "data", tmp / kind / "model",
+            config = with_overrides(get_default_config(), {
+                "PRETRAIN.NUM_STEPS": budget, "PRETRAIN.SCHEDULE": kind, "PRETRAIN.ETA0": 2e-3})
+            job = build_pretrain_job(config, kind, tmp / "data", tmp / kind / "model",
                                      tmp / kind / "log", early_stop=EarlyStopPolicy(enabled=False))
             outcome = trainer.run(job)
             mass = sum(schedule_value(k, budget, spec) for k in range(budget))

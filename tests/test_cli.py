@@ -174,7 +174,7 @@ def test_unknown_task_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--max-seq-length", "70000"], "max_seq_length 70000 exceeds 65535, the largest "
-                                    "instance file format version 3 can store"),
+                                    "instance file format version 4 can store"),
     (["--max-predictions-per-seq", "0"], "max_predictions_per_seq must be >= 1, not 0"),
 ])
 def test_unstorable_masking_option_fails_the_dataset_stage(tmp_path, capsys, flags, message):

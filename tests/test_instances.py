@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import struct
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bertpipe import instances as instances_module
 from bertpipe import records
@@ -50,7 +51,7 @@ class TestPolicy:
         ({"max_predictions_per_seq": 0}, "max_predictions_per_seq must be >= 1, not 0"),
         ({"max_predictions_per_seq": -1}, "max_predictions_per_seq must be >= 1, not -1"),
         ({"max_seq_length": 65536},
-         "max_seq_length 65536 exceeds 65535, the largest instance file format version 3"),
+         "max_seq_length 65536 exceeds 65535, the largest instance file format version 4"),
     ])
     def test_out_of_range_fields_rejected(self, fields, message):
         with pytest.raises(ValueError) as info:
@@ -87,19 +88,33 @@ class TestNumMasked:
 
 
 def expected_instances(window, copies, vocab):
-    """The instances a file holds for ``window`` and its ``(positions, ids)`` copies.
+    """The instances a file holds for ``window`` and its masked copies.
 
     Built here from the format's definition, so the reader is checked against
-    code that is neither the reader nor the writer.
+    code that is neither the reader nor the writer: [MASK] at each mask
+    position, the stored id at each replace position, the label elsewhere.
     """
     out = []
-    for positions, ids in copies:
+    for masks, replaces, keeps, ids in copies:
         input_ids = [vocab.cls_id, *window, vocab.sep_id]
-        for pos, token in zip(positions, ids):
+        for pos in masks:
+            input_ids[pos] = vocab.mask_id
+        for pos, token in zip(replaces, ids, strict=True):
             input_ids[pos] = token
+        positions = tuple(sorted(masks + replaces + keeps))
         labels = tuple(window[pos - 1] for pos in positions)
-        out.append(MlmInstance(tuple(input_ids), len(window) + 2, tuple(positions), labels))
+        out.append(MlmInstance(tuple(input_ids), len(window) + 2, positions, labels))
     return out
+
+
+def copy_positions(copy):
+    """A masked copy's positions, ascending, whatever their action."""
+    masks, replaces, keeps, _ = copy
+    return sorted(masks + replaces + keeps)
+
+
+def replaced_count(copies):
+    return sum(len(replaces) for _, replaces, _, _ in copies)
 
 
 def write_then_read(path, window, copies, vocab):
@@ -125,10 +140,11 @@ def assert_framed(inst, window, vocab):
 class TestApplyMasking:
     def test_framing_and_count(self, tmp_path, mini_vocab):
         window = [mini_vocab.token_to_id["the"]] * 126
-        positions, ids = apply_masking(window, MaskingPolicy(), mini_vocab,
-                                       keyed_rng(1, 0, "mask"))
-        assert len(positions) == len(ids) == 19
-        [inst] = write_then_read(tmp_path / "x.xbi", window, [(positions, ids)], mini_vocab)
+        copy = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(1, 0, "mask"))
+        positions = copy_positions(copy)
+        assert len(positions) == 19
+        assert len(copy[1]) == len(copy[3])  # one stored id per replace position
+        [inst] = write_then_read(tmp_path / "x.xbi", window, [copy], mini_vocab)
         assert len(inst.input_ids) == inst.attention_len == 128
         assert_framed(inst, window, mini_vocab)
         assert list(inst.masked_positions) == positions
@@ -153,13 +169,18 @@ class TestApplyMasking:
 
     def test_positions_valid_and_labels_consistent(self, tmp_path, mini_vocab):
         window = list(range(20, 120))
-        positions, ids = apply_masking(window, MaskingPolicy(), mini_vocab,
-                                       keyed_rng(9, 1, "mask"))
+        copy = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(9, 1, "mask"))
+        masks, replaces, keeps, ids = copy
+        for group in (masks, replaces, keeps):
+            assert group == sorted(group)
+        positions = copy_positions(copy)
         assert positions == sorted(set(positions))
         assert all(1 <= pos <= len(window) for pos in positions)
-        [inst] = write_then_read(tmp_path / "x.xbi", window, [(positions, ids)], mini_vocab)
+        [inst] = write_then_read(tmp_path / "x.xbi", window, [copy], mini_vocab)
         assert list(inst.masked_positions) == positions
-        assert [inst.input_ids[pos] for pos in positions] == ids
+        assert [inst.input_ids[pos] for pos in masks] == [mini_vocab.mask_id] * len(masks)
+        assert [inst.input_ids[pos] for pos in replaces] == ids
+        assert [inst.input_ids[pos] for pos in keeps] == [window[pos - 1] for pos in keeps]
         assert_framed(inst, window, mini_vocab)
 
     def test_does_not_hash_the_vocabulary(self, mini_vocab, monkeypatch):
@@ -168,13 +189,65 @@ class TestApplyMasking:
 
         monkeypatch.setattr(Vocabulary, "__hash__", no_hash)
         window = list(range(20, 120))
-        positions, ids = apply_masking(window, MaskingPolicy(), mini_vocab,
-                                       keyed_rng(9, 1, "mask"))
-        assert len(positions) == 15
+        copy = apply_masking(window, MaskingPolicy(), mini_vocab, keyed_rng(9, 1, "mask"))
+        assert len(copy_positions(copy)) == 15
         # This key reaches the random-replacement branch, which draws a vocabulary id.
-        replaced = [pos for pos, token in zip(positions, ids)
-                    if token not in (mini_vocab.mask_id, window[pos - 1])]
-        assert replaced
+        assert copy[1] and len(copy[1]) == len(copy[3])
+
+
+def reference_masking(window, k, vocab, rng):
+    """The masking recipe through ``rng.sample`` and ``rng.choice`` themselves.
+
+    ``apply_masking`` spells these two out over ``getrandbits``; it must
+    draw the same values in the same order, leaving the rng in the same state.
+    """
+    masks, replaces, keeps, ids = [], [], [], []
+    for pos in sorted(rng.sample(range(1, len(window) + 1), k)):
+        roll = rng.random()
+        if roll < 0.8:
+            masks.append(pos)
+        elif roll < 0.9:
+            replaces.append(pos)
+            ids.append(rng.choice(vocab.non_special_ids))
+        else:
+            keeps.append(pos)
+    return masks, replaces, keeps, ids
+
+
+def sample_setsize(k):
+    """The population size up to which ``random.sample`` uses its pool method."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def test_apply_masking_equals_sample_and_choice_property(mini_vocab):
+    # k is set through the policy's cap at a masking rate that rounds to n.
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), data=st.data(), key=st.integers(0, 2**40), copies=st.integers(1, 3))
+    # n <= 21; both sides of the k <= 5 and k = 6 setsize boundaries (21 and 85);
+    # a k whose set fills its table (setsize 277).
+    @example(n=7, data=None, key=1, copies=2)
+    @example(n=21, data=None, key=2, copies=1)
+    @example(n=22, data=None, key=3, copies=1)
+    @example(n=85, data=None, key=4, copies=1)
+    @example(n=86, data=None, key=5, copies=1)
+    @example(n=277, data=None, key=6, copies=1)
+    @example(n=278, data=None, key=7, copies=1)
+    def inner(n, data, key, copies):
+        boundary = {7: 5, 21: 5, 22: 5, 85: 6, 86: 6, 277: 22, 278: 22}
+        k = data.draw(st.integers(1, n)) if data is not None else boundary[n]
+        policy = MaskingPolicy(masked_lm_prob=0.999, max_predictions_per_seq=k,
+                               max_seq_length=n + 2)
+        assert num_masked(n, policy) == k
+        window = [(7 * (i + 1)) % (len(mini_vocab) - 6) + 5 for i in range(n)]
+        mine, theirs = keyed_rng(key, "mask"), keyed_rng(key, "mask")
+        for _ in range(copies):
+            got = apply_masking(window, policy, mini_vocab, mine)
+            assert got == reference_masking(window, k, mini_vocab, theirs)
+        assert mine.getstate() == theirs.getstate()
+
+    inner()
+    # The examples sit on both sides of each boundary they name.
+    assert (sample_setsize(5), sample_setsize(6), sample_setsize(22)) == (21, 85, 277)
 
 
 def test_masking_invariants_property(tmp_path, mini_vocab):
@@ -188,25 +261,16 @@ def test_masking_invariants_property(tmp_path, mini_vocab):
     )
     def inner(length, key):
         window = [(17 * (i + 1)) % (len(mini_vocab) - 6) + 5 for i in range(length)]
-        positions, ids = apply_masking(window, policy, mini_vocab, keyed_rng(*key, "mask"))
+        copy = apply_masking(window, policy, mini_vocab, keyed_rng(*key, "mask"))
+        positions = copy_positions(copy)
         assert len(positions) <= policy.max_predictions_per_seq
-        assert len(positions) == len(ids) == num_masked(length, policy)
+        assert len(positions) == num_masked(length, policy)
+        assert len(copy[1]) == len(copy[3])
         for pos in positions:
             assert 1 <= pos <= length
-        # The same draws, in the same order, as the recipe spelled out by hand.
-        rng = keyed_rng(*key, "mask")
-        expected = sorted(rng.sample(range(1, length + 1), len(positions)))
-        assert positions == expected
-        for pos, token in zip(positions, ids):
-            roll = rng.random()
-            if roll < 0.8:
-                assert token == mini_vocab.mask_id
-            elif roll < 0.9:
-                assert token == rng.choice(mini_vocab.non_special_ids)
-            else:
-                assert token == window[pos - 1]
-        [inst] = write_then_read(path, window, [(positions, ids)], mini_vocab)
+        [inst] = write_then_read(path, window, [copy], mini_vocab)
         assert_framed(inst, window, mini_vocab)
+        assert inst == expected_instances(window, [copy], mini_vocab)[0]
 
     inner()
 
@@ -236,7 +300,7 @@ class TestGenerateInstances:
         assert [window for window, _ in masked] == windows
         assert [len(copies) for _, copies in masked] == [10] * len(windows)
         first_window = masked[0][1]
-        position_sets = {tuple(positions) for positions, _ in first_window}
+        position_sets = {tuple(copy_positions(copy)) for copy in first_window}
         assert len(position_sets) >= 2  # independent masking per dup at seed 42
         # Same underlying content: every copy, written and read back, rebuilds
         # [CLS] window [SEP].
@@ -284,10 +348,14 @@ class TestGenerateInstances:
             assert f1.path.read_bytes() == f2.path.read_bytes()
 
     # sha256 of the instance files below, each preceded by its relative path.
-    PINNED_INSTANCE_BYTES = "7979745029280ad5c748e05d810c683834aa6ec079746fc097af7dcad76225ab"
+    PINNED_INSTANCE_BYTES = "6b16755f07d2a5b364fc0621146db9e2e80051ebd3f3cf9bdd2c3218a5faf557"
+    # sha256 of repr(tuple(instance)) for every instance they decode to, in
+    # file order. Format v3 decoded to the same stream: a new layout changes
+    # the bytes above, never this.
+    PINNED_INSTANCE_STREAM = "13639f9c93344f4337c6a53ed0325556208f77c7bf0877841edc74dddb63bf1d"
 
     def test_instance_bytes_are_pinned(self, tmp_path, mini_vocab):
-        # Format v3 on a fixed synthdata corpus: a change to the layout, the
+        # Format v4 on a fixed synthdata corpus: a change to the layout, the
         # masking or the keyed draws shows here, at any worker count.
         sharding = self._shards(tmp_path, size=40_000)
         policy = MaskingPolicy(dup_factor=3, seed=42)
@@ -298,6 +366,20 @@ class TestGenerateInstances:
             for f in gen.files:
                 digest.update(instance_rel_path(f.split, f.index).encode() + f.path.read_bytes())
             assert (len(gen.files), digest.hexdigest()) == (3, self.PINNED_INSTANCE_BYTES)
+
+    def test_instance_stream_is_pinned(self, tmp_path, mini_vocab):
+        # The same corpus and policy as above, compared by what the files decode to.
+        sharding = self._shards(tmp_path, size=40_000)
+        policy = MaskingPolicy(dup_factor=3, seed=42)
+        for workers in (1, 2):
+            gen = generate_instances(sharding.shards, policy, mini_vocab,
+                                     tmp_path / f"p{workers}", "did", n_workers=workers)
+            digest, count = hashlib.sha256(), 0
+            for f in gen.files:
+                for inst in read_instances(f.path):
+                    digest.update(repr(tuple(inst)).encode())
+                    count += 1
+            assert (count, digest.hexdigest()) == (327, self.PINNED_INSTANCE_STREAM)
 
     def test_vocabulary_sent_once_per_worker(self, tmp_path, mini_vocab, monkeypatch):
         # Counted in this process: a task's arguments are pickled here, and a
@@ -367,12 +449,13 @@ def masked_windows(windows, policy, vocab):
     return out
 
 
-def v3_file_size(windows, policy, vocab_size):
-    """Header, then per window its shape, its ids and per copy positions + ids."""
+def v4_file_size(masked, policy, vocab_size):
+    """Header, then per window its shape and ids, per copy its two counts and
+    positions, and the ids of its replace positions."""
     width = 2 if vocab_size <= 65536 else 4
     position = 1 if policy.max_seq_length <= 256 else 2
-    return 34 + sum(4 + width * len(w) + policy.dup_factor * num_masked(len(w), policy)
-                    * (position + width) for w in windows)
+    return 38 + sum(4 + width * len(w) + policy.dup_factor * (2 + num_masked(len(w), policy))
+                    * position + width * replaced_count(copies) for w, copies in masked)
 
 
 def test_instance_file_round_trip_property(tmp_path):
@@ -394,7 +477,7 @@ def test_instance_file_round_trip_property(tmp_path):
         assert write_instance_file(path, masked, policy, vocab) == dup * len(windows)
         assert list(read_instances(path)) == [
             inst for window, copies in masked for inst in expected_instances(window, copies, vocab)]
-        assert path.stat().st_size == v3_file_size(windows, policy, size)
+        assert path.stat().st_size == v4_file_size(masked, policy, size)
 
     inner()
 
@@ -419,9 +502,9 @@ class TestInstanceFiles:
         assert write_instance_file(path, [], MaskingPolicy(), mini_vocab) == 0
         raw = path.read_bytes()
         assert raw[:8] == b"XBINST01"
-        # version, max_seq_length, id width, copies, [CLS], [SEP], windows, instances
-        assert struct.unpack("<HHHIIIII", raw[8:]) == (
-            3, 128, 2, 10, mini_vocab.cls_id, mini_vocab.sep_id, 0, 0)
+        # version, max_seq_length, id width, copies, [CLS], [SEP], [MASK], windows, instances
+        assert struct.unpack("<HHHIIIIII", raw[8:]) == (
+            4, 128, 2, 10, mini_vocab.cls_id, mini_vocab.sep_id, mini_vocab.mask_id, 0, 0)
 
     def test_truncated_file_reports_offset(self, tmp_path, mini_vocab):
         path = tmp_path / "x.xbi"
@@ -433,20 +516,28 @@ class TestInstanceFiles:
             list(read_instances(clipped))
 
     def test_truncated_record_offset_is_exact(self, tmp_path, mini_vocab):
-        # Header 34 B; a window record is its two u16 counts and 30 u16 ids,
-        # then per copy n_masked u8 positions and n_masked u16 ids.
+        # Header 38 B; a window record is its two u16 counts and 30 u16 ids,
+        # then per copy two u8 counts and n_masked u8 positions, then a u16 id
+        # per replace position.
         policy = MaskingPolicy(dup_factor=2)
         masked = self._masked(mini_vocab, 2)
         n_masked = num_masked(30, policy)
         assert n_masked == 4
-        record = 2 * (2 + 30) + 2 * n_masked * (1 + 2)
+        replaced = replaced_count(masked[1])
+        assert replaced == 1
+        copies_end = 2 * (2 + 30) + 2 * (2 + n_masked)
+        record = copies_end + 2 * replaced
         path = tmp_path / "x.xbi"
         assert write_instance_file(path, [masked, masked], policy, mini_vocab) == 4
-        assert path.stat().st_size == 34 + 2 * record
+        assert path.stat().st_size == 38 + 2 * record
+        # Cut into the second window's replacement ids, then into its copies.
         clipped = tmp_path / "clipped.xbi"
         clipped.write_bytes(path.read_bytes()[:-1])
-        second_body = 34 + record + 4
-        with pytest.raises(InstanceFileError, match=f"at byte offset {second_body}$"):
+        with pytest.raises(InstanceFileError,
+                           match=f"at byte offset {38 + record + copies_end}$"):
+            list(read_instances(clipped))
+        clipped.write_bytes(path.read_bytes()[:-2 * replaced - 1])
+        with pytest.raises(InstanceFileError, match=f"at byte offset {38 + record + 4}$"):
             list(read_instances(clipped))
 
     def test_wide_ids_round_trip(self, tmp_path):
@@ -457,7 +548,7 @@ class TestInstanceFiles:
         write_instance_file(path, masked, policy, vocab)
         raw = path.read_bytes()
         assert struct.unpack("<H", raw[12:14]) == (4,)
-        assert len(raw) == 34 + 4 + 4 * 8 + 2 * 1 * (1 + 4)
+        assert len(raw) == 38 + 4 + 4 * 8 + 2 * (2 + 1) + 4 * replaced_count(masked[0][1])
         assert list(read_instances(path)) == expected_instances(*masked[0], vocab)
 
     def test_u16_width_up_to_65536_entries(self, tmp_path):
@@ -468,7 +559,7 @@ class TestInstanceFiles:
         write_instance_file(path, masked, policy, vocab)
         raw = path.read_bytes()
         assert struct.unpack("<H", raw[12:14]) == (2,)
-        assert len(raw) == 34 + 4 + 2 * 3 + 1 * (1 + 2)
+        assert len(raw) == 38 + 4 + 2 * 3 + (2 + 1) + 2 * replaced_count(masked[0][1])
         assert list(read_instances(path)) == expected_instances(*masked[0], vocab)
 
     def test_version_1_file_rejected(self, tmp_path):
@@ -489,6 +580,16 @@ class TestInstanceFiles:
                            match=f"^unsupported instance format version 2 in {v2}$"):
             list(read_instances(v2))
 
+    def test_version_3_file_rejected(self, tmp_path):
+        # A version 3 header (no [MASK] id) and one window whose copy stores
+        # the input id at its one position, as the previous format did.
+        v3 = tmp_path / "v3.xbi"
+        v3.write_bytes(struct.pack("<8sHHHIIIII", b"XBINST01", 3, 128, 2, 1, 2, 3, 1, 1)
+                       + struct.pack("<HH8HBH", 8, 1, *range(20, 28), 3, 4))
+        with pytest.raises(InstanceFileError,
+                           match=f"^unsupported instance format version 3 in {v3}$"):
+            list(read_instances(v3))
+
     def test_wrong_copy_count_rejected(self, tmp_path, mini_vocab):
         path = tmp_path / "x.xbi"
         with pytest.raises(ValueError, match="a window has 2 copies, not 3"):
@@ -502,18 +603,36 @@ class TestInstanceFiles:
         write_instance_file(path, [self._masked(mini_vocab, 1, length=8)],
                             MaskingPolicy(dup_factor=1), mini_vocab)
         raw = bytearray(path.read_bytes())
-        assert len(raw) == 34 + 4 + 2 * 8 + 1 + 2
-        raw[34 + 4 + 2 * 8] = 9
+        # Header, shape, 8 ids, the copy's two counts and its one position.
+        position_at = 38 + 4 + 2 * 8 + 2
+        assert len(raw) in (position_at + 1, position_at + 1 + 2)
+        raw[position_at] = 9
         path.write_bytes(bytes(raw))
-        with pytest.raises(InstanceFileError, match="position out of window .* byte offset 34$"):
+        with pytest.raises(InstanceFileError, match="position out of window .* byte offset 38$"):
             list(read_instances(path))
         # Over [CLS], and far past the window's end.
         for position in (0, 200):
-            raw[34 + 4 + 2 * 8] = position
+            raw[position_at] = position
             path.write_bytes(bytes(raw))
             with pytest.raises(InstanceFileError,
-                               match="position out of window .* byte offset 34$"):
+                               match="position out of window .* byte offset 38$"):
                 list(read_instances(path))
+
+    def test_action_counts_past_the_copy_rejected(self, tmp_path, mini_vocab):
+        # A mask count larger than the copy's positions would read the next
+        # copy's: the reader names the copy's byte offset.
+        path = tmp_path / "x.xbi"
+        copies = [([1, 5], [], [3], []), ([2], [4], [6], [40])]
+        write_instance_file(path, [(list(range(20, 30)), copies)],
+                            MaskingPolicy(dup_factor=2), mini_vocab)
+        raw = bytearray(path.read_bytes())
+        second_copy = 38 + 4 + 2 * 10 + (2 + 3)
+        assert raw[second_copy:second_copy + 5] == bytes([1, 1, 2, 4, 6])
+        raw[second_copy] = 3
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InstanceFileError,
+                           match=f"bad action counts in .* at byte offset {second_copy}$"):
+            list(read_instances(path))
 
     def test_damaged_counts_fail_before_a_huge_read(self, tmp_path, mini_vocab):
         # Copy and instance counts that agree but are far too large end in a
@@ -523,9 +642,9 @@ class TestInstanceFiles:
                             MaskingPolicy(dup_factor=1), mini_vocab)
         raw = bytearray(path.read_bytes())
         struct.pack_into("<I", raw, 14, 2**32 - 1)  # copies per window
-        struct.pack_into("<I", raw, 30, 2**32 - 1)  # instances, for its one window
+        struct.pack_into("<I", raw, 34, 2**32 - 1)  # instances, for its one window
         path.write_bytes(bytes(raw))
-        with pytest.raises(InstanceFileError, match="truncated instance file .* byte offset 38$"):
+        with pytest.raises(InstanceFileError, match="truncated instance file .* byte offset 42$"):
             list(read_instances(path))
 
     def test_failed_write_leaves_no_file(self, tmp_path, mini_vocab):
@@ -579,11 +698,12 @@ class TestMaskRateReport:
 
 
 def test_mask_rate_report_sorts_each_position_once(tmp_path, mini_vocab):
-    # A [MASK] label that reads [MASK] counts as a mask, not a keep; a position
-    # reading its label is a keep, and one reading any other id a replacement.
+    # A [MASK] label that reads [MASK] counts as a mask, not a keep, whether
+    # the copy masked or kept it; a position reading its label is a keep, and
+    # one reading any other id a replacement.
     mask = mini_vocab.mask_id
     window = [mask, 20, 21, 22, 23, 24, 25, 26, 27, 28]
-    copies = [([1, 2], [mask, 20]), ([1, 2], [mask, 30])]
+    copies = [([1], [], [2], []), ([], [2], [1], [30])]
     path = tmp_path / "x.xbi"
     write_instance_file(path, [(window, copies)], MaskingPolicy(dup_factor=2), mini_vocab)
     report = mask_rate_report([path], mini_vocab)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import shutil
+import signal
 import sys
 import zipfile
 from pathlib import Path
@@ -145,6 +146,41 @@ class TestFullRun:
             ("env_check", "dataset", "pretrain", "finetune", "collect")
         )
         assert (ws.pipeline_log_dir() / "config.yaml").is_file()
+
+    @pytest.mark.parametrize("name", ["config.yaml", "report.json"])
+    def test_failed_log_write_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
+        # A file-size limit set just before the write cuts it partway, as a
+        # full disk would: the previous file stays whole, with no .tmp beside it.
+        resource = pytest.importorskip("resource")
+        cfg = parse_config("DATASET:\n  ENABLED: False\n  ID: d1\nPRETRAIN:\n  ENABLED: False\n"
+                           "FINETUNE:\n  ENABLED: False\nRESULT_COLLECTION:\n  ENABLED: False\n")
+        ws = Workspace(tmp_path / "ws")
+        run_pipeline(cfg, ws)
+        path = ws.pipeline_log_dir() / name
+        previous = path.read_bytes()
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+
+        def limited(real):
+            def call(*args):
+                text = real(*args)
+                resource.setrlimit(resource.RLIMIT_FSIZE, (len(previous) // 2, hard))
+                return text
+            return call
+
+        if name == "config.yaml":
+            monkeypatch.setattr(pipeline, "serialize_config", limited(pipeline.serialize_config))
+        else:
+            monkeypatch.setattr(pipeline.PipelineReport, "to_json",
+                                limited(pipeline.PipelineReport.to_json))
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        try:
+            with pytest.raises(OSError):
+                run_pipeline(cfg, ws)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.read_bytes() == previous
+        assert not list(ws.pipeline_log_dir().glob("*.tmp"))
 
     def test_stage_failure_names_stage_and_halts(self, tmp_path):
         cfg = parse_config(
@@ -505,8 +541,8 @@ class TestRerunReactsToChanges:
             digests[stage.name] = upstream = pipeline._stage_digest(stage, cfg, upstream)
         assert digests == {
             "env_check": "cf7544db5e3496a4",
-            "dataset": "9d400c40ba863dd4",
-            "pretrain": "2feb6b1ca5d6c257",
-            "finetune": "0d26a62afd9819d9",
-            "collect": "68bc73195f23db75",
+            "dataset": "5b4e4577363b5c1b",
+            "pretrain": "88098b7075c59ee6",
+            "finetune": "1076edf349d9b3a4",
+            "collect": "85a350e338a4d9f7",
         }

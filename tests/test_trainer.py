@@ -60,11 +60,10 @@ class TestEarlyStop:
 
 
 class TestBuildPretrainJob:
-    def _job(self, **spec_kwargs):
-        cfg = get_default_config()
+    def _job(self, **overrides):
+        cfg = with_overrides(get_default_config(), overrides)
         return build_pretrain_job(
             cfg,
-            ScheduleSpec(**spec_kwargs),
             "abc123",
             dataset_path="data/processed",
             output_dir="saved_models/pretrain/abc123",
@@ -79,7 +78,7 @@ class TestBuildPretrainJob:
         )
 
     def test_large_benchmark_lr(self):
-        argv = self._job(eta0=1e-3).argv
+        argv = self._job(**{"PRETRAIN.ETA0": 1e-3}).argv
         lr = argv[argv.index("--lr") + 1]
         assert float(lr) == 1e-3
 
@@ -90,22 +89,21 @@ class TestBuildPretrainJob:
 
     def test_seed_and_early_stop_from_options(self):
         cfg = get_default_config()
-        spec = ScheduleSpec()
-        job = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"), Path("log"),
+        job = build_pretrain_job(cfg, "abc123", Path("data"), Path("out"), Path("log"),
                                  seed=7, early_stop=EarlyStopPolicy(True, 90.0, 4.5))
         argv = list(job.argv)
         assert argv[argv.index("--seed") + 1] == "7"
         assert argv[argv.index("--early_stop_time") + 1] == "90"
         assert argv[argv.index("--early_stop_eval_loss") + 1] == "4.5"
         assert "--use_early_stopping" in argv
-        disabled = build_pretrain_job(cfg, spec, "abc123", Path("data"), Path("out"), Path("log"),
+        disabled = build_pretrain_job(cfg, "abc123", Path("data"), Path("out"), Path("log"),
                                       early_stop=EarlyStopPolicy(enabled=False)).argv
         early_stop_flags = {"--use_early_stopping", "--early_stop_time", "--early_stop_eval_loss"}
         assert not early_stop_flags & set(disabled)
 
     def test_argv_numbers_are_exact(self):
         # ":g" keeps six significant digits: 1.2345678e-3 would be sent as 0.00123457.
-        argv = self._job(eta0=1.2345678e-3).argv
+        argv = self._job(**{"PRETRAIN.ETA0": 1.2345678e-3}).argv
         assert argv[argv.index("--lr") + 1] == "0.0012345678"
         hp = {"learning_rate": 1.2345678e-3, "batch_size": 16, "epochs": 3}
         argv = build_finetune_argv("ckpt", "RTE", "out", hp)
@@ -116,8 +114,9 @@ class TestBuildPretrainJob:
 
 
 def _pretrain_job(tmp_path, tag, steps, kind="esd", eta0=2e-3, early_stop=None):
-    config = with_overrides(get_default_config(), {"PRETRAIN.NUM_STEPS": steps})
-    return build_pretrain_job(config, ScheduleSpec(kind=kind, eta0=eta0), tag, tmp_path / "data",
+    config = with_overrides(get_default_config(), {
+        "PRETRAIN.NUM_STEPS": steps, "PRETRAIN.SCHEDULE": kind, "PRETRAIN.ETA0": eta0})
+    return build_pretrain_job(config, tag, tmp_path / "data",
                               tmp_path / tag / "model", tmp_path / tag / "log",
                               early_stop=early_stop or EarlyStopPolicy(enabled=False))
 
@@ -307,16 +306,16 @@ class TestStreamedStepLogs:
         clean = job("clean")
         SimulationTrainer().run(clean)
         log_size = (clean.log_dir / "steps.tsv").stat().st_size
-        target_size = (clean.output_dir / target).stat().st_size
+        target_size = (Path(clean.arg("--output_dir")) / target).stat().st_size
         assert log_size < target_size
         cut = job("cut")
-        earlier = cut.output_dir / target
+        earlier = Path(cut.arg("--output_dir")) / target
         earlier.parent.mkdir(parents=True)
         earlier.write_text("an earlier run\n")
         with _file_size_limit((log_size + target_size) // 2), pytest.raises(OSError):
             SimulationTrainer().run(cut)
         assert earlier.read_text() == "an earlier run\n"
-        assert list(cut.output_dir.iterdir()) == [earlier]
+        assert list(earlier.parent.iterdir()) == [earlier]
 
 
 class TestSimulationFinetune:
@@ -390,6 +389,19 @@ class TestExternalTrainer:
         trainer = ExternalCommandTrainer(self._stub(tmp_path, write_result=False))
         with pytest.raises(TrainerError, match="RESULT.tsv"):
             trainer.run(self._job(tmp_path))
+
+    @pytest.mark.parametrize("trainer", ["external", "simulation"])
+    def test_result_read_from_the_argv_output_dir(self, tmp_path, trainer):
+        # The argv is the only place a job names its output directory: the
+        # trainer writes there and the adapter reads RESULT.tsv from there.
+        if trainer == "external":
+            adapter, job = ExternalCommandTrainer(self._stub(tmp_path)), self._job(tmp_path)
+        else:
+            adapter, job = SimulationTrainer(), _finetune_job(tmp_path)
+        outcome = adapter.run(job)
+        out = Path(job.arg("--output_dir"))
+        assert outcome.checkpoint_path.parent == out
+        assert parse_result_file(out) == (outcome.eval_loss, outcome.checkpoint_path)
 
     def test_parse_result_file_errors(self, tmp_path):
         (tmp_path / "RESULT.tsv").write_text("eval_loss\t1.5\n")
@@ -480,7 +492,7 @@ class TestFinetuneSearch:
         argv = job.argv
         assert argv[argv.index("--model_name_or_path") + 1] == "ckpt"
         assert argv[argv.index("--output_dir") + 1] == str(tmp_path / "out")
-        assert (job.output_dir, job.log_dir) == (tmp_path / "out", tmp_path / "log")
+        assert job.log_dir == tmp_path / "log"
         assert argv[argv.index("--task_name") + 1] == "MRPC"
         assert argv[argv.index("--lr_scheduler_type") + 1] == "polynomial"
         assert "--do_train" in argv and "--do_eval" in argv
