@@ -3,8 +3,9 @@
 Each finetune job is given ``--output_dir output/finetune/<id>/<task>/<run>/``
 and ``--model_name_or_path`` in its argv. The trainer writes ``RESULT.tsv``
 and ``predictions.tsv`` (``index\\tprediction`` with internal label ids) there
-and prints a ``final_val_metric\\t<name>\\t<float>`` line on stdout, which its
-adapter parses into the run's outcome. After the job the pipeline writes
+and prints a ``final_val_metric\\t<name>\\t<float>`` line on stdout;
+``trainer.read_outcome`` reads the run's outcome from that file and that
+line, whichever adapter ran the job. After the job the pipeline writes
 ``run.json`` (:func:`write_run_record`) into the run's log directory
 ``log/finetune/<id>/<task>/<run>/``, from the grid point and the outcome: the
 point's task, learning rate, batch size, epochs and STILT parent, and the
@@ -180,9 +181,9 @@ def translate_test_result(best: Mapping[str, RunResult], out_dir: str | Path) ->
 
     Members are stored uncompressed with fixed timestamps in sorted name
     order, so re-creating the archive from the same inputs is byte-identical.
+    Each TSV and the zip replace an earlier file only once written whole.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     members: list[tuple[str, str]] = []
     for task_name in sorted(best):
         task = glue.get_task(task_name)
@@ -191,9 +192,11 @@ def translate_test_result(best: Mapping[str, RunResult], out_dir: str | Path) ->
     members.sort(key=lambda m: m[0])
 
     zip_path = out_dir / SUBMISSION_ZIP_NAME
-    with zipfile.ZipFile(zip_path, "w", compression=zipfile.ZIP_STORED) as zf:
+    with (replace_when_done(zip_path) as fh,
+          zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf):
         for name, content in members:
-            (out_dir / name).write_text(content, encoding="utf-8")
+            with replace_when_done(out_dir / name) as tsv:
+                tsv.write(content.encode("utf-8"))
             info = zipfile.ZipInfo(name, date_time=_ZIP_DATE_TIME)
             info.external_attr = 0o644 << 16
             zf.writestr(info, content)

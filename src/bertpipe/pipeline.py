@@ -578,7 +578,7 @@ def _stage_pretrain(state: _RunState) -> dict[str, Any]:
         "dataset_id": did,
         "checkpoint": outcome.checkpoint_path,
         "eval_loss": outcome.eval_loss,
-        "log": outcome.log_path,
+        "log": job.log_dir,
     }
 
 

@@ -45,7 +45,7 @@ class GridPoint:
 
     def job(self, checkpoint: str, output_dir: Path, log_dir: Path) -> TrainerJob:
         argv = build_finetune_argv(checkpoint, self.task, str(output_dir), self.hyperparams)
-        return TrainerJob(FINETUNE, self.job_id, argv, log_dir)
+        return TrainerJob(self.job_id, argv, log_dir)
 
 
 def finetune_search(tasks: Iterable[str], space: SearchSpace | None = None) -> list[GridPoint]:

@@ -12,13 +12,14 @@ hands the job to a :class:`TrainerAdapter`. The contract, per job:
   writes ``<output_dir>/predictions.tsv`` (``index\\t<label id or value>`` per
   test example) and prints ``final_val_metric\\t<name>\\t<float>`` on stdout;
   the last such line counts.
-* The adapter returns a :class:`RunOutcome`. After each finetune job the
-  pipeline writes that outcome, with its grid point's task and grid values,
-  to ``<log_dir>/run.json``; result collection reads nothing else.
+* Both adapters return the :class:`RunOutcome` that :func:`read_outcome` reads
+  from those two outputs. After each finetune job the pipeline writes it,
+  with its grid point's task and grid values, to ``<log_dir>/run.json``;
+  result collection reads nothing else.
 
-A job is its kind, its id, its argv and its log directory. Every setting,
-the output directory included, is in the argv: an external trainer gets it,
-and both adapters read the output directory from it.
+A job is its id, whose first part is its kind, its argv and its log
+directory. Every setting, the output directory included, is in the argv: an
+external trainer gets it, and both adapters read the output directory from it.
 
 Two adapters ship:
 
@@ -36,7 +37,8 @@ Two adapters ship:
   Each row is written as its step runs, so memory does not grow with the
   step count, and the file replaces any earlier one only once the job's last
   step is logged. Its ``checkpoint.json``, ``RESULT.tsv`` and
-  ``predictions.tsv`` are each replaced whole too.
+  ``predictions.tsv`` are each replaced whole too. It prints nothing: the
+  ``final_val_metric`` line of a finetune job is its stdout text in memory.
 """
 
 from __future__ import annotations
@@ -82,14 +84,13 @@ def check_early_stop(elapsed_minutes: float, eval_loss: float, policy: EarlyStop
 
 @dataclass(frozen=True)
 class TrainerJob:
-    """One pretraining or finetuning run: the argv a trainer gets, and where its logs go.
+    """One run: its id (``pretrain/<dataset id>``, ``finetune/<task>/<run>``), argv and log dir.
 
     The argv carries every setting, ``--output_dir`` included; the adapters
     read only the argv, and a flag they need that is missing is a
     :class:`TrainerError`.
     """
 
-    kind: str  # "pretrain" | "finetune"
     job_id: str
     argv: tuple[str, ...]
     log_dir: Path
@@ -97,6 +98,11 @@ class TrainerJob:
     def __post_init__(self):
         if self.kind not in (PRETRAIN, FINETUNE):
             raise ValueError(f"unknown job kind: {self.kind!r}")
+
+    @property
+    def kind(self) -> str:
+        """``pretrain`` or ``finetune``: the first part of the job id."""
+        return self.job_id.partition("/")[0]
 
     def arg(self, flag: str) -> str:
         """The value that follows ``flag`` in the argv."""
@@ -111,7 +117,6 @@ class RunOutcome:
     eval_loss: float
     wall_time_minutes: float
     checkpoint_path: Path
-    log_path: Path
     val_metric: float | None = None
     metric_name: str | None = None
 
@@ -210,7 +215,7 @@ def build_pretrain_job(
                  "--early_stop_time", format_number(early_stop.early_stop_time_minutes),
                  "--early_stop_eval_loss", format_number(early_stop.early_stop_eval_loss)]
     argv += ["--seed", str(seed)]
-    return TrainerJob(PRETRAIN, f"{PRETRAIN}/{dataset_id}", tuple(argv), log_dir)
+    return TrainerJob(f"{PRETRAIN}/{dataset_id}", tuple(argv), log_dir)
 
 
 def build_finetune_argv(checkpoint: str, task: str, output_dir: str,
@@ -275,6 +280,22 @@ def parse_metric_line(text: str) -> tuple[str, float] | None:
     return found[1], value
 
 
+def read_outcome(job: TrainerJob, wall_time_minutes: float, stdout: str) -> RunOutcome:
+    """A finished job's outcome, from what it left.
+
+    ``eval_loss`` and the checkpoint come from the ``RESULT.tsv`` under the
+    argv's ``--output_dir``, the metric from the last ``final_val_metric``
+    line of ``stdout``.
+    """
+    eval_loss, checkpoint = parse_result_file(Path(job.arg("--output_dir")))
+    try:
+        metric = parse_metric_line(stdout)
+    except ValueError as exc:
+        raise TrainerError(f"job {job.job_id}: bad {METRIC_LINE_PREFIX} line: {exc}") from exc
+    metric_name, val_metric = metric or (None, None)
+    return RunOutcome(eval_loss, wall_time_minutes, checkpoint, val_metric, metric_name)
+
+
 @dataclass
 class ExternalCommandTrainer:
     """Launch an external trainer process per job (argv contract above)."""
@@ -285,8 +306,7 @@ class ExternalCommandTrainer:
     def run(self, job: TrainerJob) -> RunOutcome:
         import subprocess  # only external-trainer runs pay for importing it
 
-        output_dir = Path(job.arg("--output_dir"))
-        output_dir.mkdir(parents=True, exist_ok=True)
+        Path(job.arg("--output_dir")).mkdir(parents=True, exist_ok=True)
         job.log_dir.mkdir(parents=True, exist_ok=True)
         full = [*self.command, *job.argv]
         stdout_path = job.log_dir / "stdout.log"
@@ -306,19 +326,8 @@ class ExternalCommandTrainer:
                 f"trainer exited with status {proc.returncode} "
                 f"for job {job.job_id}: {shlex.join(full)}"
             )
-        eval_loss, checkpoint = parse_result_file(output_dir)
-        try:
-            metric = parse_metric_line(stdout_path.read_text(encoding="utf-8", errors="replace"))
-        except ValueError as exc:
-            raise TrainerError(f"job {job.job_id}: bad {METRIC_LINE_PREFIX} line: {exc}") from exc
-        return RunOutcome(
-            eval_loss=eval_loss,
-            wall_time_minutes=wall_time_minutes,
-            checkpoint_path=checkpoint,
-            log_path=stdout_path,
-            val_metric=metric[1] if metric else None,
-            metric_name=metric[0] if metric else None,
-        )
+        return read_outcome(job, wall_time_minutes,
+                            stdout_path.read_text(encoding="utf-8", errors="replace"))
 
 
 # Synthetic per-task example counts for the simulation trainer (small on
@@ -334,11 +343,10 @@ SIM_TEST_EXAMPLES: dict[str, int] = {
 
 
 def _write_job_outputs(output_dir: Path, checkpoint: dict[str, Any], eval_loss: float,
-                       predictions: str | None = None) -> Path:
+                       predictions: str | None = None) -> None:
     """Write a simulated job's output files, each replaced whole, ``RESULT.tsv`` last.
 
     ``predictions`` (finetune jobs only) is the text of ``predictions.tsv``.
-    Returns the checkpoint path.
     """
     checkpoint_path = output_dir / "checkpoint.json"
     texts = {} if predictions is None else {PREDICTIONS_FILE: predictions}
@@ -347,7 +355,6 @@ def _write_job_outputs(output_dir: Path, checkpoint: dict[str, Any], eval_loss: 
     for name, text in texts.items():
         with replace_when_done(output_dir / name) as fh:
             fh.write(text.encode("utf-8"))
-    return checkpoint_path
 
 
 class SimulationTrainer:
@@ -370,9 +377,9 @@ class SimulationTrainer:
         output_dir = Path(job.arg("--output_dir"))
         output_dir.mkdir(parents=True, exist_ok=True)
         job.log_dir.mkdir(parents=True, exist_ok=True)
-        if job.kind == PRETRAIN:
-            return self._run_pretrain(job, output_dir)
-        return self._run_finetune(job, output_dir)
+        # Each writes the job's files and returns its wall time and stdout text.
+        simulate = self._run_pretrain if job.kind == PRETRAIN else self._run_finetune
+        return read_outcome(job, *simulate(job, output_dir))
 
     def _is_validation_step(self, k: int, steps: int) -> bool:
         # Denser validation in the configured beginning/end proportions.
@@ -382,7 +389,7 @@ class SimulationTrainer:
             return True
         return k % 100 == 0
 
-    def _run_pretrain(self, job: TrainerJob, output_dir: Path) -> RunOutcome:
+    def _run_pretrain(self, job: TrainerJob, output_dir: Path) -> tuple[float, str]:
         steps = int(job.arg("--num_steps"))
         spec = ScheduleSpec(kind=job.arg("--curve"), eta0=float(job.arg("--lr")),
                             warmup_proportion=float(job.arg("--warmup_proportion")))
@@ -395,8 +402,7 @@ class SimulationTrainer:
         loss = self.loss_start + self.loss_floor
         stopped_at: int | None = None
         steps_done = 0
-        log_path = job.log_dir / "steps.tsv"
-        with replace_text_when_done(log_path) as log:
+        with replace_text_when_done(job.log_dir / "steps.tsv") as log:
             log.write(STEP_LOG_HEADER)
             for k in range(steps):
                 lr = schedule_value(k, steps, spec)
@@ -409,19 +415,14 @@ class SimulationTrainer:
                     stopped_at = k
                     break
 
-        checkpoint = _write_job_outputs(output_dir, {
+        _write_job_outputs(output_dir, {
             "kind": PRETRAIN,
             "quality": cum,
             "dataset_id": job.job_id.removeprefix(f"{PRETRAIN}/"),
             "steps": steps_done,
             "early_stopped_at": stopped_at,
         }, loss)
-        return RunOutcome(
-            eval_loss=loss,
-            wall_time_minutes=steps_done / self.steps_per_minute,
-            checkpoint_path=checkpoint,
-            log_path=log_path,
-        )
+        return steps_done / self.steps_per_minute, ""
 
     def _checkpoint_quality(self, path: str | Path) -> float:
         try:
@@ -430,7 +431,7 @@ class SimulationTrainer:
         except (OSError, ValueError):
             raise TrainerError(f"cannot read simulation checkpoint: {path}")
 
-    def _run_finetune(self, job: TrainerJob, output_dir: Path) -> RunOutcome:
+    def _run_finetune(self, job: TrainerJob, output_dir: Path) -> tuple[float, str]:
         task = glue.get_task(job.arg("--task_name"))
         lr = float(job.arg("--learning_rate"))
         batch_size = int(job.arg("--per_device_train_batch_size"))
@@ -441,8 +442,7 @@ class SimulationTrainer:
         steps = epochs * math.ceil(n_train / batch_size)
         cum = 0.0
         loss = self.finetune_loss_start + self.finetune_loss_floor
-        log_path = job.log_dir / "steps.tsv"
-        with replace_text_when_done(log_path) as log:
+        with replace_text_when_done(job.log_dir / "steps.tsv") as log:
             log.write(STEP_LOG_HEADER)
             for k in range(steps):
                 step_lr = lr * (1 - k / steps)
@@ -468,14 +468,7 @@ class SimulationTrainer:
             else:
                 value = derive_u64("sim-pred", task.name, key, index) % len(task.labels)
             rows.append(f"{index}\t{value}\n")
-        checkpoint_out = _write_job_outputs(
-            output_dir, {"kind": FINETUNE, "quality": quality_in + cum, "task": task.name},
-            loss, predictions="".join(rows))
-        return RunOutcome(
-            eval_loss=loss,
-            wall_time_minutes=steps / self.steps_per_minute,
-            checkpoint_path=checkpoint_out,
-            log_path=log_path,
-            val_metric=metric,
-            metric_name=task.metric,
-        )
+        _write_job_outputs(output_dir, {"kind": FINETUNE, "quality": quality_in + cum,
+                                        "task": task.name}, loss, predictions="".join(rows))
+        return (steps / self.steps_per_minute,
+                f"{METRIC_LINE_PREFIX}\t{task.metric}\t{metric!r}\n")

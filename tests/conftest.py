@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import http.server
+import signal
 import threading
 from pathlib import Path
 
@@ -16,6 +18,25 @@ DATA_DIR = TESTS_DIR / "data"
 def mini_vocab() -> Vocabulary:
     """The vocabulary bundled with the package."""
     return load_vocab(resolve_vocab("mini-uncased"))
+
+
+@pytest.fixture()
+def file_size_limit():
+    """``with file_size_limit(n):`` a write past ``n`` bytes fails partway, as on a full disk."""
+    resource = pytest.importorskip("resource")
+
+    @contextlib.contextmanager
+    def limit(size: int):
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (size, hard))
+        try:
+            yield
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+
+    return limit
 
 
 @pytest.fixture()

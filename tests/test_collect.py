@@ -39,8 +39,7 @@ def write_run(log_root: Path, output_root: Path, dataset_id: str, task: str,
         (run_dir / RUN_RECORD).write_text("garbage without a metric\n")
     else:
         outcome = RunOutcome(eval_loss=0.5, wall_time_minutes=1.0, checkpoint_path=Path("c"),
-                             log_path=Path("l"), val_metric=metric,
-                             metric_name=glue.get_task(task).metric)
+                             val_metric=metric, metric_name=glue.get_task(task).metric)
         write_run_record(GridPoint(task, run, hyperparams), outcome, run_dir)
     out_dir = output_root / "finetune" / dataset_id / task / run
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,6 +212,22 @@ class TestTranslate:
             assert zf.namelist() == ["MNLI-m.tsv", "RTE.tsv", "STS-B.tsv"]
             for info in zf.infolist():
                 assert info.date_time == (1980, 1, 1, 0, 0, 0)
+
+    def test_failed_zip_write_keeps_the_earlier_zip(self, tmp_path, file_size_limit):
+        # A file-size limit between the task's TSV and the zip cuts the zip
+        # partway, as a full disk would: the earlier zip stays whole, with no
+        # .tmp beside it.
+        preds = [str(i % 2) for i in range(200)]
+        write_run(tmp_path / "log", tmp_path / "output", "d1", "SST-2", "r0", 0.9, HP, preds)
+        best = collect_best_val(summarize_val(Workspace(tmp_path), "d1").results)
+        zip_path = translate_test_result(best, tmp_path / "zip")
+        earlier = zip_path.read_bytes()
+        tsv_size = (tmp_path / "zip" / "SST-2.tsv").stat().st_size
+        assert tsv_size < len(earlier)
+        with file_size_limit((tsv_size + len(earlier)) // 2), pytest.raises(OSError):
+            translate_test_result(best, tmp_path / "zip")
+        assert zip_path.read_bytes() == earlier
+        assert not list((tmp_path / "zip").glob("*.tmp"))
 
     def test_mnli_labels(self):
         task = glue.get_task("MNLI")

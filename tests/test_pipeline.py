@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shutil
@@ -32,6 +33,21 @@ from bertpipe.trainer import ExternalCommandTrainer, SimulationTrainer
 STUB_TRAINER = Path(__file__).with_name("stub_trainer.py")
 
 GRID_RUNS = 2  # finetune runs per task of corpus_config's grid
+
+
+def stilt_pair(tmp_path):
+    """MNLI and its STILT child RTE on a 2 x 1 x 1 grid, over a dataset that is not built.
+
+    The simulated trainer reads no instance file, so an empty META.yaml stands
+    for the dataset stage's output.
+    """
+    cfg = parse_config("DATASET:\n  ENABLED: False\n  ID: pinned\nPRETRAIN:\n  NUM_STEPS: 60\n"
+                       "FINETUNE:\n  TASKS: [MNLI, RTE]\n  LEARNING_RATES: [1.0e-5, 3.0e-5]\n"
+                       "  BATCH_SIZES: [16]\n  EPOCHS: [3]\n")
+    ws = Workspace(tmp_path / "ws")
+    ws.processed_dir.mkdir(parents=True)
+    (ws.processed_dir / "META.yaml").touch()
+    return cfg, ws
 
 
 def corpus_config(tmp_path) -> str:
@@ -295,6 +311,42 @@ class TestFullRun:
         assert str(winner_dir) in str(excinfo.value)
         assert not (ws.translated_dir(did) / "glue_submission.zip").exists()
 
+
+    def test_finetune_and_collect_bytes_are_pinned(self, tmp_path):
+        # Every file the trainer, the finetune stage and collect leave is hashed,
+        # with the workspace path read as "<ws>": a metric or loss that does not
+        # round-trip through text moves the digest.
+        cfg, ws = stilt_pair(tmp_path)
+        run_pipeline(cfg, ws)
+        names = {"run.json", "RUNS.tsv", "RESULT.tsv", "checkpoint.json", "predictions.tsv",
+                 "steps.tsv", "glue_submission.zip"}
+        files = sorted(p for p in ws.root.rglob("*") if p.name in names)
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(f"{path.relative_to(ws.root)}\n".encode())
+            digest.update(path.read_bytes().replace(str(ws.root).encode(), b"<ws>"))
+        assert len(files) == 25  # 3 for pretrain, 5 per finetune run, RUNS.tsv, the zip
+        assert digest.hexdigest()[:16] == "d8b1aba6807fe3ba"
+
+    def test_result_without_eval_loss_fails_finetune(self, tmp_path, monkeypatch):
+        # The simulation's outcome is read back from the RESULT.tsv it leaves, as
+        # an external trainer's is: a finetune RESULT.tsv without eval_loss fails.
+        from bertpipe.trainer import _write_job_outputs as write_outputs
+
+        def without_eval_loss(output_dir, checkpoint, eval_loss, predictions=None):
+            written = write_outputs(output_dir, checkpoint, eval_loss, predictions)
+            if checkpoint["kind"] == "finetune":
+                result = output_dir / "RESULT.tsv"
+                lines = result.read_text().splitlines(keepends=True)
+                result.write_text("".join(l for l in lines if not l.startswith("eval_loss")))
+            return written
+
+        monkeypatch.setattr("bertpipe.trainer._write_job_outputs", without_eval_loss)
+        cfg, ws = stilt_pair(tmp_path)
+        result = ws.finetune_output_dir("pinned", "MNLI", "lr1e-05_bs16_ep3") / "RESULT.tsv"
+        message = f"{re.escape(str(result))} is missing eval_loss or checkpoint"
+        with pytest.raises(PipelineError, match=f"^stage 'finetune' failed: {message}$"):
+            run_pipeline(cfg, ws)
 
     def test_dataset_report_counts_spill_runs(self, tmp_path):
         # The 256 MiB budget never fills, so the one worker spills once at the

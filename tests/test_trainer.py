@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import re
-import signal
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -31,10 +29,12 @@ from bertpipe.trainer import (
     RunOutcome,
     SimulationTrainer,
     TrainerError,
+    TrainerJob,
     build_finetune_argv,
     build_pretrain_job,
     check_early_stop,
     parse_result_file,
+    read_outcome,
     run_name,
 )
 
@@ -157,15 +157,17 @@ class TestSimulationPretrain:
     def test_deterministic_logs(self, tmp_path):
         a, _, _ = self._run(tmp_path, tag="d1")
         b, _, _ = self._run(tmp_path, tag="d2")
-        assert a.log_path.read_bytes() == b.log_path.read_bytes()
+        # _pretrain_job gives each tag the log directory <tag>/log.
+        log_a, log_b = (tmp_path / tag / "log" / "steps.tsv" for tag in ("d1", "d2"))
+        assert log_a.read_bytes() == log_b.read_bytes()
         assert a.eval_loss == b.eval_loss
 
     def test_early_stop_triggers(self, tmp_path):
         # 2000 steps/min simulated: 180 min needs 360k steps; use a tight policy.
         job = _pretrain_job(tmp_path, "stop", 200, eta0=1e-300, early_stop=EarlyStopPolicy(
             early_stop_time_minutes=0.05, early_stop_eval_loss=6.0))
-        outcome = SimulationTrainer().run(job)
-        steps_logged = len(outcome.log_path.read_text().splitlines()) - 1
+        SimulationTrainer().run(job)
+        steps_logged = len((job.log_dir / "steps.tsv").read_text().splitlines()) - 1
         assert steps_logged < 200  # stopped before the budget
 
 
@@ -201,20 +203,6 @@ def _joined_finetune_log(task: str, lr: float, batch_size: int, epochs: int,
 TIGHT_EARLY_STOP = EarlyStopPolicy(early_stop_time_minutes=0.05, early_stop_eval_loss=6.0)
 
 
-@contextlib.contextmanager
-def _file_size_limit(limit: int):
-    """Make a write past ``limit`` bytes fail partway, as a full disk would."""
-    resource = pytest.importorskip("resource")
-    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
-    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
-        signal.signal(signal.SIGXFSZ, handler)
-
-
 class TestStreamedStepLogs:
     @pytest.mark.parametrize("kind, eta0, early_stop, stops", [
         ("esd", 2e-3, EarlyStopPolicy(enabled=False), False),
@@ -225,8 +213,9 @@ class TestStreamedStepLogs:
     ])
     def test_pretrain_log_bytes_match_joined_rows(self, tmp_path, kind, eta0, early_stop, stops):
         trainer = SimulationTrainer()
-        outcome = trainer.run(_pretrain_job(tmp_path, "p", 500, kind, eta0, early_stop))
-        written = outcome.log_path.read_bytes()
+        job = _pretrain_job(tmp_path, "p", 500, kind, eta0, early_stop)
+        outcome = trainer.run(job)
+        written = (job.log_dir / "steps.tsv").read_bytes()
         spec = ScheduleSpec(kind=kind, eta0=eta0)
         assert written == _joined_pretrain_log(500, spec, early_stop, trainer)
         assert (written.count(b"\n") - 1 < 500) == stops
@@ -237,7 +226,8 @@ class TestStreamedStepLogs:
     def test_finetune_log_bytes_match_joined_rows(self, tmp_path, task, batch_size, epochs):
         trainer = SimulationTrainer()
         job = _finetune_job(tmp_path, "f", task, lr=3e-5, batch_size=batch_size, epochs=epochs)
-        assert trainer.run(job).log_path.read_bytes() == _joined_finetune_log(
+        trainer.run(job)
+        assert (job.log_dir / "steps.tsv").read_bytes() == _joined_finetune_log(
             task, 3e-5, batch_size, epochs, trainer)
 
     def test_steps_follow_the_argv(self, tmp_path):
@@ -250,10 +240,12 @@ class TestStreamedStepLogs:
         trainer = SimulationTrainer()
         job = edited(_finetune_job(tmp_path, "f", "RTE", batch_size=16, epochs=3),
                      "--num_train_epochs", "7")
-        assert trainer.run(job).log_path.read_bytes() == _joined_finetune_log(
+        trainer.run(job)
+        assert (job.log_dir / "steps.tsv").read_bytes() == _joined_finetune_log(
             "RTE", 3e-5, 16, 7, trainer)
         job = edited(_pretrain_job(tmp_path, "p", 500, "esd"), "--curve", "linear")
-        assert trainer.run(job).log_path.read_bytes() == _joined_pretrain_log(
+        trainer.run(job)
+        assert (job.log_dir / "steps.tsv").read_bytes() == _joined_pretrain_log(
             500, ScheduleSpec(kind="linear"), EarlyStopPolicy(enabled=False), trainer)
 
     @pytest.mark.parametrize("writer, flag", [("pretrain", "--warmup_proportion"),
@@ -282,20 +274,21 @@ class TestStreamedStepLogs:
         assert large < small + 256 * 1024, (small, large)
 
     @pytest.mark.parametrize("writer", ["pretrain", "finetune"])
-    def test_failed_write_keeps_the_earlier_log(self, tmp_path, writer):
+    def test_failed_write_keeps_the_earlier_log(self, tmp_path, writer, file_size_limit):
         job = (_pretrain_job(tmp_path, "p", 575) if writer == "pretrain"
                else _finetune_job(tmp_path, "f"))
         log = job.log_dir / "steps.tsv"
         log.parent.mkdir(parents=True)
         log.write_text("step\tlr\tloss\nan earlier run\n")
-        with _file_size_limit(1024), pytest.raises(OSError):
+        with file_size_limit(1024), pytest.raises(OSError):
             SimulationTrainer().run(job)
         assert log.read_text() == "step\tlr\tloss\nan earlier run\n"
         assert list(log.parent.iterdir()) == [log]
 
     @pytest.mark.parametrize("writer, target", [("pretrain", "checkpoint.json"),
                                                 ("finetune", "predictions.tsv")])
-    def test_failed_output_write_keeps_the_earlier_file(self, tmp_path, writer, target):
+    def test_failed_output_write_keeps_the_earlier_file(self, tmp_path, writer, target,
+                                                        file_size_limit):
         # A one-step job writes its steps.tsv whole; a file-size limit between
         # that log's size and the target's then cuts the target partway.
         def job(tag):
@@ -312,7 +305,7 @@ class TestStreamedStepLogs:
         earlier = Path(cut.arg("--output_dir")) / target
         earlier.parent.mkdir(parents=True)
         earlier.write_text("an earlier run\n")
-        with _file_size_limit((log_size + target_size) // 2), pytest.raises(OSError):
+        with file_size_limit((log_size + target_size) // 2), pytest.raises(OSError):
             SimulationTrainer().run(cut)
         assert earlier.read_text() == "an earlier run\n"
         assert list(earlier.parent.iterdir()) == [earlier]
@@ -320,12 +313,14 @@ class TestStreamedStepLogs:
 
 class TestSimulationFinetune:
     def test_outputs_and_metric(self, tmp_path):
-        outcome = SimulationTrainer().run(_finetune_job(tmp_path))
+        job = _finetune_job(tmp_path)
+        outcome = SimulationTrainer().run(job)
         assert outcome.val_metric is not None and 0 < outcome.val_metric < 1
         assert outcome.metric_name == "accuracy"
         assert (tmp_path / "f" / "out" / "predictions.tsv").is_file()
         assert parse_result_file(tmp_path / "f" / "out")[1] == outcome.checkpoint_path
-        assert outcome.log_path == tmp_path / "f" / "log" / "steps.tsv"
+        assert job.log_dir / "steps.tsv" == tmp_path / "f" / "log" / "steps.tsv"
+        assert (job.log_dir / "steps.tsv").is_file()
 
     def test_better_checkpoint_better_metric(self, tmp_path):
         low = SimulationTrainer().run(_finetune_job(tmp_path, checkpoint_quality=1.0, tag="lo"))
@@ -407,6 +402,29 @@ class TestExternalTrainer:
         (tmp_path / "RESULT.tsv").write_text("eval_loss\t1.5\n")
         with pytest.raises(TrainerError, match="missing"):
             parse_result_file(tmp_path)
+
+
+class TestReadOutcome:
+    def test_bad_metric_line_names_the_job(self, tmp_path):
+        job = _finetune_job(tmp_path)
+        out = Path(job.arg("--output_dir"))
+        out.mkdir()
+        (out / "RESULT.tsv").write_text("eval_loss\t0.5\ncheckpoint\tckpt\n")
+        message = f"^job {job.job_id}: bad final_val_metric line: non-finite metric nan$"
+        with pytest.raises(TrainerError, match=message):
+            read_outcome(job, 1.0, "final_val_metric\taccuracy\tnan\n")
+
+
+class TestJobKind:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown job kind: 'eval'$"):
+            TrainerJob("eval/x", (), Path("log"))
+
+    def test_kind_is_the_id_prefix(self, tmp_path):
+        pretrain = _pretrain_job(tmp_path, "abc123", 10)
+        finetune = _finetune_job(tmp_path)
+        assert (pretrain.job_id, pretrain.kind) == ("pretrain/abc123", "pretrain")
+        assert (finetune.job_id, finetune.kind) == ("finetune/RTE/lr3e-05_bs16_ep3", "finetune")
 
 
 class TestFinetuneSearch:
@@ -504,7 +522,7 @@ class TestSelectBest:
                           {"learning_rate": lr, "batch_size": batch_size, "epochs": epochs})
         outcome = RunOutcome(
             eval_loss=1.0, wall_time_minutes=1.0, checkpoint_path=None,
-            log_path=None, val_metric=metric, metric_name="accuracy",
+            val_metric=metric, metric_name="accuracy",
         )
         return point, outcome
 
