@@ -13,14 +13,12 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import config as config_mod
 from .pipeline import STAGE_TABLE, PipelineError, Workspace, run_pipeline
-from .records import (
-    DEFAULT_DECAY_RATIO, DEFAULT_ELL, DEFAULT_ETA0, DEFAULT_WARMUP_PROPORTION, PRESETS,
-    ScheduleError, ScheduleSpec,
-)
+from .records import PRESETS, ScheduleError, ScheduleSpec
 
 
 def _task_list(text: str) -> tuple[str, ...]:
@@ -59,27 +57,22 @@ def _dest(name: str) -> str:
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="YAML pipeline configuration file")
     parser.add_argument("--workdir", default=".", help="workspace root (default: cwd)")
-    parser.add_argument(
-        "--trainer", choices=("simulation", "external"), default="simulation",
-        help="trainer adapter (default: built-in simulation)",
-    )
-    parser.add_argument(
-        "--trainer-cmd", default=None,
-        help="command prefix for the external trainer, e.g. 'deepspeed run_pretraining.py'",
-    )
+    parser.add_argument("--trainer-cmd", help="command prefix of an external trainer, e.g. "
+                        "'deepspeed run_pretraining.py' (default: the built-in simulation)")
     for name, keywords in _OPTION_FLAGS.items():
         parser.add_argument("--" + _dest(name).replace("_", "-"), default=None, **keywords)
 
 
 def _trainer_from_args(args: argparse.Namespace):
-    """The external trainer; None leaves the pipeline its built-in simulation."""
-    if args.trainer == "external":
-        if not args.trainer_cmd:
-            raise SystemExit("--trainer external requires --trainer-cmd")
-        from .trainer import ExternalCommandTrainer
+    """The external trainer ``--trainer-cmd`` names; None leaves the built-in simulation."""
+    if args.trainer_cmd is None:
+        return None
+    command = tuple(shlex.split(args.trainer_cmd))
+    if not command:
+        raise SystemExit("--trainer-cmd names no command")
+    from .trainer import ExternalCommandTrainer
 
-        return ExternalCommandTrainer(tuple(shlex.split(args.trainer_cmd)))
-    return None
+    return ExternalCommandTrainer(command)
 
 
 def _run_stages(args: argparse.Namespace, only_stage: str | None) -> int:
@@ -107,11 +100,12 @@ def _cmd_schedule_trace(args: argparse.Namespace) -> int:
     from .schedule import emit_trace, preset_spec  # no other command loads the schedule code
 
     if args.preset:
-        spec, overall = preset_spec(args.preset, kind=args.kind)
+        spec, overall = preset_spec(args.preset, kind=args.kind or ScheduleSpec.kind)
     else:
         overall = args.steps
-        spec = ScheduleSpec(kind=args.kind, eta0=args.eta0, r=args.decay_ratio, ell=args.ell,
-                            warmup_proportion=args.warmup_proportion)
+        # A flag that is not given leaves the spec its default.
+        given = {f.name: getattr(args, f.name) for f in fields(ScheduleSpec)}
+        spec = ScheduleSpec(**{name: value for name, value in given.items() if value is not None})
     path = emit_trace(spec, overall, args.out)
     print(f"wrote {overall + 1} step values to {path}")
     return 0
@@ -137,16 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = sub.add_parser("schedule", help="learning-rate schedule utilities")
     schedule_sub = schedule.add_subparsers(dest="schedule_command", required=True)
     trace = schedule_sub.add_parser("trace", help="emit a per-step step/lr TSV")
-    trace.add_argument("--kind", choices=("esd", "linear"), default="esd")
-    trace.add_argument("--eta0", type=float, default=DEFAULT_ETA0)
-    trace.add_argument("--steps", type=int, default=23000, help="overall step budget")
-    trace.add_argument("--decay-ratio", type=float, default=DEFAULT_DECAY_RATIO,
+    trace.add_argument("--kind", choices=("esd", "linear"))
+    trace.add_argument("--eta0", type=float)
+    trace.add_argument("--steps", type=int, default=config_mod.PretrainConfig.num_steps,
+                       help="overall step budget")
+    trace.add_argument("--decay-ratio", dest="r", type=float,
                        help="decay ratio r (default 2^-1/2, handled exactly); trace only: "
                             "a pretraining job always gets the default")
-    trace.add_argument("--ell", type=int, default=DEFAULT_ELL,
+    trace.add_argument("--ell", type=int,
                        help="the peak rate holds for the first (1 - r^ell) of the steps "
-                            "(default 6); trace only: a pretraining job always gets the default")
-    trace.add_argument("--warmup-proportion", type=float, default=DEFAULT_WARMUP_PROPORTION)
+                            f"(default {ScheduleSpec.ell}); trace only: a pretraining job "
+                            "always gets the default")
+    trace.add_argument("--warmup-proportion", type=float)
     trace.add_argument("--preset", choices=sorted(PRESETS), default=None)
     trace.add_argument("--out", required=True, help="output TSV path")
     trace.set_defaults(func=_cmd_schedule_trace)

@@ -10,8 +10,9 @@ type its section dataclass declares for the field, so a new field needs only
 its declaration. Values absent from the file always take the documented
 defaults, so an empty document parses to exactly ``get_default_config()``. A
 key that a stage record also declares (``ShardPlan``, ``MaskingPolicy``,
-``ScheduleSpec``, ``SearchSpace``) takes that record's default; the record,
-built from the config by the stage, checks the value.
+``ScheduleSpec``, ``SearchSpace``) takes that record's default. Parsing
+checks types; :func:`validate` builds every enabled stage's records, and
+reports a value one rejects under its ``SECTION.KEY``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping
 
 import yaml
 
 from . import glue
-from .records import DEFAULT_SEED, MaskingPolicy, ScheduleSpec, SearchSpace, ShardPlan
+from .records import (
+    DEFAULT_SEED, MaskingPolicy, ScheduleSpec, SearchSpace, ShardError, ShardPlan,
+    masking_policy, pretrain_schedule, search_space, shard_plan,
+)
 
 
 class _Loader(yaml.SafeLoader):
@@ -53,18 +57,11 @@ class ConfigParseError(ValueError):
 
 
 class ConfigValidationError(ValueError):
-    """Structurally invalid config: unknown key or wrong value type."""
+    """An invalid config value (unknown key, wrong type, out of range), naming its key path."""
 
     def __init__(self, key_path: str, message: str):
         self.key_path = key_path
         super().__init__(f"{key_path}: {message}")
-
-
-class Violation(NamedTuple):
-    """One invariant violation found by :func:`validate` (data, not an error)."""
-
-    key_path: str
-    message: str
 
 
 @dataclass(frozen=True)
@@ -139,14 +136,7 @@ class PipelineConfig:
 
 # YAML section name -> (attribute on PipelineConfig, section dataclass).
 _SECTIONS: dict[str, tuple[str, type]] = {
-    "SYSTEM": ("system", SystemConfig),
-    "WANDB": ("wandb", WandbConfig),
-    "DATASET": ("dataset", DatasetConfig),
-    "PRETRAIN": ("pretrain", PretrainConfig),
-    "FINETUNE": ("finetune", FinetuneConfig),
-    "RESULT_COLLECTION": ("result_collection", ResultCollectionConfig),
-    "TOKENIZER": ("tokenizer", TokenizerConfig),
-}
+    f.name.upper(): (f.name, f.default_factory) for f in fields(PipelineConfig)}
 
 
 def get_default_config() -> PipelineConfig:
@@ -255,30 +245,41 @@ def load_config(path: str | Path) -> PipelineConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def validate(config: PipelineConfig) -> list[Violation]:
-    """Check cross-field invariants. Empty list means the config is runnable."""
-    violations: list[Violation] = []
+# The records each stage builds from the config, by the section that enables it.
+_STAGE_RECORDS = (("dataset", shard_plan), ("dataset", masking_policy),
+                  ("pretrain", pretrain_schedule), ("finetune", search_space))
+# A record field that no key of its own name sets -> the key that sets it.
+_KEY_OF_FIELD = {"max_memory_bytes": "SYSTEM.MAX_MEMORY_IN_GB", "kind": "PRETRAIN.SCHEDULE"}
+
+
+def validate(config: PipelineConfig) -> list[ConfigValidationError]:
+    """Every reason the config cannot run, each naming its key; empty: runnable."""
+    errors: list[ConfigValidationError] = []
     if config.system.num_gpus < 1:
-        violations.append(Violation("SYSTEM.NUM_GPUS", "must be a positive count"))
-    if config.system.max_memory_in_gb <= 0:
-        violations.append(Violation("SYSTEM.MAX_MEMORY_IN_GB", "must be > 0"))
-    if config.dataset.enabled:
-        if not config.dataset.customized_datasets and not config.dataset.huggingface_datasets:
-            violations.append(
-                Violation(
-                    "DATASET",
-                    "dataset stage is enabled but neither CUSTOMIZED_DATASETS "
-                    "nor HUGGINGFACE_DATASETS lists a corpus",
-                )
-            )
+        errors.append(ConfigValidationError("SYSTEM.NUM_GPUS", "must be a positive count"))
+    dataset = config.dataset
+    if dataset.enabled and not dataset.customized_datasets and not dataset.huggingface_datasets:
+        errors.append(ConfigValidationError(
+            "DATASET", "dataset stage is enabled but neither CUSTOMIZED_DATASETS "
+                       "nor HUGGINGFACE_DATASETS lists a corpus"))
     if config.finetune.enabled or config.result_collection.enabled:
-        violations += [Violation("FINETUNE.TASKS", f"unknown GLUE task {task!r}")
-                       for task in config.finetune.tasks if task not in glue.TASKS]
+        errors += [ConfigValidationError("FINETUNE.TASKS", f"unknown GLUE task {task!r}")
+                   for task in config.finetune.tasks if task not in glue.TASKS]
     if config.pretrain.enabled and config.pretrain.num_steps < 1:
-        violations.append(Violation("PRETRAIN.NUM_STEPS", "must be >= 1"))
+        errors.append(ConfigValidationError("PRETRAIN.NUM_STEPS", "must be >= 1"))
     if not config.tokenizer.name_or_path:
-        violations.append(Violation("TOKENIZER.NAME_OR_PATH", "must be non-empty"))
-    return violations
+        errors.append(ConfigValidationError("TOKENIZER.NAME_OR_PATH", "must be non-empty"))
+    for section, build in _STAGE_RECORDS:
+        if not getattr(config, section).enabled:
+            continue
+        try:
+            build(config)
+        except (ShardError, ValueError) as exc:
+            field = getattr(exc, "field", None)
+            key = section.upper() if field is None else _KEY_OF_FIELD.get(
+                field, f"{section.upper()}.{field.upper()}")
+            errors.append(ConfigValidationError(key, str(exc)))
+    return errors
 
 
 def _yaml_value(value: Any) -> Any:

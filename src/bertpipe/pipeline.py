@@ -14,10 +14,11 @@ corpus URL, ``force``) change no output byte. Three rules read the table:
 * Chained digests: a stage's digest hashes its inputs and the digest of the
   stage before it (the one computed in this run, or the one in that stage's
   sentinel when it is disabled), so a change upstream re-runs every later
-  stage. Every digest is computed before the first stage runs, so a value a
-  stage record rejects fails the run before any stage starts. Outputs after
-  the dataset are keyed by the dataset id, so a new dataset shows up
-  downstream as a missing output, not as a digest change.
+  stage. Every digest is computed before the first stage runs, after
+  ``config.validate`` has built the same stage records and reported any
+  value they reject under its ``SECTION.KEY``. Outputs after the dataset
+  are keyed by the dataset id, so a new dataset shows up downstream as a
+  missing output, not as a digest change.
 * Sentinels: a completed stage records its digest under ``.stages/``. A later
   run skips it only when the recorded digest equals the new one and the
   stage's output still exists; ``force`` ignores sentinels. A stage that is
@@ -51,7 +52,7 @@ import hashlib
 import json
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable
@@ -60,8 +61,8 @@ from .atomic import replace_when_done
 from .config import PipelineConfig, serialize_config, validate
 from .records import (
     INSTANCE_FORMAT_VERSION, META_NAME, RESULT_FILE, RUNS_INDEX, SHARD_FORMAT_VERSION,
-    SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError, MaskingPolicy, SearchSpace, ShardError,
-    ShardPlan, VocabularyError, load_meta, pretrain_schedule, resolve_vocab, scan_local,
+    SUBMISSION_ZIP_NAME, EarlyStopPolicy, IngestError, VocabularyError, load_meta,
+    masking_policy, pretrain_schedule, resolve_vocab, scan_local, search_space, shard_plan,
 )
 
 # Stage code by the name the stages call it: "module", or "module.attribute" when renamed.
@@ -236,25 +237,14 @@ def _vocab_sha256(name_or_path: str) -> str | None:
         return None
 
 
-def _record(cls: type, section: Any, **more: Any) -> Any:
-    """A stage record from the config section's keys of the same names, and ``more``."""
-    return cls(**{f.name: getattr(section, f.name) for f in fields(cls)
-                  if hasattr(section, f.name)}, **more)
-
-
-def _shard_plan(config: PipelineConfig) -> ShardPlan:
-    memory = int(config.system.max_memory_in_gb * 2**30)
-    return _record(ShardPlan, config.dataset, max_memory_bytes=memory)
-
-
 def _dataset_inputs(config: PipelineConfig) -> dict[str, Any]:
     # A remote corpus is keyed by (name, split) alone: a completed cache never changes.
     return {
         "dataset": asdict(config.dataset),
         "tokenizer": asdict(config.tokenizer),
         "vocab": _vocab_sha256(config.tokenizer.name_or_path),
-        "shard_plan": asdict(_shard_plan(config)),
-        "masking_policy": asdict(_record(MaskingPolicy, config.dataset)),
+        "shard_plan": asdict(shard_plan(config)),
+        "masking_policy": asdict(masking_policy(config)),
         "corpus": _corpus_fingerprint(config.dataset.customized_datasets),
         "instance_format": INSTANCE_FORMAT_VERSION,
         "shard_format": SHARD_FORMAT_VERSION,
@@ -272,8 +262,7 @@ def _pretrain_inputs(config: PipelineConfig) -> dict[str, Any]:
 
 
 def _finetune_inputs(config: PipelineConfig) -> dict[str, Any]:
-    grid = _record(SearchSpace, config.finetune)
-    return {"tasks": sorted(config.finetune.tasks), "grid": asdict(grid)}
+    return {"tasks": sorted(config.finetune.tasks), "grid": asdict(search_space(config))}
 
 
 @dataclass(frozen=True)
@@ -282,8 +271,8 @@ class StageSpec:
 
     name: str
     section: str | None  # PipelineConfig attribute holding ENABLED; None: always on
-    # The config values the stage's outputs depend on, as JSON. Building a stage
-    # record here (shard plan, masking policy, schedule, grid) checks its values.
+    # The config values the stage's outputs depend on, as JSON: the stage's
+    # records (shard plan, masking policy, schedule, grid), which validate checked.
     inputs: Callable[[PipelineConfig], Any]
     # Output path for a dataset id, None while the id is unknown; no callable: no output.
     output: Callable[[Workspace, str | None], Path | None] | None = None
@@ -394,21 +383,16 @@ def run_pipeline(
     if not isinstance(workspace, Workspace):
         workspace = Workspace(Path(workspace))
 
-    violations = validate(config)
-    if violations:
-        details = "; ".join(f"{v.key_path}: {v.message}" for v in violations)
-        raise PipelineError(f"configuration is invalid: {details}")
-    # Building each enabled stage's records rejects a bad value before any work
-    # or write. A disabled stage passes on the digest its sentinel recorded.
+    # Before any work or write: each enabled stage's records reject a bad value.
+    errors = validate(config)
+    if errors:
+        raise PipelineError(f"configuration is invalid: {'; '.join(map(str, errors))}")
+    # A disabled stage passes on the digest its sentinel recorded.
     digests: list[str | None] = []
     for stage in STAGE_TABLE:
         upstream = digests[-1] if digests else None
-        try:
-            digests.append(_stage_digest(stage, config, upstream) if stage.enabled(config)
-                           else _sentinel_digest(workspace, stage.name))
-        except (ShardError, ValueError) as exc:
-            raise PipelineError(
-                f"configuration is invalid: {stage.section.upper()}: {exc}") from exc
+        digests.append(_stage_digest(stage, config, upstream) if stage.enabled(config)
+                       else _sentinel_digest(workspace, stage.name))
     # Resolved once (META.yaml is parsed at most once); only the dataset stage changes it.
     dataset_id = resolve_dataset_id(config, workspace)
     check_preconditions(config, workspace, dataset_id)
@@ -536,17 +520,11 @@ def _stage_dataset(state: _RunState) -> dict[str, Any]:
     )
     if not files:
         raise PipelineError("configured corpora contain no files")
-    sharding = shard_corpus(files, _shard_plan(config), ws.spill_dir, ws.sharded_dir,
+    sharding = shard_corpus(files, shard_plan(config), ws.spill_dir, ws.sharded_dir,
                             state.n_workers)
     did = derive_dataset_id(sharding.shards, config.dataset.id or None)
-    generation = generate_instances(
-        sharding.shards,
-        _record(MaskingPolicy, config.dataset),
-        vocab,
-        ws.processed_dir,
-        dataset_id=did,
-        n_workers=state.n_workers,
-    )
+    generation = generate_instances(sharding.shards, masking_policy(config), vocab,
+                                    ws.processed_dir, dataset_id=did, n_workers=state.n_workers)
     state.dataset_id = did
     return {
         "dataset_id": did,
@@ -565,21 +543,11 @@ def _stage_pretrain(state: _RunState) -> dict[str, Any]:
     _import_stage_code("trainer")
     config, ws = state.config, state.workspace
     did = state.require_dataset_id()
-    job = build_pretrain_job(
-        config,
-        did,
-        dataset_path=ws.processed_dir,
-        output_dir=ws.pretrain_model_dir(did),
-        log_dir=ws.pretrain_log_dir(did),
-        seed=config.dataset.seed,
-    )
+    job = build_pretrain_job(config, did, ws.processed_dir, ws.pretrain_model_dir(did),
+                             ws.pretrain_log_dir(did))
     outcome = state.require_trainer().run(job)
-    return {
-        "dataset_id": did,
-        "checkpoint": outcome.checkpoint_path,
-        "eval_loss": outcome.eval_loss,
-        "log": job.log_dir,
-    }
+    return {"dataset_id": did, "checkpoint": outcome.checkpoint_path,
+            "eval_loss": outcome.eval_loss, "log": job.log_dir}
 
 
 def _stage_finetune(state: _RunState) -> dict[str, Any]:
@@ -590,7 +558,7 @@ def _stage_finetune(state: _RunState) -> dict[str, Any]:
     if not pretrain_checkpoint.exists():
         raise PipelineError(f"pretrained checkpoint missing: {pretrain_checkpoint}")
 
-    points = finetune_search(config.finetune.tasks, _record(SearchSpace, config.finetune))
+    points = finetune_search(config.finetune.tasks, search_space(config))
     best: dict[str, tuple[GridPoint, RunOutcome]] = {}
 
     def run_point(point: GridPoint) -> tuple[GridPoint, RunOutcome]:

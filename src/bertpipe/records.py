@@ -7,7 +7,9 @@ the stage outputs, and the three readers the digests and the dataset id use.
 Each record lives here with its error class and defaults; the stage modules
 (``sharding``, ``instances``, ``schedule``, ``trainer``, ``search``,
 ``collect``, ``ingest``, ``tokenization``) import them back, so either name
-works.
+works. A record's check sets ``field`` on its error. ``shard_plan``,
+``masking_policy``, ``pretrain_schedule`` and ``search_space`` build the
+records from a config: for the digests, the stages and ``config.validate``.
 
 META.yaml is read with libyaml (``yaml.CSafeLoader``) when PyYAML has it,
 and with the pure-Python ``SafeLoader`` otherwise.
@@ -16,10 +18,11 @@ and with the pure-Python ``SafeLoader`` otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 import yaml
 
@@ -37,10 +40,7 @@ MIN_MEMORY_BYTES = 16 * 2**20
 TRAIN, TEST = "train", "test"
 
 DEFAULT_SEED = 42  # keys every random draw: split, shard order, masks, pretraining
-DEFAULT_ETA0 = 2e-3
 DEFAULT_DECAY_RATIO = 2 ** -0.5
-DEFAULT_ELL = 6
-DEFAULT_WARMUP_PROPORTION = 0.06
 
 # libyaml parses a large META.yaml several times faster than pure-Python PyYAML.
 _META_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -70,6 +70,14 @@ class VocabularyError(Exception):
     """Vocabulary file missing, malformed, or lacking a special token."""
 
 
+def _reject_if(bad: bool, error: type[Exception], field: str, message: str) -> None:
+    """Raise ``error(message)`` if ``bad``, its ``field`` attribute naming the field checked."""
+    if bad:
+        exc = error(message)
+        exc.field = field
+        raise exc
+
+
 @dataclass(frozen=True)
 class ShardPlan:
     """Sharding parameters; memory budget in bytes (gigabytes are 2^30 bytes)."""
@@ -81,15 +89,13 @@ class ShardPlan:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.num_train_shards < 1 or self.num_test_shards < 1:
-            raise ShardError("shard counts must be >= 1")
-        if not 0 <= self.frac_test < 1:
-            raise ShardError("frac_test must lie in [0, 1)")
-        if self.max_memory_bytes < MIN_MEMORY_BYTES:
-            raise ShardError(
-                f"memory budget {self.max_memory_bytes} below the "
-                f"{MIN_MEMORY_BYTES}-byte floor; refusing to start"
-            )
+        for field in ("num_train_shards", "num_test_shards"):
+            _reject_if(getattr(self, field) < 1, ShardError, field, "shard counts must be >= 1")
+        _reject_if(not 0 <= self.frac_test < 1, ShardError, "frac_test",
+                   "frac_test must lie in [0, 1)")
+        _reject_if(self.max_memory_bytes < MIN_MEMORY_BYTES, ShardError, "max_memory_bytes",
+                   f"memory budget {self.max_memory_bytes} below the "
+                   f"{MIN_MEMORY_BYTES}-byte floor; refusing to start")
 
     def shards_for(self, split: str) -> int:
         return self.num_train_shards if split == TRAIN else self.num_test_shards
@@ -110,19 +116,17 @@ class MaskingPolicy:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not 0 < self.masked_lm_prob < 1:
-            raise ValueError("masked_lm_prob must lie in (0, 1)")
-        if self.max_seq_length > MAX_SEQ_LENGTH_LIMIT:
-            raise ValueError(
-                f"max_seq_length {self.max_seq_length} exceeds {MAX_SEQ_LENGTH_LIMIT}, the "
-                f"largest instance file format version {INSTANCE_FORMAT_VERSION} can store")
-        if self.max_predictions_per_seq < 1:
-            raise ValueError(
-                f"max_predictions_per_seq must be >= 1, not {self.max_predictions_per_seq}")
-        if self.max_predictions_per_seq > self.max_seq_length - 2:
-            raise ValueError("max_predictions_per_seq must be <= max_seq_length - 2")
-        if self.dup_factor < 1:
-            raise ValueError("dup_factor must be >= 1")
+        _reject_if(not 0 < self.masked_lm_prob < 1, ValueError, "masked_lm_prob",
+                   "masked_lm_prob must lie in (0, 1)")
+        _reject_if(self.max_seq_length > MAX_SEQ_LENGTH_LIMIT, ValueError, "max_seq_length",
+                   f"max_seq_length {self.max_seq_length} exceeds {MAX_SEQ_LENGTH_LIMIT}, the "
+                   f"largest instance file format version {INSTANCE_FORMAT_VERSION} can store")
+        _reject_if(self.max_predictions_per_seq < 1, ValueError, "max_predictions_per_seq",
+                   f"max_predictions_per_seq must be >= 1, not {self.max_predictions_per_seq}")
+        _reject_if(self.max_predictions_per_seq > self.max_seq_length - 2, ValueError,
+                   "max_predictions_per_seq",
+                   "max_predictions_per_seq must be <= max_seq_length - 2")
+        _reject_if(self.dup_factor < 1, ValueError, "dup_factor", "dup_factor must be >= 1")
 
     @property
     def window_size(self) -> int:
@@ -138,22 +142,20 @@ class ScheduleSpec:
     """
 
     kind: str = "esd"  # "esd" | "linear"
-    eta0: float = DEFAULT_ETA0
+    eta0: float = 2e-3
     r: float = DEFAULT_DECAY_RATIO
-    ell: int = DEFAULT_ELL
-    warmup_proportion: float = DEFAULT_WARMUP_PROPORTION
+    ell: int = 6
+    warmup_proportion: float = 0.06
 
     def __post_init__(self):
-        if self.kind not in ("esd", "linear"):
-            raise ScheduleError(f"unknown schedule kind: {self.kind!r}")
-        if not (math.isfinite(self.eta0) and self.eta0 > 0):
-            raise ScheduleError(f"eta0 must be positive and finite, not {self.eta0!r}")
-        if not 0 < self.r < 1:
-            raise ScheduleError("decay ratio r must lie in (0, 1)")
-        if self.ell < 1:
-            raise ScheduleError("ell must be a positive integer")
-        if not 0 <= self.warmup_proportion < 1:
-            raise ScheduleError("warmup_proportion must lie in [0, 1)")
+        _reject_if(self.kind not in ("esd", "linear"), ScheduleError, "kind",
+                   f"unknown schedule kind: {self.kind!r}")
+        _reject_if(not (math.isfinite(self.eta0) and self.eta0 > 0), ScheduleError, "eta0",
+                   f"eta0 must be positive and finite, not {self.eta0!r}")
+        _reject_if(not 0 < self.r < 1, ScheduleError, "r", "decay ratio r must lie in (0, 1)")
+        _reject_if(self.ell < 1, ScheduleError, "ell", "ell must be a positive integer")
+        _reject_if(not 0 <= self.warmup_proportion < 1, ScheduleError, "warmup_proportion",
+                   "warmup_proportion must lie in [0, 1)")
 
     @property
     def r_squared(self) -> Fraction:
@@ -201,6 +203,11 @@ class EarlyStopPolicy:
     early_stop_eval_loss: float = 6.0
 
 
+# Each grid dimension: (field, what one of its values is called in an error).
+_GRID_FIELDS = (("learning_rates", "learning rate"), ("batch_sizes", "batch size"),
+                ("epochs", "epoch count"))
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     learning_rates: tuple[float, ...] = (1e-5, 3e-5, 5e-5, 8e-5)
@@ -208,24 +215,49 @@ class SearchSpace:
     epochs: tuple[int, ...] = (3, 5)
 
     def __post_init__(self):
-        if not self.learning_rates or not self.batch_sizes or not self.epochs:
-            raise SearchError("hyperparameter grid has an empty dimension")
+        for field, _ in _GRID_FIELDS:
+            _reject_if(not getattr(self, field), SearchError, field,
+                       "hyperparameter grid has an empty dimension")
         for lr in self.learning_rates:
-            if not (math.isfinite(lr) and lr > 0):
-                raise SearchError(f"learning rate must be positive and finite, not {lr!r}")
-        for name, values in (("batch size", self.batch_sizes), ("epoch count", self.epochs)):
-            for value in values:
-                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                    raise SearchError(f"{name} must be a positive integer, not {value!r}")
+            _reject_if(not (math.isfinite(lr) and lr > 0), SearchError, "learning_rates",
+                       f"learning rate must be positive and finite, not {lr!r}")
+        for field, name in _GRID_FIELDS[1:]:
+            for value in getattr(self, field):
+                _reject_if(isinstance(value, bool) or not isinstance(value, int) or value < 1,
+                           SearchError, field, f"{name} must be a positive integer, not {value!r}")
         # Two equal values would share one run directory and both win their task.
-        for name, values in (("learning rate", self.learning_rates),
-                             ("batch size", self.batch_sizes), ("epoch count", self.epochs)):
+        for field, name in _GRID_FIELDS:
+            values = getattr(self, field)
             for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise SearchError(f"{name} {value!r} is repeated in the grid")
+                _reject_if(value in values[:i], SearchError, field,
+                           f"{name} {value!r} is repeated in the grid")
 
     def __len__(self) -> int:
         return len(self.learning_rates) * len(self.batch_sizes) * len(self.epochs)
+
+
+def _record(cls: type, section: Any, **more: Any) -> Any:
+    """A record from the config section's keys of the same names, and ``more``."""
+    return cls(**{f.name: getattr(section, f.name) for f in fields(cls)
+                  if hasattr(section, f.name)}, **more)
+
+
+def shard_plan(config) -> ShardPlan:
+    """The shard plan of a pipeline config: its ``DATASET`` keys and ``SYSTEM.MAX_MEMORY_IN_GB``."""
+    memory = config.system.max_memory_in_gb * 2**30
+    _reject_if(not math.isfinite(memory), ShardError, "max_memory_bytes",
+               f"memory budget {config.system.max_memory_in_gb!r} GB is not a finite byte count")
+    return _record(ShardPlan, config.dataset, max_memory_bytes=int(memory))
+
+
+def masking_policy(config) -> MaskingPolicy:
+    """The masking policy of a pipeline config's ``DATASET`` keys."""
+    return _record(MaskingPolicy, config.dataset)
+
+
+def search_space(config) -> SearchSpace:
+    """The finetune grid of a pipeline config's ``FINETUNE`` keys."""
+    return _record(SearchSpace, config.finetune)
 
 
 def load_meta(processed_dir: str | Path) -> dict:

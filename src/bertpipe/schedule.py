@@ -150,7 +150,7 @@ def emit_trace(spec: ScheduleSpec, overall_steps: int, out: str | Path) -> Path:
     return out
 
 
-def preset_spec(name: str, kind: str = "esd") -> tuple[ScheduleSpec, int]:
+def preset_spec(name: str, kind: str = ScheduleSpec.kind) -> tuple[ScheduleSpec, int]:
     """Resolve a preset to (spec, overall step budget)."""
     if name not in PRESETS:
         raise ScheduleError(f"unknown schedule preset: {name!r} (have {sorted(PRESETS)})")

@@ -53,9 +53,7 @@ from typing import Any, Protocol
 
 from . import glue
 from .atomic import replace_text_when_done, replace_when_done
-from .records import (
-    DEFAULT_SEED, PREDICTIONS_FILE, RESULT_FILE, EarlyStopPolicy, pretrain_schedule,
-)
+from .records import PREDICTIONS_FILE, RESULT_FILE, EarlyStopPolicy, pretrain_schedule
 from .rng import derive_u64, keyed_uniform
 from .schedule import ScheduleSpec, schedule_value
 
@@ -140,7 +138,7 @@ VALIDATION_BEGIN_PROPORTION = 0.05
 VALIDATION_END_PROPORTION = 0.01
 
 # Argument list of the standard pretraining command; the values the config,
-# schedule, early-stop policy and seed drive are added by build_pretrain_job.
+# schedule, early-stop policy and seed set are added by build_pretrain_job.
 PRETRAIN_STATIC_ARGS: tuple[tuple[str, str | None], ...] = (
     ("--model_type", "bert-mlm"),
     ("--hidden_act", "gelu"),
@@ -185,12 +183,11 @@ def build_pretrain_job(
     output_dir: Path,
     log_dir: Path,
     early_stop: EarlyStopPolicy = EarlyStopPolicy(),
-    seed: int = DEFAULT_SEED,
 ) -> TrainerJob:
-    """Assemble the pretraining job argv from the config, early stop and seed.
+    """Assemble the pretraining job argv from the config and the early-stop policy.
 
     The schedule is the config's (``records.pretrain_schedule``), so the argv
-    carries all of it.
+    carries all of it; ``--seed`` is ``DATASET.SEED``.
     """
     spec = pretrain_schedule(config)
     argv: list[str] = [
@@ -214,7 +211,7 @@ def build_pretrain_job(
         argv += ["--use_early_stopping",
                  "--early_stop_time", format_number(early_stop.early_stop_time_minutes),
                  "--early_stop_eval_loss", format_number(early_stop.early_stop_eval_loss)]
-    argv += ["--seed", str(seed)]
+    argv += ["--seed", str(config.dataset.seed)]
     return TrainerJob(f"{PRETRAIN}/{dataset_id}", tuple(argv), log_dir)
 
 
@@ -243,7 +240,7 @@ def build_finetune_argv(checkpoint: str, task: str, output_dir: str,
 
 
 def parse_result_file(output_dir: Path) -> tuple[float, Path]:
-    """Read the RESULT.tsv contract file: (eval_loss, checkpoint path)."""
+    """Read the RESULT.tsv contract file: (eval_loss, a finite float; checkpoint path)."""
     result_path = output_dir / RESULT_FILE
     if not result_path.is_file():
         raise TrainerError(f"trainer did not write {result_path}")
@@ -254,7 +251,12 @@ def parse_result_file(output_dir: Path) -> tuple[float, Path]:
         if len(parts) != 2:
             continue
         if parts[0] == "eval_loss":
-            eval_loss = float(parts[1])
+            try:
+                eval_loss = float(parts[1])
+            except ValueError:
+                eval_loss = math.nan
+            if not math.isfinite(eval_loss):
+                raise TrainerError(f"{result_path}: eval_loss {parts[1]!r} is not a finite number")
         elif parts[0] == "checkpoint":
             checkpoint = Path(parts[1])
     if eval_loss is None or checkpoint is None:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import zipfile
@@ -144,7 +146,7 @@ def test_each_flag_reaches_its_key_or_argument(tmp_path, monkeypatch, capsys):
                                           if "." not in name}}
     # No flag is left out of the list above.
     args = build_parser().parse_args(["run", "--config", "x"])
-    not_in_table = {"command", "func", "config", "workdir", "trainer", "trainer_cmd"}
+    not_in_table = {"command", "func", "config", "workdir", "trainer_cmd"}
     assert set(vars(args)) - not_in_table == {cli._dest(name) for _, name, _ in FLAG_VALUES}
 
 
@@ -152,6 +154,25 @@ def test_no_flags_leave_the_config_unchanged(tmp_path, monkeypatch, capsys):
     config, kwargs = run_arguments(tmp_path, monkeypatch, yaml_of(YAML_VALUES), [])
     assert config == load_config(tmp_path / "pipeline.yaml") == parse_config(yaml_of(YAML_VALUES))
     assert kwargs == {"trainer": None}
+
+
+def test_trainer_cmd_alone_selects_the_external_trainer(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    ws = tmp_path / "ws"
+    command = shlex.join([sys.executable, str(Path(__file__).with_name("stub_trainer.py"))])
+    assert main(["run", *base_args(cfg, ws), "--trainer-cmd", command]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[       completed]") == 5
+    did = out.split("dataset id: ")[1].split()[0]
+    # Only the stub writes model.json; the simulation writes checkpoint.json.
+    assert (ws / "saved_models" / "pretrain" / did / "model.json").is_file()
+
+
+def test_empty_trainer_cmd_is_refused(tmp_path):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit, match="^--trainer-cmd names no command$"):
+        main(["run", *base_args(cfg, tmp_path / "ws"), "--trainer-cmd", " "])
+    assert not (tmp_path / "ws").exists()
 
 
 def test_precondition_error_is_reported(tmp_path, capsys):
@@ -172,17 +193,54 @@ def test_unknown_task_is_a_config_error(tmp_path, capsys):
     assert not (ws / "data").exists()
 
 
-@pytest.mark.parametrize("flags, message", [
+@pytest.mark.parametrize("flags, message, key", [
     (["--max-seq-length", "70000"], "max_seq_length 70000 exceeds 65535, the largest "
-                                    "instance file format version 4 can store"),
-    (["--max-predictions-per-seq", "0"], "max_predictions_per_seq must be >= 1, not 0"),
+                                    "instance file format version 4 can store",
+     "DATASET.MAX_SEQ_LENGTH"),
+    (["--max-predictions-per-seq", "0"], "max_predictions_per_seq must be >= 1, not 0",
+     "DATASET.MAX_PREDICTIONS_PER_SEQ"),
 ])
-def test_unstorable_masking_option_fails_the_dataset_stage(tmp_path, capsys, flags, message):
+def test_unstorable_masking_option_fails_the_dataset_stage(tmp_path, capsys, flags, message,
+                                                           key):
     cfg = write_config(tmp_path)
     ws = tmp_path / "ws"
     # Checked with every stage's records before any stage runs: nothing is written.
     assert main(["dataset", *base_args(cfg, ws), *flags]) == 1
-    assert capsys.readouterr().err == f"error: configuration is invalid: DATASET: {message}\n"
+    assert capsys.readouterr().err == f"error: configuration is invalid: {key}: {message}\n"
+    assert not ws.exists()
+
+
+FLOOR = "memory budget 1073741 below the 16777216-byte floor; refusing to start"
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("SYSTEM.MAX_MEMORY_IN_GB", "0.001", f"SYSTEM.MAX_MEMORY_IN_GB: {FLOOR}"),
+    ("SYSTEM.MAX_MEMORY_IN_GB", ".inf",
+     "SYSTEM.MAX_MEMORY_IN_GB: memory budget inf GB is not a finite byte count"),
+    ("SYSTEM.MAX_MEMORY_IN_GB", "1e400",
+     "SYSTEM.MAX_MEMORY_IN_GB: memory budget inf GB is not a finite byte count"),
+    ("SYSTEM.MAX_MEMORY_IN_GB", ".nan",
+     "SYSTEM.MAX_MEMORY_IN_GB: memory budget nan GB is not a finite byte count"),
+    ("PRETRAIN.ETA0", "0", "PRETRAIN.ETA0: eta0 must be positive and finite, not 0.0"),
+    # A short window leaves too little room for the default 20 predictions.
+    ("DATASET.MAX_SEQ_LENGTH", "16",
+     "DATASET.MAX_PREDICTIONS_PER_SEQ: max_predictions_per_seq must be <= max_seq_length - 2"),
+    ("FINETUNE.LEARNING_RATES", "[1e-5, 1e-5]",
+     "FINETUNE.LEARNING_RATES: learning rate 1e-05 is repeated in the grid"),
+    ("PRETRAIN.SCHEDULE", "cosine", "PRETRAIN.SCHEDULE: unknown schedule kind: 'cosine'"),
+])
+def test_bad_value_names_its_key(tmp_path, capsys, key, value, error):
+    # A YAML value, checked before any stage runs: nothing is written.
+    sections = {"SYSTEM": {"MAX_MEMORY_IN_GB": "0.25"},
+                "DATASET": {"CUSTOMIZED_DATASETS": f"[{tmp_path / 'corpus'}]"}}
+    section, name = key.split(".")
+    sections.setdefault(section, {})[name] = value
+    cfg = tmp_path / "pipeline.yaml"
+    cfg.write_text("".join(f"{section}:\n" + "".join(f"  {k}: {v}\n" for k, v in keys.items())
+                           for section, keys in sections.items()))
+    ws = tmp_path / "ws"
+    assert main(["run", "--config", str(cfg), "--workdir", str(ws)]) == 1
+    assert capsys.readouterr().err == f"error: configuration is invalid: {error}\n"
     assert not ws.exists()
 
 
@@ -194,6 +252,19 @@ def test_schedule_trace_command(tmp_path, capsys):
     assert len(data) == 101
     assert main(["schedule", "trace", "--preset", "bert-base-benchmark",
                  "--out", str(tmp_path / "preset.tsv")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, sha256", [
+    ([], "382b2db51287bd39a823b123e2225e4c1542bfb2ebca098c152c0570a4825ccf"),
+    (["--preset", "bert-large-benchmark", "--kind", "linear"],
+     "19823a76c39d691efda37cf1a938712938d8a0a66d187df12c7b8c4fc86aae47"),
+])
+def test_schedule_trace_bytes_are_pinned(tmp_path, capsys, flags, sha256):
+    # A flag that is not given leaves ScheduleSpec its default.
+    out = tmp_path / "trace.tsv"
+    assert main(["schedule", "trace", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
     capsys.readouterr()
 
 

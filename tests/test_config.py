@@ -187,6 +187,16 @@ class TestValidate:
         cfg = parse_config("DATASET:\n  ENABLED: False\n")
         assert validate(cfg) == []
 
+    def test_disabled_stage_records_are_not_built(self):
+        # A grid that SearchSpace rejects does no harm while no stage reads it.
+        cfg = parse_config("DATASET:\n  CUSTOMIZED_DATASETS: [/data]\n"
+                           "FINETUNE:\n  ENABLED: False\n  LEARNING_RATES: [1.0e-5, 1.0e-5]\n"
+                           "RESULT_COLLECTION:\n  ENABLED: False\n")
+        assert validate(cfg) == []
+        errors = validate(with_overrides(cfg, {"FINETUNE.ENABLED": True}))
+        assert [str(error) for error in errors] == [
+            "FINETUNE.LEARNING_RATES: learning rate 1e-05 is repeated in the grid"]
+
 
 # -- Round-trip property --------------------------------------------------
 

@@ -13,7 +13,7 @@ import pytest
 
 from bertpipe import glue, pipeline, search
 from bertpipe.collect import translate_predictions
-from bertpipe.config import parse_config, with_overrides
+from bertpipe.config import parse_config, validate, with_overrides
 from bertpipe.instances import INSTANCE_FORMAT_VERSION, load_meta
 from bertpipe.pipeline import (
     COMPLETED,
@@ -365,6 +365,54 @@ class TestFullRun:
         assert dataset["artifacts"]["spill_runs"] == str(filled)
 
 
+    def test_non_finite_eval_loss_fails_finetune(self, tmp_path, monkeypatch):
+        from bertpipe.trainer import _write_job_outputs as write_outputs
+
+        def infinite_eval_loss(output_dir, checkpoint, eval_loss, predictions=None):
+            if checkpoint["kind"] == "finetune":
+                eval_loss = float("inf")
+            return write_outputs(output_dir, checkpoint, eval_loss, predictions)
+
+        monkeypatch.setattr("bertpipe.trainer._write_job_outputs", infinite_eval_loss)
+        cfg, ws = stilt_pair(tmp_path)
+        result = ws.finetune_output_dir("pinned", "MNLI", "lr1e-05_bs16_ep3") / "RESULT.tsv"
+        message = f"{re.escape(str(result))}: eval_loss 'inf' is not a finite number"
+        with pytest.raises(PipelineError, match=f"^stage 'finetune' failed: {message}$"):
+            run_pipeline(cfg, ws)
+
+
+# A value of each key a stage record checks, which the record rejects.
+RECORD_REJECTS = [
+    ("SYSTEM.MAX_MEMORY_IN_GB", 0.001), ("DATASET.NUM_TRAIN_SHARDS", 0),
+    ("DATASET.NUM_TEST_SHARDS", 0), ("DATASET.FRAC_TEST", 1.0), ("DATASET.DUP_FACTOR", 0),
+    ("DATASET.MASKED_LM_PROB", 0), ("DATASET.MAX_SEQ_LENGTH", 70000),
+    ("DATASET.MAX_PREDICTIONS_PER_SEQ", 0), ("PRETRAIN.ETA0", 0),
+    ("PRETRAIN.SCHEDULE", "cosine"),
+    ("FINETUNE.LEARNING_RATES", []), ("FINETUNE.LEARNING_RATES", [1e-5, 1e-5]),
+    ("FINETUNE.LEARNING_RATES", [-1e-5]), ("FINETUNE.BATCH_SIZES", []),
+    ("FINETUNE.BATCH_SIZES", [16, 16]), ("FINETUNE.BATCH_SIZES", [0]),
+    ("FINETUNE.EPOCHS", []), ("FINETUNE.EPOCHS", [3, 3]), ("FINETUNE.EPOCHS", [0]),
+]
+
+
+@pytest.mark.parametrize("key, value", RECORD_REJECTS)
+def test_record_rejection_names_its_key(tmp_path, key, value):
+    # From the YAML and from a flag alike, before anything is written.
+    section, name = key.split(".")
+    lines = {"DATASET": ["CUSTOMIZED_DATASETS: [corpus]"]}
+    lines.setdefault(section, []).append(f"{name}: {json.dumps(value)}")
+    text = "".join(f"{s}:\n" + "".join(f"  {line}\n" for line in body)
+                   for s, body in lines.items())
+    cfg = parse_config(text)
+    assert cfg == with_overrides(parse_config("DATASET:\n  CUSTOMIZED_DATASETS: [corpus]\n"),
+                                 {key: value})
+    assert [error.key_path for error in validate(cfg)] == [key]
+    ws = Workspace(tmp_path / "ws")
+    with pytest.raises(PipelineError, match=f"^configuration is invalid: {re.escape(key)}: "):
+        run_pipeline(cfg, ws)
+    assert not ws.root.exists()
+
+
 class TestExternalTrainerEndToEnd:
     def test_five_stages_through_stub_trainer(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"
@@ -537,25 +585,30 @@ class TestRerunReactsToChanges:
         report = run_pipeline(cfg, ws, n_workers=2, finetune_parallelism=2)
         assert [s.status for s in report.stages] == [SKIPPED_DONE] * 5
 
-    @pytest.mark.parametrize("stage, budget, options, message", [
-        ("dataset", "0.001", {}, "memory budget 1073741 below the 16777216-byte floor"),
-        ("pretrain", "0.25", {"PRETRAIN.ETA0": 0}, "eta0 must be positive"),
+    @pytest.mark.parametrize("stage, budget, options, message, key", [
+        ("dataset", "0.001", {}, "memory budget 1073741 below the 16777216-byte floor",
+         "SYSTEM.MAX_MEMORY_IN_GB"),
+        ("pretrain", "0.25", {"PRETRAIN.ETA0": 0}, "eta0 must be positive", "PRETRAIN.ETA0"),
         ("pretrain", "0.25", {"PRETRAIN.ETA0": float("nan")},
-         "eta0 must be positive and finite, not nan"),
+         "eta0 must be positive and finite, not nan", "PRETRAIN.ETA0"),
         ("finetune", "0.25", {"FINETUNE.LEARNING_RATES": (1e-5, 1e-5)},
-         "learning rate 1e-05 is repeated in the grid"),
+         "learning rate 1e-05 is repeated in the grid", "FINETUNE.LEARNING_RATES"),
     ])
-    def test_invalid_option_fails_its_stage(self, tmp_path, stage, budget, options, message):
-        # Every digest is computed before the first stage runs, and builds each
-        # stage's shard plan, schedule or grid, which reject these values: no
-        # stage runs, not even the ones before the stage the value belongs to.
+    def test_invalid_option_fails_its_stage(self, tmp_path, stage, budget, options, message,
+                                            key):
+        # validate builds each enabled stage's shard plan, schedule and grid
+        # before the first stage runs, and these reject the values: no stage
+        # runs, not even the ones before the stage the value belongs to.
         text = corpus_config(tmp_path).replace("MAX_MEMORY_IN_GB: 0.25",
                                                f"MAX_MEMORY_IN_GB: {budget}")
+        cfg = with_overrides(parse_config(text), options)
         ws = Workspace(tmp_path / "ws")
-        expected = f"configuration is invalid: {stage.upper()}: {re.escape(message)}"
+        expected = f"configuration is invalid: {key}: {re.escape(message)}"
         with pytest.raises(PipelineError, match=f"^{expected}"):
-            run_pipeline(with_overrides(parse_config(text), options), ws)
+            run_pipeline(cfg, ws)
         assert not ws.root.exists()
+        # With that stage disabled, no record checks the value.
+        assert validate(with_overrides(cfg, {f"{stage.upper()}.ENABLED": False})) == []
 
     def test_instance_format_change_rebuilds_dataset(self, tmp_path, monkeypatch):
         # The reader rejects files of another format version, so a workspace

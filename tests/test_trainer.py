@@ -88,9 +88,9 @@ class TestBuildPretrainJob:
         assert argv[argv.index("--validation_end_proportion") + 1] == "0.01"
 
     def test_seed_and_early_stop_from_options(self):
-        cfg = get_default_config()
+        cfg = with_overrides(get_default_config(), {"DATASET.SEED": 7})
         job = build_pretrain_job(cfg, "abc123", Path("data"), Path("out"), Path("log"),
-                                 seed=7, early_stop=EarlyStopPolicy(True, 90.0, 4.5))
+                                 early_stop=EarlyStopPolicy(True, 90.0, 4.5))
         argv = list(job.argv)
         assert argv[argv.index("--seed") + 1] == "7"
         assert argv[argv.index("--early_stop_time") + 1] == "90"
@@ -401,6 +401,14 @@ class TestExternalTrainer:
     def test_parse_result_file_errors(self, tmp_path):
         (tmp_path / "RESULT.tsv").write_text("eval_loss\t1.5\n")
         with pytest.raises(TrainerError, match="missing"):
+            parse_result_file(tmp_path)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", ""])
+    def test_eval_loss_that_is_not_a_finite_number(self, tmp_path, value):
+        result = tmp_path / "RESULT.tsv"
+        result.write_text(f"eval_loss\t{value}\ncheckpoint\tckpt\n")
+        message = f"^{re.escape(str(result))}: eval_loss '{value}' is not a finite number$"
+        with pytest.raises(TrainerError, match=message):
             parse_result_file(tmp_path)
 
 
