@@ -39,7 +39,7 @@ _OPTION_FLAGS: dict[str, dict] = {
     "DATASET.MASKED_LM_PROB": {"type": float},
     "DATASET.MAX_SEQ_LENGTH": {"type": int},
     "DATASET.MAX_PREDICTIONS_PER_SEQ": {"type": int},
-    "PRETRAIN.SCHEDULE": {"choices": ("esd", "linear"), "help": "pretraining LR schedule kind"},
+    "PRETRAIN.SCHEDULE": {"help": "pretraining LR schedule kind: esd or linear"},
     "PRETRAIN.ETA0": {"type": float, "help": "peak learning rate"},
     "FINETUNE.TASKS": {"type": _task_list, "help": "comma-separated GLUE task list"},
     "finetune_parallelism": {"type": int},
@@ -63,16 +63,19 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + _dest(name).replace("_", "-"), default=None, **keywords)
 
 
-def _trainer_from_args(args: argparse.Namespace):
+def _trainer_from_args(args: argparse.Namespace, wandb_api_key: str | None):
     """The external trainer ``--trainer-cmd`` names; None leaves the built-in simulation."""
     if args.trainer_cmd is None:
         return None
-    command = tuple(shlex.split(args.trainer_cmd))
+    try:
+        command = tuple(shlex.split(args.trainer_cmd))
+    except ValueError as exc:  # an unbalanced quote
+        raise SystemExit(f"error: --trainer-cmd: {exc}") from None
     if not command:
         raise SystemExit("--trainer-cmd names no command")
     from .trainer import ExternalCommandTrainer
 
-    return ExternalCommandTrainer(command)
+    return ExternalCommandTrainer(command, wandb_api_key=wandb_api_key)
 
 
 def _run_stages(args: argparse.Namespace, only_stage: str | None) -> int:
@@ -83,7 +86,8 @@ def _run_stages(args: argparse.Namespace, only_stage: str | None) -> int:
                       for stage in STAGE_TABLE if stage.section})
     cfg = config_mod.with_overrides(config_mod.load_config(args.config),
                                     {name: value for name, value in given.items() if "." in name})
-    report = run_pipeline(cfg, Workspace(Path(args.workdir)), trainer=_trainer_from_args(args),
+    trainer = _trainer_from_args(args, cfg.wandb.api_key)
+    report = run_pipeline(cfg, Workspace(Path(args.workdir)), trainer=trainer,
                           **{name: value for name, value in given.items() if "." not in name})
     for stage in report.stages:
         line = f"[{stage.status:>16}] {stage.name}"
@@ -131,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = sub.add_parser("schedule", help="learning-rate schedule utilities")
     schedule_sub = schedule.add_subparsers(dest="schedule_command", required=True)
     trace = schedule_sub.add_parser("trace", help="emit a per-step step/lr TSV")
-    trace.add_argument("--kind", choices=("esd", "linear"))
+    trace.add_argument("--kind", help="esd or linear")
     trace.add_argument("--eta0", type=float)
     trace.add_argument("--steps", type=int, default=config_mod.PretrainConfig.num_steps,
                        help="overall step budget")

@@ -8,19 +8,18 @@ importable from ``instances`` as well.
 from __future__ import annotations
 
 import mmap
-import os
 from dataclasses import dataclass
-from operator import eq, itemgetter
+from functools import cache
+from operator import itemgetter
 from pathlib import Path
-from struct import Struct
-from typing import Callable, Iterable, Iterator, NamedTuple
+from struct import Struct, calcsize
+from typing import Iterable, Iterator, NamedTuple
 
-from .instances import _LAYOUT, _VERSION, INSTANCE_MAGIC
+from .instances import _ID_CODES, _LAYOUT, _VERSION, INSTANCE_MAGIC, _position_code
 from .records import INSTANCE_FORMAT_VERSION, InstanceFileError
 from .tokenization import Vocabulary
 
 _SHAPE = Struct("<HH")  # window length, n_masked
-_ID_CODES = {2: "H", 4: "I"}
 
 
 class MlmInstance(NamedTuple):
@@ -36,13 +35,12 @@ class MlmInstance(NamedTuple):
     masked_labels: tuple[int, ...]
 
 
-def read_instances(path: str | Path) -> Iterator[MlmInstance]:
-    """Iterate the instances of one file; malformed data raises with the offset.
+def _read_windows(path: Path) -> Iterator[tuple]:
+    """The header's [CLS], [SEP] and [MASK] ids, then each window as stored, checked.
 
-    Windows are decoded from a read-only memory map of the file: no read
-    call per window, and no copy of the file in memory.
+    A window is its ids, n_masked, per copy (its positions ascending, its mask
+    positions, its replace positions) and its copies' replacement ids.
     """
-    path = Path(path)
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -63,29 +61,25 @@ def read_instances(path: str | Path) -> Iterator[MlmInstance]:
             head, _VERSION.size)
         if width not in _ID_CODES:
             raise InstanceFileError(f"bad id width {width} in {path} at byte offset 12")
-        if count != windows * copies:
+        if not copies or count != windows * copies:
             raise InstanceFileError(f"{count} instances for {windows} windows of {copies} "
                                     f"copies in {path} at byte offset 34")
-        size = os.fstat(fh.fileno()).st_size
-        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    id_code = _ID_CODES[width]
-    narrow = seq_len <= 256
-    position_code, position_size = ("B", 1) if narrow else ("H", 2)
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)  # no read call per window
+    yield cls_id, sep_id, mask_id
+    size = len(buf)
+    id_code, position_code = _ID_CODES[width], _position_code(seq_len)
+    position_size = calcsize(position_code)
     with buf:
-        # Per window shape, once it has passed the shape check: the unpack of
-        # its ids, the unpack of its copies' counts and positions, the size
-        # of both, where each copy starts among those values and where the
-        # last one does. Per replacement count: the unpack of that many ids.
+        # Per window shape that has passed the shape check: the unpacks of its ids
+        # and of its copies' counts and positions, their sizes and each copy's start.
         shapes: dict[tuple[int, int], tuple] = {}
-        replacement_readers: dict[int, Callable] = {}
-        # Hot-loop names bound once; tuple.__new__ builds an MlmInstance
-        # without its keyword-checking __new__.
-        new, instance, getter, read_shape = tuple.__new__, MlmInstance, itemgetter, _SHAPE.unpack_from
+        read_replacements = cache(lambda n: Struct(f"<{n}{id_code}").unpack_from)
+        read_shape, shape_size = _SHAPE.unpack_from, _SHAPE.size
         offset = _VERSION.size + _LAYOUT.size
         for _ in range(windows):
             # Bounds are checked before each unpack: damaged counts must not
             # read past the end.
-            if offset + _SHAPE.size > size:
+            if offset + shape_size > size:
                 raise InstanceFileError(f"truncated instance file {path} at byte offset {offset}")
             shape = length, n_masked = read_shape(buf, offset)
             known = shapes.get(shape)
@@ -98,50 +92,59 @@ def read_instances(path: str | Path) -> Iterator[MlmInstance]:
                 known = shapes[shape] = (
                     Struct(f"<{length}{id_code}").unpack_from, width * length,
                     Struct(f"<{heads}{position_code}").unpack_from, heads * position_size,
-                    step, range(0, heads, step), heads - step)
-            read_ids, ids_size, read_heads, heads_size, step, copy_starts, last_copy = known
-            start, body = offset, offset + _SHAPE.size
+                    step, range(0, heads, step))
+            read_ids, ids_size, read_heads, heads_size, step, copy_starts = known
+            start, body = offset, offset + shape_size
             heads_at = body + ids_size
             offset = heads_at + heads_size
             if offset > size:
                 raise InstanceFileError(f"truncated instance file {path} at byte offset {body}")
             # u8 counts and positions are read as bytes: no struct call or tuple.
-            heads = buf[heads_at:offset] if narrow else read_heads(buf, heads_at)
+            heads = buf[heads_at:offset] if position_size == 1 else read_heads(buf, heads_at)
             n_replaced = heads[1] if copies == 1 else sum(heads[1::step])
             replaced_at, offset = offset, offset + width * n_replaced
             if offset > size:
                 raise InstanceFileError(f"truncated instance file {path} at byte offset "
                                         f"{replaced_at}")
-            if n_replaced:
-                read_replacements = replacement_readers.get(n_replaced)
-                if read_replacements is None:
-                    read_replacements = replacement_readers[n_replaced] = Struct(
-                        f"<{n_replaced}{id_code}").unpack_from
-                replacements = read_replacements(buf, replaced_at)
-            taken = 0
-            frame = [cls_id, *read_ids(buf, body), sep_id]
+            replacements = read_replacements(n_replaced)(buf, replaced_at)
+            stored = []
             for at in copy_starts:
-                first = at + 2
+                first, end = at + 2, at + step
                 mask_end = first + heads[at]
                 replace_end = mask_end + heads[at + 1]
-                if replace_end > at + step:
+                if replace_end > end:
                     raise InstanceFileError(f"bad action counts in {path} at byte offset "
                                             f"{heads_at + at * position_size}")
-                positions = tuple(sorted(heads[first:first + n_masked]))
+                # Sorted for the range check; an MlmInstance lists them in this order.
+                positions = tuple(sorted(heads[first:end]))
                 if not 0 < positions[0] <= positions[-1] <= length:
                     raise InstanceFileError(f"masked position out of window in {path} "
                                             f"at byte offset {start}")
-                labels = getter(*positions)(frame)
-                # The last copy may write over the frame: no later copy reads it.
-                input_ids = frame if at == last_copy else frame.copy()
-                for pos in heads[first:mask_end]:
-                    input_ids[pos] = mask_id
-                if replace_end > mask_end:
-                    for pos in heads[mask_end:replace_end]:
-                        input_ids[pos] = replacements[taken]
-                        taken += 1
-                yield new(instance, (tuple(input_ids), length + 2, positions,
-                                     (labels,) if n_masked == 1 else labels))
+                stored.append((positions, heads[first:mask_end], heads[mask_end:replace_end]))
+            yield read_ids(buf, body), n_masked, stored, replacements
+
+
+def read_instances(path: str | Path) -> Iterator[MlmInstance]:
+    """Iterate the instances of one file; malformed data raises with the offset."""
+    windows = _read_windows(Path(path))
+    cls_id, sep_id, mask_id = next(windows)
+    # tuple.__new__ builds an MlmInstance without its keyword-checking __new__.
+    new, instance, getter = tuple.__new__, MlmInstance, itemgetter
+    for ids, n_masked, stored, replacements in windows:
+        frame = [cls_id, *ids, sep_id]
+        last, attention_len, single = stored[-1][0], len(frame), n_masked == 1
+        taken = 0
+        for positions, masks, replaces in stored:
+            labels = getter(*positions)(frame)
+            # The last copy may write over the frame: no later copy reads it.
+            input_ids = frame if positions is last else frame.copy()
+            for pos in masks:
+                input_ids[pos] = mask_id
+            for pos in replaces:
+                input_ids[pos] = replacements[taken]
+                taken += 1
+            yield new(instance, (tuple(input_ids), attention_len, positions,
+                                 (labels,) if single else labels))
 
 
 @dataclass(frozen=True)
@@ -158,30 +161,26 @@ class MaskRateReport:
 
 
 def mask_rate_report(paths: Iterable[str | Path], vocab: Vocabulary) -> MaskRateReport:
-    """Scan instance files and report masking-rate and action-split statistics.
+    """Masking-rate and action-split statistics of instance files, from their stored counts.
 
-    A random replacement that happens to draw the original token is counted
-    as kept; with a realistically sized vocabulary the bias is negligible.
+    A file masked with other [CLS], [SEP] or [MASK] ids than ``vocab``'s raises.
     """
-    instances = masked = non_special_positions = max_masked = 0
-    mask_count = keep_count = 0
-    mask_id = vocab.mask_id
+    instances = masked = non_special_positions = max_masked = mask_count = replace_count = 0
+    special = (vocab.cls_id, vocab.sep_id, vocab.mask_id)
     for path in paths:
-        for input_ids, attention_len, positions, labels in read_instances(path):
-            n_masked = len(positions)
-            got = (itemgetter(*positions)(input_ids) if n_masked > 1
-                   else (input_ids[positions[0]],))
-            instances += 1
-            masked += n_masked
-            non_special_positions += attention_len - 2
-            if n_masked > max_masked:
-                max_masked = n_masked
-            # Counted per instance in C: a position reading [MASK] is a mask,
-            # else one reading its label is kept, else it was replaced.
-            mask_count += got.count(mask_id)
-            keep_count += sum(map(eq, got, labels))
-            if mask_id in labels:
-                keep_count -= sum(g == label == mask_id for g, label in zip(got, labels))
+        windows = _read_windows(Path(path))
+        found = next(windows)
+        if found != special:
+            raise InstanceFileError(f"instance file {path} has [CLS], [SEP] and [MASK] ids "
+                                    f"{found}, the vocabulary {special}")
+        for ids, n_masked, stored, _ in windows:
+            instances += len(stored)
+            masked += len(stored) * n_masked
+            non_special_positions += len(stored) * len(ids)
+            max_masked = max(max_masked, n_masked)
+            for _, masks, replaces in stored:  # a position neither masked nor replaced is kept
+                mask_count += len(masks)
+                replace_count += len(replaces)
     if instances == 0:
         return MaskRateReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0)
     return MaskRateReport(
@@ -189,7 +188,7 @@ def mask_rate_report(paths: Iterable[str | Path], vocab: Vocabulary) -> MaskRate
         masked_position_count=masked,
         mask_fraction=masked / non_special_positions,
         action_mask_fraction=mask_count / masked,
-        action_random_fraction=(masked - mask_count - keep_count) / masked,
-        action_keep_fraction=keep_count / masked,
+        action_random_fraction=replace_count / masked,
+        action_keep_fraction=(masked - mask_count - replace_count) / masked,
         max_masked_in_instance=max_masked,
     )

@@ -38,8 +38,8 @@ Labels are not stored: ``read_instances`` yields each copy as an
 positions and the stored ids at its replace positions, whose positions are
 sorted, and whose label at position p is window[p - 1]. That reading side
 (``read_instances``, ``MlmInstance``, ``mask_rate_report``) lives in
-``instance_reader``, which a pipeline run never loads; its names are
-importable from here too.
+``instance_reader``, where one window decoder serves both readers; a
+pipeline run never loads it, and its names are importable from here too.
 """
 
 from __future__ import annotations
@@ -65,6 +65,19 @@ INSTANCE_MAGIC = b"XBINST01"
 _VERSION = struct.Struct("<8sH")
 # max_seq_length, id width, copies per window, [CLS], [SEP] and [MASK] ids, windows, instances
 _LAYOUT = struct.Struct("<HHIIIIII")
+# The field widths: ids are u16 when the vocabulary has at most 65536 entries,
+# else u32, and the header's id width says which; counts and positions are u8
+# when max_seq_length <= 256, else u16.
+_ID_CODES = {2: "H", 4: "I"}  # the struct code of an id, by id width
+
+
+def _id_width(vocab_size: int) -> int:
+    return 2 if vocab_size <= 1 << 16 else 4
+
+
+def _position_code(max_seq_length: int) -> str:
+    return "B" if max_seq_length <= 256 else "H"
+
 
 # The standard BERT replacement split (Devlin et al., 2019); keep is the rest.
 MASK_TOKEN_SHARE = 0.8
@@ -205,13 +218,13 @@ def write_instance_file(path: Path, windows: Iterable[MaskedWindow],
     are held at a time, and the file appears at ``path`` only once every
     window is written.
     """
-    id_code = "H" if len(vocab) <= 1 << 16 else "I"
-    position_code = "B" if policy.max_seq_length <= 256 else "H"
+    width = _id_width(len(vocab))
+    id_code, position_code = _ID_CODES[width], _position_code(policy.max_seq_length)
     copies = policy.dup_factor
 
     def header(n_windows: int) -> bytes:
         return _VERSION.pack(INSTANCE_MAGIC, INSTANCE_FORMAT_VERSION) + _LAYOUT.pack(
-            policy.max_seq_length, struct.calcsize(id_code), copies, vocab.cls_id,
+            policy.max_seq_length, width, copies, vocab.cls_id,
             vocab.sep_id, vocab.mask_id, n_windows, n_windows * copies)
 
     n_windows = 0

@@ -179,9 +179,8 @@ def warmup_steps(overall_steps: int, warmup_proportion: float) -> int:
 
 @dataclass(frozen=True)
 class BenchmarkPreset:
-    """A named (budget, peak rate) pairing for a standard pretraining run."""
+    """A (budget, peak rate) pairing for a standard pretraining run; ``PRESETS`` names it."""
 
-    name: str
     overall_steps: int
     eta0: float
 
@@ -189,8 +188,8 @@ class BenchmarkPreset:
 # 23k-step runs pair with the higher default peak; the longer 57.5k-step runs
 # use the smaller, more stable peak rate.
 PRESETS: dict[str, BenchmarkPreset] = {
-    "bert-base-benchmark": BenchmarkPreset("bert-base-benchmark", 23000, 2e-3),
-    "bert-large-benchmark": BenchmarkPreset("bert-large-benchmark", 57500, 1e-3),
+    "bert-base-benchmark": BenchmarkPreset(23000, 2e-3),
+    "bert-large-benchmark": BenchmarkPreset(57500, 1e-3),
 }
 
 

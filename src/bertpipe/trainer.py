@@ -25,7 +25,8 @@ Two adapters ship:
 
 * :class:`ExternalCommandTrainer` launches a real trainer process with the
   job argv, keeps its stdout/stderr under the job's log directory and times
-  it. The process must exit 0.
+  it. The process must exit 0. ``WANDB.API_KEY`` reaches it in its
+  environment, never in the argv, which error messages print.
 * :class:`SimulationTrainer` reads the job's argv, as a real trainer would,
   and iterates the steps it sets hermetically, consuming the learning-rate
   schedule and emitting a synthetic eval loss
@@ -45,9 +46,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shlex
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Protocol
 
@@ -304,6 +306,8 @@ class ExternalCommandTrainer:
 
     command: tuple[str, ...]
     timeout_seconds: float | None = None
+    # The process gets it as WANDB_API_KEY, on top of this process's environment.
+    wandb_api_key: str | None = field(default=None, repr=False)
 
     def run(self, job: TrainerJob) -> RunOutcome:
         import subprocess  # only external-trainer runs pay for importing it
@@ -313,10 +317,13 @@ class ExternalCommandTrainer:
         full = [*self.command, *job.argv]
         stdout_path = job.log_dir / "stdout.log"
         stderr_path = job.log_dir / "stderr.log"
+        key = self.wandb_api_key
+        env = None if key is None else dict(os.environ, WANDB_API_KEY=key)
         with open(stdout_path, "wb") as out, open(stderr_path, "wb") as err:
             started = time.perf_counter()
             try:
-                proc = subprocess.run(full, stdout=out, stderr=err, timeout=self.timeout_seconds)
+                proc = subprocess.run(full, stdout=out, stderr=err, timeout=self.timeout_seconds,
+                                      env=env)
             except subprocess.TimeoutExpired as exc:
                 raise TrainerError(
                     f"trainer timed out after {self.timeout_seconds} s "

@@ -175,6 +175,36 @@ def test_empty_trainer_cmd_is_refused(tmp_path):
     assert not (tmp_path / "ws").exists()
 
 
+def test_unbalanced_trainer_cmd_is_refused(tmp_path):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["run", *base_args(cfg, tmp_path / "ws"), "--trainer-cmd", "'deepspeed run.py"])
+    assert info.value.code == "error: --trainer-cmd: No closing quotation"
+    assert not (tmp_path / "ws").exists()
+
+
+def test_wandb_api_key_reaches_only_the_trainer_environment(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    api_key = "fedcba9876543210" * 2
+    cfg.write_text(cfg.read_text() + f"WANDB:\n  API_KEY: {api_key}\n"
+                   "FINETUNE:\n  ENABLED: False\nRESULT_COLLECTION:\n  ENABLED: False\n")
+    ws = tmp_path / "ws"
+    command = shlex.join([sys.executable, str(Path(__file__).with_name("stub_trainer.py"))])
+    assert main(["run", *base_args(cfg, ws), "--trainer-cmd", command]) == 0
+    [checkpoint] = ws.glob("saved_models/pretrain/*/model.json")
+    given = json.loads(checkpoint.read_text())
+    assert given["wandb_api_key"] == api_key
+    assert api_key not in " ".join(given["argv"])
+    # The stub's record is the only file that holds the key: not the trainer's
+    # stdout.log or stderr.log, nor log/pipeline/config.yaml.
+    assert {path.name for path in ws.rglob("*.log")} == {"stdout.log", "stderr.log"}
+    assert (ws / "log" / "pipeline" / "config.yaml").is_file()
+    holding = [path for path in ws.rglob("*") if path.is_file()
+               and api_key.encode() in path.read_bytes()]
+    assert holding == [checkpoint]
+    assert api_key not in capsys.readouterr().out
+
+
 def test_precondition_error_is_reported(tmp_path, capsys):
     cfg = write_config(tmp_path)
     # pretrain without any preprocessed data
@@ -244,6 +274,16 @@ def test_bad_value_names_its_key(tmp_path, capsys, key, value, error):
     assert not ws.exists()
 
 
+def test_unknown_schedule_flag_is_a_config_error(tmp_path, capsys):
+    # The flag is checked where the YAML key is: by ScheduleSpec, before any stage runs.
+    cfg = write_config(tmp_path)
+    ws = tmp_path / "ws"
+    assert main(["run", *base_args(cfg, ws), "--schedule", "cosine"]) == 1
+    assert capsys.readouterr().err == (
+        "error: configuration is invalid: PRETRAIN.SCHEDULE: unknown schedule kind: 'cosine'\n")
+    assert not ws.exists()
+
+
 def test_schedule_trace_command(tmp_path, capsys):
     out = tmp_path / "trace.tsv"
     assert main(["schedule", "trace", "--kind", "esd", "--eta0", "2e-3",
@@ -282,6 +322,8 @@ def test_schedule_error_is_reported(tmp_path, capsys):
     (["--steps", "-5"], "overall step budget -5 is negative"),
     (["--eta0", "nan"], "eta0 must be positive and finite, not nan"),
     (["--kind", "linear", "--decay-ratio", "nan"], "decay ratio r must lie in (0, 1)"),
+    (["--kind", "cosine"], "unknown schedule kind: 'cosine'"),
+    (["--preset", "bert-base-benchmark", "--kind", "cosine"], "unknown schedule kind: 'cosine'"),
 ])
 def test_schedule_trace_rejects_bad_flags(tmp_path, capsys, flags, message):
     out = tmp_path / "trace.tsv"
@@ -327,6 +369,20 @@ def test_noop_rerun_loads_no_pool_or_subprocess(tmp_path, capsys):
     assert _loaded_lazy_modules(rerun) == []
     report = json.loads((ws / "log" / "pipeline" / "report.json").read_text())
     assert [stage["status"] for stage in report["stages"]] == ["skipped_done"] * len(STAGES)
+
+
+def test_cold_run_never_loads_the_instance_reader(tmp_path):
+    # A run writes instance files and never reads one back.
+    cfg = write_config(tmp_path)
+    ws = tmp_path / "ws"
+    probe = ("import sys\nfrom bertpipe.cli import main\n"
+             f"assert main({['run', *base_args(cfg, ws)]!r}) == 0\n"
+             "print('bertpipe.instance_reader' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.splitlines()[-1] == "False"
+    report = json.loads((ws / "log" / "pipeline" / "report.json").read_text())
+    assert [stage["status"] for stage in report["stages"]] == ["completed"] * len(STAGES)
 
 
 def test_setup_run_loads_no_stage_code(tmp_path):

@@ -482,6 +482,16 @@ def test_instance_file_round_trip_property(tmp_path):
     inner()
 
 
+def assert_rejected(path, vocab, pattern):
+    """Both readers reject ``path`` with one InstanceFileError, message and offset included."""
+    messages = []
+    for read in (lambda: list(read_instances(path)), lambda: mask_rate_report([path], vocab)):
+        with pytest.raises(InstanceFileError, match=pattern) as info:
+            read()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 class TestInstanceFiles:
     def _masked(self, mini_vocab, copies, length=30):
         window = [mini_vocab.token_to_id["world"]] * length
@@ -512,8 +522,7 @@ class TestInstanceFiles:
                             mini_vocab)
         clipped = tmp_path / "clipped.xbi"
         clipped.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(InstanceFileError, match="byte offset"):
-            list(read_instances(clipped))
+        assert_rejected(clipped, mini_vocab, "byte offset")
 
     def test_truncated_record_offset_is_exact(self, tmp_path, mini_vocab):
         # Header 38 B; a window record is its two u16 counts and 30 u16 ids,
@@ -533,12 +542,9 @@ class TestInstanceFiles:
         # Cut into the second window's replacement ids, then into its copies.
         clipped = tmp_path / "clipped.xbi"
         clipped.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(InstanceFileError,
-                           match=f"at byte offset {38 + record + copies_end}$"):
-            list(read_instances(clipped))
+        assert_rejected(clipped, mini_vocab, f"at byte offset {38 + record + copies_end}$")
         clipped.write_bytes(path.read_bytes()[:-2 * replaced - 1])
-        with pytest.raises(InstanceFileError, match=f"at byte offset {38 + record + 4}$"):
-            list(read_instances(clipped))
+        assert_rejected(clipped, mini_vocab, f"at byte offset {38 + record + 4}$")
 
     def test_wide_ids_round_trip(self, tmp_path):
         vocab = sized_vocab(70_001)
@@ -562,33 +568,28 @@ class TestInstanceFiles:
         assert len(raw) == 38 + 4 + 2 * 3 + (2 + 1) + 2 * replaced_count(masked[0][1])
         assert list(read_instances(path)) == expected_instances(*masked[0], vocab)
 
-    def test_version_1_file_rejected(self, tmp_path):
+    def test_version_1_file_rejected(self, tmp_path, mini_vocab):
         # A version 1 header followed by one padded record, as older builds wrote it.
         v1 = tmp_path / "v1.xbi"
         v1.write_bytes(struct.pack("<8sHHI", b"XBINST01", 1, 4, 1)
                        + struct.pack("<4IHHHI", 1, 7, 2, 0, 3, 1, 1, 9))
-        with pytest.raises(InstanceFileError, match="unsupported instance format version 1 "):
-            list(read_instances(v1))
+        assert_rejected(v1, mini_vocab, "unsupported instance format version 1 ")
 
-    def test_version_2_file_rejected(self, tmp_path):
+    def test_version_2_file_rejected(self, tmp_path, mini_vocab):
         # A version 2 header and one record (ids, positions and labels, all
         # u16), as the previous format stored every copy whole.
         v2 = tmp_path / "v2.xbi"
         v2.write_bytes(struct.pack("<8sHHHI", b"XBINST01", 2, 128, 2, 1)
                        + struct.pack("<HH3HHH", 3, 1, 2, 4, 3, 1, 7))
-        with pytest.raises(InstanceFileError,
-                           match=f"^unsupported instance format version 2 in {v2}$"):
-            list(read_instances(v2))
+        assert_rejected(v2, mini_vocab, f"^unsupported instance format version 2 in {v2}$")
 
-    def test_version_3_file_rejected(self, tmp_path):
+    def test_version_3_file_rejected(self, tmp_path, mini_vocab):
         # A version 3 header (no [MASK] id) and one window whose copy stores
         # the input id at its one position, as the previous format did.
         v3 = tmp_path / "v3.xbi"
         v3.write_bytes(struct.pack("<8sHHHIIIII", b"XBINST01", 3, 128, 2, 1, 2, 3, 1, 1)
                        + struct.pack("<HH8HBH", 8, 1, *range(20, 28), 3, 4))
-        with pytest.raises(InstanceFileError,
-                           match=f"^unsupported instance format version 3 in {v3}$"):
-            list(read_instances(v3))
+        assert_rejected(v3, mini_vocab, f"^unsupported instance format version 3 in {v3}$")
 
     def test_wrong_copy_count_rejected(self, tmp_path, mini_vocab):
         path = tmp_path / "x.xbi"
@@ -608,15 +609,12 @@ class TestInstanceFiles:
         assert len(raw) in (position_at + 1, position_at + 1 + 2)
         raw[position_at] = 9
         path.write_bytes(bytes(raw))
-        with pytest.raises(InstanceFileError, match="position out of window .* byte offset 38$"):
-            list(read_instances(path))
+        assert_rejected(path, mini_vocab, "position out of window .* byte offset 38$")
         # Over [CLS], and far past the window's end.
         for position in (0, 200):
             raw[position_at] = position
             path.write_bytes(bytes(raw))
-            with pytest.raises(InstanceFileError,
-                               match="position out of window .* byte offset 38$"):
-                list(read_instances(path))
+            assert_rejected(path, mini_vocab, "position out of window .* byte offset 38$")
 
     def test_action_counts_past_the_copy_rejected(self, tmp_path, mini_vocab):
         # A mask count larger than the copy's positions would read the next
@@ -630,9 +628,7 @@ class TestInstanceFiles:
         assert raw[second_copy:second_copy + 5] == bytes([1, 1, 2, 4, 6])
         raw[second_copy] = 3
         path.write_bytes(bytes(raw))
-        with pytest.raises(InstanceFileError,
-                           match=f"bad action counts in .* at byte offset {second_copy}$"):
-            list(read_instances(path))
+        assert_rejected(path, mini_vocab, f"bad action counts in .* at byte offset {second_copy}$")
 
     def test_damaged_counts_fail_before_a_huge_read(self, tmp_path, mini_vocab):
         # Copy and instance counts that agree but are far too large end in a
@@ -644,8 +640,32 @@ class TestInstanceFiles:
         struct.pack_into("<I", raw, 14, 2**32 - 1)  # copies per window
         struct.pack_into("<I", raw, 34, 2**32 - 1)  # instances, for its one window
         path.write_bytes(bytes(raw))
-        with pytest.raises(InstanceFileError, match="truncated instance file .* byte offset 42$"):
-            list(read_instances(path))
+        assert_rejected(path, mini_vocab, "truncated instance file .* byte offset 42$")
+
+    @pytest.mark.parametrize("offset, layout, values, message", [
+        (0, "<8s", (b"XBINST02",), "^bad instance magic in .* at byte offset 0$"),
+        (12, "<H", (3,), "^bad id width 3 in .* at byte offset 12$"),
+        (14, "<I", (0,), "^1 instances for 1 windows of 0 copies in .* at byte offset 34$"),
+        (34, "<I", (2,), "^2 instances for 1 windows of 1 copies in .* at byte offset 34$"),
+        (38, "<HH", (8, 9), r"^bad window shape \(8, 9\) in .* at byte offset 38$"),
+        (38, "<HH", (127, 1), r"^bad window shape \(127, 1\) in .* at byte offset 38$"),
+    ])
+    def test_damaged_header_or_shape_rejected(self, tmp_path, mini_vocab, offset, layout, values,
+                                              message):
+        path = tmp_path / "x.xbi"
+        write_instance_file(path, [self._masked(mini_vocab, 1, length=8)],
+                            MaskingPolicy(dup_factor=1), mini_vocab)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(layout, raw, offset, *values)
+        path.write_bytes(bytes(raw))
+        assert_rejected(path, mini_vocab, message)
+
+    @pytest.mark.parametrize("kept, offset", [(5, 0), (20, 10)])
+    def test_truncated_header_rejected(self, tmp_path, mini_vocab, kept, offset):
+        path = tmp_path / "x.xbi"
+        write_instance_file(path, [], MaskingPolicy(), mini_vocab)
+        path.write_bytes(path.read_bytes()[:kept])
+        assert_rejected(path, mini_vocab, f"^truncated instance file .* at byte offset {offset}$")
 
     def test_failed_write_leaves_no_file(self, tmp_path, mini_vocab):
         path = tmp_path / "x.xbi"
@@ -698,9 +718,8 @@ class TestMaskRateReport:
 
 
 def test_mask_rate_report_sorts_each_position_once(tmp_path, mini_vocab):
-    # A [MASK] label that reads [MASK] counts as a mask, not a keep, whether
-    # the copy masked or kept it; a position reading its label is a keep, and
-    # one reading any other id a replacement.
+    # Each position counts once, under the action its copy stored: a kept
+    # [MASK] label is a keep, not a mask.
     mask = mini_vocab.mask_id
     window = [mask, 20, 21, 22, 23, 24, 25, 26, 27, 28]
     copies = [([1], [], [2], []), ([], [2], [1], [30])]
@@ -709,4 +728,30 @@ def test_mask_rate_report_sorts_each_position_once(tmp_path, mini_vocab):
     report = mask_rate_report([path], mini_vocab)
     assert (report.instance_count, report.masked_position_count) == (2, 4)
     assert (report.action_mask_fraction, report.action_keep_fraction,
-            report.action_random_fraction) == (0.5, 0.25, 0.25)
+            report.action_random_fraction) == (0.25, 0.5, 0.25)
+
+
+def test_mask_rate_report_counts_a_replacement_that_drew_its_label(tmp_path, mini_vocab):
+    # Position 2 was replaced by a random draw that happened to be its label, 21.
+    window = list(range(20, 30))
+    path = tmp_path / "x.xbi"
+    write_instance_file(path, [(window, [([1], [2], [3], [21])])], MaskingPolicy(dup_factor=1),
+                        mini_vocab)
+    [inst] = read_instances(path)
+    assert inst.input_ids[2] == inst.masked_labels[1] == 21
+    report = mask_rate_report([path], mini_vocab)
+    assert (report.action_mask_fraction, report.action_random_fraction,
+            report.action_keep_fraction) == (1 / 3, 1 / 3, 1 / 3)
+
+
+def test_mask_rate_report_rejects_another_vocabulary(tmp_path, mini_vocab):
+    path = tmp_path / "x.xbi"
+    write_instance_file(path, [(list(range(20, 30)), [([1], [2], [3], [40])])],
+                        MaskingPolicy(dup_factor=1), mini_vocab)
+    # The same specials in another order: [MASK], [CLS] and [SEP] have other ids.
+    other = make_vocabulary(["[PAD]", "[UNK]", "[MASK]", "[CLS]", "[SEP]",
+                             *mini_vocab.tokens[5:]])
+    assert (other.cls_id, other.sep_id, other.mask_id) == (3, 4, 2)
+    assert (mini_vocab.cls_id, mini_vocab.sep_id, mini_vocab.mask_id) == (2, 3, 4)
+    with pytest.raises(InstanceFileError, match=f"^instance file {path} has "):
+        mask_rate_report([path], other)

@@ -365,6 +365,20 @@ class TestExternalTrainer:
         assert (tmp_path / "log" / "stdout.log").is_file()
         assert (tmp_path / "log" / "stderr.log").is_file()
 
+    def test_wandb_api_key_reaches_the_child_environment_only(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("WANDB_API_KEY", raising=False)
+        job = self._job(tmp_path)
+        outcome = ExternalCommandTrainer(self._stub(tmp_path)).run(job)
+        assert json.loads(outcome.checkpoint_path.read_text())["wandb_api_key"] is None
+        api_key = "0123abcd" * 5
+        trainer = ExternalCommandTrainer(self._stub(tmp_path), wandb_api_key=api_key)
+        outcome = trainer.run(job)
+        assert json.loads(outcome.checkpoint_path.read_text())["wandb_api_key"] == api_key
+        # Not in the argv, which error messages print, nor in the trainer's logs.
+        assert api_key not in " ".join(job.argv) and api_key not in repr(trainer)
+        for name in ("stdout.log", "stderr.log"):
+            assert api_key not in (job.log_dir / name).read_text()
+
     def test_wall_time_measured(self, tmp_path):
         trainer = ExternalCommandTrainer(self._stub(tmp_path, sleep_seconds=0.2))
         assert trainer.run(self._job(tmp_path)).wall_time_minutes > 0
